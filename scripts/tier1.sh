@@ -52,6 +52,19 @@ timeout 600 ./build/examples/example_nmdt_cli --cmd suite --scale tiny --k 8 \
 timeout 600 ./build/examples/example_nmdt_cli --cmd suite --scale tiny --k 8 \
   --resume "$smoke_dir/sweep.nmdj" --out "$smoke_dir/sweep_resumed.csv"
 cmp "$smoke_dir/sweep.csv" "$smoke_dir/sweep_resumed.csv"
+# An interrupted journal resumes across modes: a suite deadline cuts the
+# in-process sweep short (exit 6, or 0 if it finished first), worker
+# processes finish it, and the table matches the uninterrupted run.
+rm -f "$smoke_dir/sweep_cut.nmdj"
+rc=0
+timeout 600 ./build/examples/example_nmdt_cli --cmd suite --scale tiny --k 8 \
+  --journal "$smoke_dir/sweep_cut.nmdj" --suite-timeout 20 \
+  --out "$smoke_dir/sweep_cut.csv" || rc=$?
+test "$rc" -eq 6 -o "$rc" -eq 0
+timeout 600 ./build/examples/example_nmdt_cli --cmd suite --scale tiny --k 8 \
+  --resume "$smoke_dir/sweep_cut.nmdj" --isolate-workers 2 \
+  --out "$smoke_dir/sweep_cut_resumed.csv"
+cmp "$smoke_dir/sweep.csv" "$smoke_dir/sweep_cut_resumed.csv"
 timeout 60 ./build/examples/example_trace_lint --journal "$smoke_dir/sweep.nmdj"
 timeout 60 ./build/examples/example_trace_lint --trace BENCH_kernels.json --json-only
 

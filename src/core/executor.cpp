@@ -1,26 +1,15 @@
 #include "core/executor.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <filesystem>
-#include <map>
 #include <mutex>
 #include <optional>
-#include <system_error>
-#include <thread>
 #include <type_traits>
 
-#include "core/journal.hpp"
-#include "fault/fault.hpp"
+#include "core/suite_driver.hpp"
 #include "formats/retype.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/scoped_timer.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace nmdt {
@@ -86,68 +75,47 @@ SpmmResult SpmmExecutor::execute(KernelKind kind, const SpmmPlan& plan,
 
 namespace {
 
-/// Shared per-row state for the arm fan-out.  The four arm tasks write
-/// disjoint SuiteRow fields; the last one to finish reports the row.
-struct RowJob {
-  std::shared_ptr<const SpmmPlan> plan;
-  std::shared_ptr<const DenseMatrix> B;
-  std::atomic<int> arms_left{SuiteRow::kArmCount};
-  /// Set when any arm of this row was abandoned by cancellation: the
-  /// partial row must not be reported or counted as done work.
-  std::atomic<bool> cancelled{false};
-};
-
-/// Watchdog thread for deadline enforcement.  Every few milliseconds it
-/// scans the suite token and every registered in-flight arm token and
-/// *requests* cancellation on any whose deadline has expired — turning
-/// an implicit (clock-comparison) expiry into an explicit sticky
-/// request that every subsequent cancelled()/poll() observes without
-/// touching the clock.  It only ever cancels cooperatively; arms unwind
-/// at their next poll, never mid-write.
-class DeadlineWatchdog {
+/// run_suite's backend: row work on one shared ThreadPool, completions
+/// handed to the driver thread through a queue.
+class PoolBackend final : public suite::Backend {
  public:
-  explicit DeadlineWatchdog(CancelToken suite)
-      : suite_(std::move(suite)), thread_([this] { loop(); }) {}
-  ~DeadlineWatchdog() { stop(); }
+  PoolBackend(suite::RowWork work, int jobs) : work_(std::move(work)), pool_(jobs) {}
 
-  usize add(const CancelToken& token) {
-    std::lock_guard<std::mutex> lock(mu_);
-    arms_[next_id_] = token;
-    return next_id_++;
+  int concurrency() const override { return pool_.size(); }
+
+  void submit(usize row, int arm, std::shared_ptr<const suite::RowInputs> inputs) override {
+    pool_.submit([this, row, arm, inputs = std::move(inputs)] {
+      suite::Completion c = arm < 0 ? work_.plan(row) : work_.arm(row, arm, *inputs);
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        done_.push_back(std::move(c));
+      }
+      cv_.notify_one();
+    });
   }
-  void remove(usize id) {
-    std::lock_guard<std::mutex> lock(mu_);
-    arms_.erase(id);
-  }
-  void stop() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
+
+  std::optional<suite::Completion> wait(double timeout_ms) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!cv_.wait_for(lock, std::chrono::duration<double, std::milli>(timeout_ms),
+                      [this] { return !done_.empty(); })) {
+      return std::nullopt;
     }
-    cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
+    suite::Completion c = std::move(done_.front());
+    done_.pop_front();
+    return c;
   }
+
+  /// Queued tasks still run, but each polls the cancelled suite token on
+  /// entry and comes back abandoned at once; waiting for them closes
+  /// every abandoned arm's trace span inside the sweep.
+  void abandon() override { pool_.wait_idle(); }
 
  private:
-  void loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!stop_) {
-      cv_.wait_for(lock, std::chrono::milliseconds(2), [this] { return stop_; });
-      if (stop_) return;
-      if (suite_.cancelled()) suite_.request(suite_.reason());
-      for (auto& [id, token] : arms_) {
-        if (token.cancelled()) token.request(token.reason());
-      }
-    }
-  }
-
-  CancelToken suite_;
+  const suite::RowWork work_;
   std::mutex mu_;
   std::condition_variable cv_;
-  bool stop_ = false;
-  std::map<usize, CancelToken> arms_;
-  usize next_id_ = 0;
-  std::thread thread_;
+  std::deque<suite::Completion> done_;
+  ThreadPool pool_;  // last: joins before the queue its tasks feed goes away
 };
 
 }  // namespace
@@ -164,421 +132,12 @@ std::vector<SuiteRow> run_suite(std::span<const MatrixSpec> specs, const SpmmCon
 std::vector<SuiteRow> run_suite(std::span<const MatrixSpec> specs, const SpmmConfig& cfg,
                                 index_t K, const SuiteProgress& progress,
                                 const SuiteOptions& opts) {
-  NMDT_CHECK_CONFIG(K > 0, "run_suite requires K > 0");
-  NMDT_CHECK_CONFIG(!opts.resume || !opts.journal_path.empty(),
-                    "resume requires a checkpoint-journal path");
-  const usize total = specs.size();
-  obs::MetricsRegistry::global().counter("suite.runs").add(1);
-  // Install the sweep-wide fault plan (a default plan leaves whatever is
-  // already installed untouched).
-  std::optional<fault::FaultScope> fault_scope;
-  if (cfg.fault.site != fault::FaultSite::kNone) fault_scope.emplace(cfg.fault);
-  obs::TraceSpan suite_span("suite.run");
-  suite_span.arg("total", static_cast<i64>(total))
-      .arg("jobs", opts.jobs)
-      .arg("k", static_cast<i64>(K));
-
-  // --- Durability setup: fingerprint, replay, journal writer. --------
-  const u64 fingerprint = suite_fingerprint(specs, cfg, K, SuiteRow::kArmCount);
-  JournalReplay replay;
-  if (opts.resume) {
-    replay = read_journal_file(opts.journal_path);
-    verify_journal(replay, fingerprint, total, K, SuiteRow::kArmCount);
-    obs::MetricsRegistry::global().counter("checkpoint.replayed").add(
-        static_cast<i64>(replay.entries));
-    suite_span.arg("replayed_entries", static_cast<i64>(replay.entries));
-  }
-  std::optional<JournalWriter> writer;
-  if (!opts.journal_path.empty()) {
-    // A resume over a journal that never got its header (empty file or
-    // fully torn) restarts from a fresh header.
-    const bool append = opts.resume && replay.has_header;
-    if (append && replay.torn_tail) {
-      // The reader dropped the torn trailing frame but its bytes are
-      // still on disk; appending after them would leave the stale
-      // length prefix spanning into the fresh frames, so the *next*
-      // read would report a CRC mismatch on perfectly good data.
-      // Truncate to the last complete frame before reopening.
-      std::error_code ec;
-      std::filesystem::resize_file(
-          opts.journal_path, static_cast<std::uintmax_t>(replay.valid_bytes), ec);
-      if (ec) {
-        throw ParseError("cannot truncate torn checkpoint-journal tail: " +
-                         opts.journal_path + " (" + ec.message() + ")");
-      }
-    }
-    writer.emplace(opts.journal_path, fingerprint, total, K, SuiteRow::kArmCount,
-                   opts.checkpoint_interval, append);
-  }
-  auto checkpoint = [&] {
-    if (writer && opts.on_checkpoint) opts.on_checkpoint(writer->entries());
-  };
-
-  // --- Cancellation / deadlines. -------------------------------------
-  // The suite token is a *child* of the caller's: an external request()
-  // (SIGINT handler) on opts.cancel is visible to every poll below, but
-  // the suite deadline armed here lives on the child only — a caller
-  // that reuses its token for a second run_suite (or any other polled
-  // work) never inherits a stale expired deadline.
-  const CancelToken suite_token = CancelToken::child_of(opts.cancel);
-  if (opts.suite_timeout_ms > 0.0) {
-    suite_token.set_deadline(
-        CancelToken::Clock::now() +
-            std::chrono::duration_cast<CancelToken::Clock::duration>(
-                std::chrono::duration<double, std::milli>(opts.suite_timeout_ms)),
-        CancelReason::kSuiteDeadline);
-  }
-  std::optional<DeadlineWatchdog> watchdog;
-  if (opts.arm_timeout_ms > 0.0 || opts.suite_timeout_ms > 0.0) {
-    watchdog.emplace(suite_token);
-  }
-
-  // Typed failures are isolated per row/arm.  Under kFailFast the
-  // lowest-(row, arm) failure is rethrown only after every submitted
-  // task has drained — aborting early would make which siblings ran
-  // depend on scheduling.
-  std::mutex err_mu;
-  i64 err_rank = -1;
-  std::exception_ptr err;
-  auto record_failure = [&](usize idx, int arm) {
-    // arm -1 = row-level failure, ranked ahead of the row's arms.
-    const i64 rank = static_cast<i64>(idx) * (SuiteRow::kArmCount + 1) + arm + 1;
-    std::lock_guard<std::mutex> lock(err_mu);
-    if (err_rank < 0 || rank < err_rank) {
-      err_rank = rank;
-      err = std::current_exception();
-    }
-  };
-  // Replayed failures re-enter the same path as live ones: rebuild the
-  // typed exception from its journaled description so kFailFast rethrow
-  // after resume maps to the same CLI exit code as the original run.
-  auto record_replayed_failure = [&](usize idx, int arm, const std::string& desc) {
-    try {
-      std::rethrow_exception(exception_from_description(desc));
-    } catch (...) {
-      record_failure(idx, arm);
-    }
-  };
-
-  // Suite tasks run on pool threads whose thread-local track is unset;
-  // derive every row/arm track from the *caller's* track so the merged
-  // trace is independent of worker scheduling.
-  const u64 suite_track = obs::TraceTrack::current();
-  std::vector<std::optional<SuiteRow>> slots(total);
-
-  // --- Replay prefill: rows the journal already finished. ------------
-  // Complete rows are materialized straight from the journal (their
-  // values are the original runs' exact bit patterns) and reported to
-  // progress, in index order, before any live work starts.  Partial
-  // rows keep a pointer so the live task can skip replayed arms.
-  std::vector<const JournalRow*> partial(total, nullptr);
-  usize prefilled_reported = 0;
-  usize prefilled_finished = 0;  // includes degenerate (unreported) rows
-  auto apply_replayed_arm = [](SuiteRow& row, int arm, const JournalArmOutcome& out) {
-    switch (arm) {
-      case SuiteRow::kArmBaseline: row.t_baseline_ms = out.t_ms; break;
-      case SuiteRow::kArmDcsrC: row.t_dcsr_c_ms = out.t_ms; break;
-      case SuiteRow::kArmOnlineB: row.t_online_b_ms = out.t_ms; break;
-      case SuiteRow::kArmOfflineB:
-        row.t_offline_b_ms = out.t_ms;
-        row.offline_prep_ms = out.prep_ms;
-        break;
-      default: break;
-    }
-  };
-  for (usize idx = 0; idx < total; ++idx) {
-    const auto it = replay.rows.find(idx);
-    if (it == replay.rows.end()) continue;
-    const JournalRow& jr = it->second;
-    if (!jr.complete(SuiteRow::kArmCount)) {
-      partial[idx] = &jr;
-      continue;
-    }
-    ++prefilled_finished;
-    if (jr.degenerate) continue;  // degenerate rows are never reported
-    SuiteRow row;
-    row.spec = specs[idx];
-    if (jr.error.has_value()) {
-      row.error = *jr.error;
-      record_replayed_failure(idx, -1, row.error);
-    } else {
-      row.profile = jr.profile;
-      for (int a = 0; a < SuiteRow::kArmCount; ++a) {
-        const JournalArmOutcome& out = *jr.arms[static_cast<usize>(a)];
-        if (out.failed()) {
-          row.arm_error[static_cast<usize>(a)] = out.error;
-          record_replayed_failure(idx, a, out.error);
-          if (out.error.rfind("TimeoutError", 0) == 0) {
-            obs::MetricsRegistry::global().counter("fault.timeout").add(1);
-          }
-        } else {
-          apply_replayed_arm(row, a, out);
-        }
-      }
-    }
-    slots[idx] = std::move(row);
-    if (progress) progress(++prefilled_reported, total, *slots[idx]);
-    else ++prefilled_reported;
-  }
-
-  const usize total_live = total - prefilled_finished;
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<usize> ready;  // completed non-degenerate rows, completion order
-  usize finished = 0;       // completed live specs, including degenerate draws
-
-  {
-    ThreadPool pool(opts.jobs);
-    auto row_done = [&](usize idx, bool has_row) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        ++finished;
-        if (has_row) ready.push_back(idx);
-      }
-      cv.notify_one();
-    };
-
-    for (usize idx = 0; idx < total; ++idx) {
-      if (slots[idx].has_value() ||
-          (replay.rows.count(idx) != 0 &&
-           replay.rows.at(idx).complete(SuiteRow::kArmCount))) {
-        continue;  // fully replayed above
-      }
-      pool.submit([&, idx] {
-        obs::TraceTrack track(suite_track, "suite_row", static_cast<u64>(idx));
-        // Planning polls inside the conversion engine's tile loops, so
-        // a cancelled sweep unwinds even mid-plan.
-        CancelScope cancel_scope(suite_token);
-        const JournalRow* jrow = partial[idx];
-        SuiteRow row;
-        row.spec = specs[idx];
-        auto job = std::make_shared<RowJob>();
-        try {
-          poll_cancellation();
-          const Csr A = specs[idx].generate();
-          if (A.nnz() == 0) {  // degenerate draw: nothing to measure
-            if (writer && !(jrow && jrow->degenerate)) {
-              writer->row_degenerate(idx);
-              checkpoint();
-            }
-            row_done(idx, false);
-            return;
-          }
-          // Plan once per matrix: profile + all conversions; the four
-          // arms below share the converted artifacts.  Partially
-          // replayed rows re-plan too — the plan is a pure function of
-          // (spec, cfg) and its artifacts are needed by the remaining
-          // arms — but skip re-journaling.
-          {
-            obs::TraceSpan sp("suite.plan");
-            obs::ScopedTimer t("suite.plan_ms");
-            job->plan = build_plan(
-                A, {cfg.tiling, default_ssf_threshold(), 1.0, cfg.precision});
-            sp.arg("matrix", specs[idx].name.c_str())
-                .arg("nnz", static_cast<i64>(A.nnz()));
-          }
-          // Per-task seeding: B depends only on the row index, so results
-          // are identical at any thread count.
-          Rng b_rng(0xb0b0 + static_cast<u64>(idx));
-          auto B = std::make_shared<DenseMatrix>(A.cols, K);
-          B->randomize(b_rng);
-          job->B = std::move(B);
-          row.profile = job->plan->profile();
-          if (writer && !(jrow && jrow->planned)) {
-            writer->row_planned(idx, row.profile);
-            checkpoint();
-          }
-        } catch (const CancelledError&) {
-          // Abandoned row: nothing journaled, nothing reported — the
-          // resumed sweep re-runs it from scratch, bit-identically.
-          row_done(idx, false);
-          return;
-        } catch (...) {
-          // Row-level failure (generation or planning): record the typed
-          // error and report the row; no arms run for it.
-          row.error = describe_current_exception();
-          if (writer) {
-            writer->row_error(idx, row.error);
-            checkpoint();
-          }
-          slots[idx] = std::move(row);
-          record_failure(idx, -1);
-          row_done(idx, true);
-          return;
-        }
-        // Fold replayed arm outcomes in before publishing the slot; the
-        // remaining arms are the only live tasks.
-        int missing = 0;
-        for (int a = 0; a < SuiteRow::kArmCount; ++a) {
-          const auto& rep =
-              jrow ? jrow->arms[static_cast<usize>(a)] : std::optional<JournalArmOutcome>{};
-          if (!rep.has_value()) {
-            ++missing;
-            continue;
-          }
-          if (rep->failed()) {
-            row.arm_error[static_cast<usize>(a)] = rep->error;
-            record_replayed_failure(idx, a, rep->error);
-          } else {
-            apply_replayed_arm(row, a, *rep);
-          }
-        }
-        job->arms_left.store(missing, std::memory_order_relaxed);
-        slots[idx] = std::move(row);
-        if (missing == 0) {
-          // Only reachable via a CRC-valid journal the writer never
-          // produces (all arm outcomes but no row_planned entry, e.g.
-          // crafted bytes): with no live arms, no submit_arm callback
-          // would ever fire row_done and the suite would wait forever.
-          row_done(idx, true);
-          return;
-        }
-
-        // Modelled timing depends only on matrix structure (never on
-        // B's values), so the arms are independent deterministic tasks.
-        auto submit_arm = [&, idx, job, jrow](int arm, KernelKind kind, auto&& commit) {
-          if (jrow && jrow->arms[static_cast<usize>(arm)].has_value()) return;
-          pool.submit([&, idx, job, arm, kind, commit] {
-            // Each arm gets its own child token so a per-arm deadline
-            // never leaks into siblings; the watchdog sees it for the
-            // duration of the arm only.
-            const CancelToken arm_token = CancelToken::child_of(suite_token);
-            if (opts.arm_timeout_ms > 0.0) {
-              arm_token.set_deadline(
-                  CancelToken::Clock::now() +
-                      std::chrono::duration_cast<CancelToken::Clock::duration>(
-                          std::chrono::duration<double, std::milli>(
-                              opts.arm_timeout_ms)),
-                  CancelReason::kDeadline);
-            }
-            std::optional<usize> watch_id;
-            if (watchdog) watch_id = watchdog->add(arm_token);
-            CancelScope arm_scope(arm_token);
-            // One span per matrix × kernel arm, on a track keyed by
-            // (kernel, row) so arms never share a lane.
-            obs::TraceTrack arm_track(suite_track, kernel_name(kind),
-                                      static_cast<u64>(idx));
-            obs::TraceSpan sp("suite.arm");
-            obs::ProfScope prof(sp);  // hw.* args when profiling is enabled
-            try {
-              arm_token.poll();
-              fault::transient_point(
-                  fault::FaultSite::kSuiteArm,
-                  fault::mix(static_cast<u64>(idx), static_cast<u64>(arm)));
-              const SpmmResult res =
-                  dispatch_precision(cfg.precision, [&](auto tag) -> SpmmResult {
-                    using V = typename decltype(tag)::type;
-                    const SpmmOperandsT<V> ops = job->plan->operands_at<V>().bundle();
-                    if constexpr (std::is_same_v<V, value_t>) {
-                      return run_spmm_t<V>(kind, ops, *job->B, cfg);
-                    } else {
-                      const DenseMatrixT<V> b = retype<V>(*job->B);
-                      return run_spmm_t<V>(kind, ops, b, cfg);
-                    }
-                  });
-              sp.arg("matrix", specs[idx].name.c_str())
-                  .arg("kernel", kernel_name(kind))
-                  .arg("jobs", cfg.jobs)
-                  .arg("modelled_ms", res.timing.total_ms());
-              commit(*slots[idx], res);
-              if (writer) {
-                const double prep = arm == SuiteRow::kArmOfflineB
-                                        ? res.offline_prep_ns * 1e-6
-                                        : 0.0;
-                writer->arm_done(idx, arm, res.timing.total_ms(), prep);
-                checkpoint();
-              }
-            } catch (const CancelledError&) {
-              // Abandoned, not failed: leave the journal and the error
-              // table untouched so resume re-executes this arm.
-              job->cancelled.store(true, std::memory_order_relaxed);
-              sp.arg("matrix", specs[idx].name.c_str())
-                  .arg("kernel", kernel_name(kind))
-                  .arg("cancelled", i64{1});
-            } catch (...) {
-              std::string& slot = slots[idx]->arm_error[static_cast<usize>(arm)];
-              slot = describe_current_exception();
-              if (slot.rfind("TimeoutError", 0) == 0) {
-                obs::MetricsRegistry::global().counter("fault.timeout").add(1);
-              }
-              sp.arg("matrix", specs[idx].name.c_str())
-                  .arg("kernel", kernel_name(kind))
-                  .arg("error", slot.c_str());
-              if (writer) {
-                writer->arm_error(idx, arm, slot);
-                checkpoint();
-              }
-              record_failure(idx, arm);
-            }
-            if (watchdog && watch_id.has_value()) watchdog->remove(*watch_id);
-            if (job->arms_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-              row_done(idx, !job->cancelled.load(std::memory_order_relaxed));
-            }
-          });
-        };
-        submit_arm(SuiteRow::kArmBaseline, KernelKind::kCsrCStationaryRowWarp,
-                   [](SuiteRow& r, const SpmmResult& res) {
-                     r.t_baseline_ms = res.timing.total_ms();
-                   });
-        submit_arm(SuiteRow::kArmDcsrC, KernelKind::kDcsrCStationary,
-                   [](SuiteRow& r, const SpmmResult& res) {
-                     r.t_dcsr_c_ms = res.timing.total_ms();
-                   });
-        submit_arm(SuiteRow::kArmOnlineB, KernelKind::kTiledDcsrOnline,
-                   [](SuiteRow& r, const SpmmResult& res) {
-                     r.t_online_b_ms = res.timing.total_ms();
-                   });
-        submit_arm(SuiteRow::kArmOfflineB, KernelKind::kTiledDcsrBStationary,
-                   [](SuiteRow& r, const SpmmResult& res) {
-                     r.t_offline_b_ms = res.timing.total_ms();
-                     r.offline_prep_ms = res.offline_prep_ns * 1e-6;
-                   });
-      });
-    }
-
-    // Single-threaded progress reporting from the calling thread, in
-    // completion order, with monotonically increasing `done`.
-    usize reported = prefilled_reported;
-    std::unique_lock<std::mutex> lock(mu);
-    while (finished < total_live || !ready.empty()) {
-      cv.wait(lock, [&] { return !ready.empty() || finished == total_live; });
-      while (!ready.empty()) {
-        const usize idx = ready.front();
-        ready.pop_front();
-        if (progress) {
-          lock.unlock();
-          progress(++reported, total, *slots[idx]);
-          lock.lock();
-        } else {
-          ++reported;
-        }
-      }
-    }
-  }  // pool joins here; all tasks complete
-
-  if (watchdog) watchdog->stop();
-  if (writer) writer->flush();  // final checkpoint lands before we report
-
-  if (suite_token.cancelled()) {
-    obs::MetricsRegistry::global().counter("suite.cancelled").add(1);
-    const std::string where =
-        opts.journal_path.empty()
-            ? std::string(" (no journal was configured; completed work is lost)")
-            : " (completed work is checkpointed in " + opts.journal_path + ")";
-    if (suite_token.reason() == CancelReason::kSuiteDeadline) {
-      throw TimeoutError("suite sweep exceeded its deadline" + where);
-    }
-    throw CancelledError("suite sweep cancelled" + where);
-  }
-
-  if (opts.policy == SuiteErrorPolicy::kFailFast && err) std::rethrow_exception(err);
-
-  std::vector<SuiteRow> rows;
-  rows.reserve(total);
-  for (auto& slot : slots) {
-    if (slot.has_value()) rows.push_back(std::move(*slot));
-  }
-  return rows;
+  return suite::drive_suite(
+      specs, cfg, K, progress, opts,
+      [&](suite::RowWork work) -> std::unique_ptr<suite::Backend> {
+        return std::make_unique<PoolBackend>(std::move(work), opts.jobs);
+      },
+      /*c_crc_out=*/nullptr);
 }
 
 SsfThreshold train_threshold(std::span<const SuiteRow> rows) {

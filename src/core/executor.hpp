@@ -5,26 +5,31 @@
 // pre-converted operand formats, so no profiling or conversion happens
 // on the execution path.
 //
-// run_suite — the Fig. 4 / Fig. 16 sweep — lives here too: each suite
-// matrix is planned once and its four kernel arms execute against the
-// shared plan, with per-matrix rows AND per-kernel arms fanned out
-// across one shared ThreadPool.  Results are bit-identical at any job
-// count: every task is a deterministic function of (spec, cfg, K, row
-// index) — matrix generation and the B block use per-task RNG seeding —
-// and rows are assembled in spec order.  The SuiteProgress callback is
+// run_suite — the Fig. 4 / Fig. 16 sweep — is declared here too: each
+// suite matrix is planned once and its four kernel arms execute against
+// the shared plan, with rows and arms fanned out across one shared
+// ThreadPool.  run_suite and proc::run_suite_isolated are two backends
+// (pool threads, supervised worker processes) of one suite driver
+// (core/suite_driver.hpp), which runs on the calling thread and owns
+// journaling, replay, cancellation, failure ranking, merge order and
+// progress.  Results are bit-identical at any job or worker count:
+// every task is a deterministic function of (spec, cfg, K, row index)
+// — matrix generation and the B block use per-row RNG seeding — and
+// rows are assembled in spec order.  The SuiteProgress callback is
 // always invoked from the calling thread with monotonically increasing
-// `done`, regardless of worker completion order.
+// `done`, regardless of completion order.
 //
 // Durable execution (SuiteOptions): a sweep can journal every completed
 // unit of work to a checkpoint file (core/journal.hpp), honor
 // cooperative cancellation (SIGINT via a shared CancelToken), and
 // enforce per-arm / whole-sweep deadlines.  The contract all three
 // share: interrupt at ANY point + resume from the journal is
-// bit-identical to an uninterrupted run.  Cancelled arms are therefore
-// *abandoned* — not journaled, not recorded as errors — so the resumed
-// sweep re-executes them from scratch, while timed-out arms are *typed
-// failures* (TimeoutError) that land in the journal and the suite table
-// like any other arm error.
+// bit-identical to an uninterrupted run, under either backend.
+// Cancelled arms are therefore *abandoned* — not journaled, not
+// recorded as errors — so the resumed sweep re-executes them from
+// scratch, while timed-out arms are *typed failures* (TimeoutError)
+// that land in the journal and the suite table like any other arm
+// error.
 #pragma once
 
 #include <array>
@@ -72,8 +77,7 @@ struct SuiteRow {
   /// "TypeName: what()" description; empty on success.
   std::string error;
   /// Per-arm failures (the arm's kernel threw); timings of failed arms
-  /// stay zero.  Distinct arms write distinct slots, so the array needs
-  /// no synchronization.
+  /// stay zero.
   std::array<std::string, kArmCount> arm_error{};
 
   bool ok() const {
@@ -136,7 +140,7 @@ struct SuiteOptions {
   /// share state, so the caller keeps a copy and request()s it.
   CancelToken cancel{};
   /// Diagnostic/test hook invoked after every journal append with the
-  /// writer's entry count; called from worker threads.
+  /// writer's entry count; called from the thread that called run_suite.
   std::function<void(usize entries)> on_checkpoint;
 };
 
@@ -144,7 +148,7 @@ struct SuiteOptions {
 /// Rows are bit-identical across job counts AND across
 /// interrupt/resume cycles (see SuiteOptions).  `cfg.fault` (when set)
 /// is installed for the whole sweep.  Throws CancelledError when
-/// `opts.cancel` fires (after draining in-flight work and writing the
+/// `opts.cancel` fires (after abandoning in-flight work and writing the
 /// final checkpoint) and TimeoutError when the suite deadline expires.
 std::vector<SuiteRow> run_suite(std::span<const MatrixSpec> specs, const SpmmConfig& cfg,
                                 index_t K, const SuiteProgress& progress,

@@ -417,37 +417,26 @@ JournalWriter::~JournalWriter() {
 
 void JournalWriter::append(const std::string& payload) {
   const std::string framed = frame(payload);
-  bool sync = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (std::fwrite(framed.data(), 1, framed.size(), file_) != framed.size()) {
-      throw ParseError("write failed on checkpoint journal: " + path_);
-    }
-    ++entries_;
-    if (++unsynced_ >= static_cast<usize>(interval_)) {
-      unsynced_ = 0;
-      sync = true;
-    }
+  if (std::fwrite(framed.data(), 1, framed.size(), file_) != framed.size()) {
+    throw ParseError("write failed on checkpoint journal: " + path_);
   }
+  ++entries_;
   obs::MetricsRegistry::global().counter("checkpoint.written").add(1);
   obs::MetricsRegistry::global().counter("checkpoint.bytes").add(
       static_cast<i64>(framed.size()));
-  if (sync) flush();
+  if (++unsynced_ >= static_cast<usize>(interval_)) {
+    unsynced_ = 0;
+    flush();
+  }
 }
 
 void JournalWriter::flush() {
-  std::lock_guard<std::mutex> lock(mu_);
   if (std::fflush(file_) != 0) {
     throw ParseError("flush failed on checkpoint journal: " + path_);
   }
 #ifdef NMDT_HAVE_FSYNC
   ::fsync(::fileno(file_));
 #endif
-}
-
-usize JournalWriter::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_;
 }
 
 void JournalWriter::row_planned(usize row, const MatrixProfile& profile) {

@@ -30,7 +30,6 @@
 #include <cstdio>
 #include <iosfwd>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -127,10 +126,10 @@ void verify_journal(const JournalReplay& replay, u64 fingerprint, usize total,
 std::string journal_summary_json(const JournalReplay& replay,
                                  const std::string& path);
 
-/// Append-side handle.  Thread-safe: suite arms complete on pool
-/// threads and append concurrently; frames are serialized under one
-/// mutex.  Data is fsynced every `checkpoint_interval` entries and once
-/// more on flush(), bounding post-crash loss to the interval.
+/// Append-side handle.  Not thread-safe: the suite driver appends from
+/// its own thread only.  Data is fsynced every `checkpoint_interval`
+/// entries and once more on flush(), bounding post-crash loss to the
+/// interval.
 class JournalWriter {
  public:
   /// Open `path`.  `append` continues an existing journal (resume);
@@ -152,7 +151,7 @@ class JournalWriter {
 
   /// Entries appended through this writer (excludes the header and any
   /// pre-existing entries of an append-opened journal).
-  usize entries() const;
+  usize entries() const { return entries_; }
 
   /// fflush + fsync; called automatically every checkpoint_interval
   /// entries and from the destructor.
@@ -164,7 +163,6 @@ class JournalWriter {
   std::string path_;
   std::FILE* file_ = nullptr;
   int interval_;
-  mutable std::mutex mu_;
   usize entries_ = 0;
   usize unsynced_ = 0;
 };

@@ -1,22 +1,13 @@
 #include "proc/suite.hpp"
 
-#include <chrono>
-#include <filesystem>
 #include <map>
-#include <optional>
-#include <system_error>
-#include <type_traits>
+#include <tuple>
+#include <utility>
 
 #include "core/journal.hpp"
 #include "fault/fault.hpp"
-#include "formats/retype.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "proc/frame.hpp"
-#include "util/cancel.hpp"
-#include "util/crc32.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace nmdt::proc {
 
@@ -26,113 +17,113 @@ namespace {
 constexpr u8 kTaskPlanRow = 1;  ///< payload {u32 row} → u8 status [+ profile]
 constexpr u8 kTaskRunArm = 2;   ///< payload {u32 row, u8 arm} → {f64 t, f64 prep, u32 crc}
 
-KernelKind arm_kernel(int arm) {
-  switch (arm) {
-    case SuiteRow::kArmBaseline: return KernelKind::kCsrCStationaryRowWarp;
-    case SuiteRow::kArmDcsrC: return KernelKind::kDcsrCStationary;
-    case SuiteRow::kArmOnlineB: return KernelKind::kTiledDcsrOnline;
-    default: return KernelKind::kTiledDcsrBStationary;
-  }
-}
-
-u32 c_crc_of(const SpmmResult& r) {
-  if (r.precision == Precision::kF64) {
-    const auto d = r.C64.data();
-    return crc32(d.data(), d.size() * sizeof(double));
-  }
-  const auto d = r.C.data();
-  return crc32(d.data(), d.size() * sizeof(float));
-}
-
-/// Worker-process state: the last row this worker planned.  Task
-/// affinity keys on the row, so the common case is four arm tasks
-/// reusing the plan/B their own worker just built; a miss (retry on a
-/// fresh worker, affinity steal) rebuilds them — the plan is a pure
-/// function of (spec, cfg) and B of the row index, so a rebuild cannot
-/// change results, only cost time.
-struct WorkerRowCache {
-  usize idx = static_cast<usize>(-1);
-  std::shared_ptr<const SpmmPlan> plan;
-  std::shared_ptr<const DenseMatrix> B;
-};
-
-TaskHandler make_suite_handler(std::vector<MatrixSpec> specs, SpmmConfig cfg, index_t K,
-                               double arm_timeout_ms) {
-  auto cache = std::make_shared<WorkerRowCache>();
-  return [specs = std::move(specs), cfg = std::move(cfg), K, arm_timeout_ms,
-          cache](u8 kind, u64 /*key*/, const std::string& payload) -> std::string {
-    // Exact executor expressions: generation, planning, and B seeding
-    // must match run_suite token for token for cross-process
-    // bit-identity.
-    auto build_row = [&](usize idx) -> bool {  // false = degenerate
-      const Csr A = specs[idx].generate();
-      if (A.nnz() == 0) return false;
-      cache->plan =
-          build_plan(A, {cfg.tiling, default_ssf_threshold(), 1.0, cfg.precision});
-      Rng b_rng(0xb0b0 + static_cast<u64>(idx));
-      auto B = std::make_shared<DenseMatrix>(A.cols, K);
-      B->randomize(b_rng);
-      cache->B = std::move(B);
-      cache->idx = idx;
-      return true;
+/// Runs in the worker process.  The worker keeps the last row it
+/// planned: task affinity keys on the row, so the common case is four
+/// arm tasks reusing the plan/B their own worker just built; a miss
+/// (retry on a fresh worker, affinity steal) re-plans — a pure function
+/// of the row, so a rebuild can only cost time.
+TaskHandler make_suite_handler(suite::RowWork work) {
+  struct RowCache {
+    usize row = static_cast<usize>(-1);
+    std::shared_ptr<const suite::RowInputs> inputs;
+  };
+  auto cache = std::make_shared<RowCache>();
+  return [work = std::move(work), cache](u8 kind, u64 /*key*/,
+                                         const std::string& payload) -> std::string {
+    // Handler exceptions travel back as typed descriptions.
+    auto plan = [&](usize row) {
+      suite::Completion c = work.plan(row);
+      if (c.error) std::rethrow_exception(c.error);
+      cache->row = row;
+      cache->inputs = c.inputs;
+      return c;
     };
-
     WireReader r(payload);
+    const usize row = r.get_u32("task row");
+    WireWriter w;
     if (kind == kTaskPlanRow) {
-      const usize idx = r.get_u32("plan-task row");
       r.expect_done("plan task");
-      WireWriter w;
-      if (!build_row(idx)) {
-        w.put_u8(0);  // degenerate draw: nothing to measure
-        return w.out;
-      }
-      w.put_u8(1);
-      w.put_str(encode_profile(cache->plan->profile()));
+      const suite::Completion c = plan(row);
+      w.put_u8(c.degenerate ? 0 : 1);
+      if (!c.degenerate) w.put_str(encode_profile(c.profile));
       return w.out;
     }
-
-    const usize idx = r.get_u32("arm-task row");
     const int arm = static_cast<int>(r.get_u8("arm-task arm"));
     r.expect_done("arm task");
-    if (cache->idx != idx && !build_row(idx)) {
+    if (cache->row != row && plan(row).degenerate) {
       // The parent only dispatches arms for rows whose plan task
       // reported non-degenerate; a degenerate rebuild means the spec's
       // generator is not a pure function — surface loudly.
-      throw ParseError("arm task for row " + std::to_string(idx) +
+      throw ParseError("arm task for row " + std::to_string(row) +
                        " regenerated as a degenerate matrix");
     }
-    // Per-arm deadline, enforced in the worker exactly where the
-    // in-process runner enforces it: a child token the kernels poll.
-    const CancelToken arm_token;
-    if (arm_timeout_ms > 0.0) {
-      arm_token.set_deadline(
-          CancelToken::Clock::now() +
-              std::chrono::duration_cast<CancelToken::Clock::duration>(
-                  std::chrono::duration<double, std::milli>(arm_timeout_ms)),
-          CancelReason::kDeadline);
-    }
-    CancelScope arm_scope(arm_token);
-    arm_token.poll();
-    fault::transient_point(fault::FaultSite::kSuiteArm,
-                           fault::mix(static_cast<u64>(idx), static_cast<u64>(arm)));
-    const KernelKind kernel = arm_kernel(arm);
-    const SpmmResult res = dispatch_precision(cfg.precision, [&](auto tag) -> SpmmResult {
-      using V = typename decltype(tag)::type;
-      const SpmmOperandsT<V> ops = cache->plan->operands_at<V>().bundle();
-      if constexpr (std::is_same_v<V, value_t>) {
-        return run_spmm_t<V>(kernel, ops, *cache->B, cfg);
-      } else {
-        const DenseMatrixT<V> b = retype<V>(*cache->B);
-        return run_spmm_t<V>(kernel, ops, b, cfg);
-      }
-    });
-    WireWriter w;
-    w.put_f64(res.timing.total_ms());
-    w.put_f64(arm == SuiteRow::kArmOfflineB ? res.offline_prep_ns * 1e-6 : 0.0);
-    w.put_u32(c_crc_of(res));
+    const suite::Completion c = work.arm(row, arm, *cache->inputs);
+    if (c.error) std::rethrow_exception(c.error);
+    w.put_f64(c.t_ms);
+    w.put_f64(c.prep_ms);
+    w.put_u32(c.c_crc);
     return w.out;
   };
 }
+
+/// run_suite_isolated's backend: every task runs in a supervised worker
+/// process.  Payloads carry only (row, arm) coordinates; results come
+/// back as raw f64 / encoded-profile bits.
+class ProcBackend final : public suite::Backend {
+ public:
+  ProcBackend(const ProcOptions& po, suite::RowWork work)
+      : workers_(po.workers), sup_(po, make_suite_handler(std::move(work))) {}
+
+  int concurrency() const override { return workers_; }
+
+  void submit(usize row, int arm, std::shared_ptr<const suite::RowInputs> /*inputs*/) override {
+    WireWriter w;
+    w.put_u32(static_cast<u32>(row));
+    if (arm >= 0) w.put_u8(static_cast<u8>(arm));
+    const u64 r = static_cast<u64>(row);
+    const u64 key = arm < 0 ? fault::mix(0x704c, r) : fault::mix(r, static_cast<u64>(arm));
+    const u64 id = sup_.submit(arm < 0 ? kTaskPlanRow : kTaskRunArm, key, std::move(w.out), r);
+    inflight_.emplace(id, std::pair<usize, int>{row, arm});
+  }
+
+  std::optional<suite::Completion> wait(double timeout_ms) override {
+    const auto done = sup_.wait_completion(timeout_ms);
+    if (!done) return std::nullopt;
+    const auto it = inflight_.find(done->id);
+    if (it == inflight_.end()) return std::nullopt;
+    suite::Completion c;
+    std::tie(c.row, c.arm) = it->second;
+    inflight_.erase(it);
+    const TaskOutcome& out = done->outcome;
+    if (!out.ok) {
+      // A typed handler failure or a WorkerError quarantine, as its
+      // description: rebuild a throwable of the same type.
+      c.error = exception_from_description(out.error);
+      c.error_desc = out.error;
+      return c;
+    }
+    WireReader r(out.payload);
+    if (c.arm < 0) {
+      c.degenerate = r.get_u8("plan result status") == 0;
+      if (!c.degenerate) c.profile = decode_profile(r.get_str("plan result profile"));
+      r.expect_done("plan result");
+    } else {
+      c.t_ms = r.get_f64("arm result time");
+      c.prep_ms = r.get_f64("arm result prep");
+      c.c_crc = r.get_u32("arm result crc");
+      r.expect_done("arm result");
+    }
+    return c;
+  }
+
+  /// In-flight tasks complete as WorkerError, which nobody reads.
+  void abandon() override { sup_.shutdown(); }
+
+ private:
+  int workers_;
+  Supervisor sup_;
+  std::map<u64, std::pair<usize, int>> inflight_;
+};
 
 }  // namespace
 
@@ -142,340 +133,16 @@ std::vector<SuiteRow> run_suite_isolated(std::span<const MatrixSpec> specs,
                                          const SuiteOptions& opts,
                                          const ProcOptions& proc_opts,
                                          SuiteCrcs* c_crc_out) {
-  NMDT_CHECK_CONFIG(K > 0, "run_suite requires K > 0");
-  NMDT_CHECK_CONFIG(!opts.resume || !opts.journal_path.empty(),
-                    "resume requires a checkpoint-journal path");
-  const usize total = specs.size();
-  obs::MetricsRegistry::global().counter("suite.runs").add(1);
-  // Install the sweep-wide fault plan BEFORE any worker forks: children
-  // inherit the injector atomics, which is what makes worker_abort /
-  // worker_hang (and kSuiteArm) draws identical to the in-process run.
-  std::optional<fault::FaultScope> fault_scope;
-  if (cfg.fault.site != fault::FaultSite::kNone) fault_scope.emplace(cfg.fault);
-  obs::TraceSpan suite_span("suite.run");
-  suite_span.arg("total", static_cast<i64>(total))
-      .arg("k", static_cast<i64>(K))
-      .arg("isolated_workers", proc_opts.workers);
-  if (c_crc_out) {
-    c_crc_out->assign(total, std::array<u32, SuiteRow::kArmCount>{});
-  }
-
-  // --- Durability setup: identical to the in-process runner, so a
-  // journal written by either mode resumes under the other. ------------
-  const u64 fingerprint = suite_fingerprint(specs, cfg, K, SuiteRow::kArmCount);
-  JournalReplay replay;
-  if (opts.resume) {
-    replay = read_journal_file(opts.journal_path);
-    verify_journal(replay, fingerprint, total, K, SuiteRow::kArmCount);
-    obs::MetricsRegistry::global().counter("checkpoint.replayed").add(
-        static_cast<i64>(replay.entries));
-    suite_span.arg("replayed_entries", static_cast<i64>(replay.entries));
-  }
-  std::optional<JournalWriter> writer;
-  if (!opts.journal_path.empty()) {
-    const bool append = opts.resume && replay.has_header;
-    if (append && replay.torn_tail) {
-      std::error_code ec;
-      std::filesystem::resize_file(
-          opts.journal_path, static_cast<std::uintmax_t>(replay.valid_bytes), ec);
-      if (ec) {
-        throw ParseError("cannot truncate torn checkpoint-journal tail: " +
-                         opts.journal_path + " (" + ec.message() + ")");
-      }
-    }
-    writer.emplace(opts.journal_path, fingerprint, total, K, SuiteRow::kArmCount,
-                   opts.checkpoint_interval, append);
-  }
-  auto checkpoint = [&] {
-    if (writer && opts.on_checkpoint) opts.on_checkpoint(writer->entries());
-  };
-
-  // --- Cancellation / deadlines: parent-side suite token, worker-side
-  // arm deadlines (set in the handler where the kernels poll). ---------
-  const CancelToken suite_token = CancelToken::child_of(opts.cancel);
-  if (opts.suite_timeout_ms > 0.0) {
-    suite_token.set_deadline(
-        CancelToken::Clock::now() +
-            std::chrono::duration_cast<CancelToken::Clock::duration>(
-                std::chrono::duration<double, std::milli>(opts.suite_timeout_ms)),
-        CancelReason::kSuiteDeadline);
-  }
-
-  // Lowest-(row, arm) failure wins under kFailFast, exactly like the
-  // in-process ranking; the typed exception is rebuilt from its
-  // description at the end (live and replayed failures carry the same
-  // descriptions either way).
-  i64 err_rank = -1;
-  std::string err_desc;
-  auto record_failure = [&](usize idx, int arm, const std::string& desc) {
-    const i64 rank = static_cast<i64>(idx) * (SuiteRow::kArmCount + 1) + arm + 1;
-    if (err_rank < 0 || rank < err_rank) {
-      err_rank = rank;
-      err_desc = desc;
-    }
-    if (desc.rfind("TimeoutError", 0) == 0) {
-      obs::MetricsRegistry::global().counter("fault.timeout").add(1);
-    }
-  };
-
-  std::vector<std::optional<SuiteRow>> slots(total);
-
-  // --- Replay prefill (same walk as run_suite). -----------------------
-  std::vector<const JournalRow*> partial(total, nullptr);
-  usize reported = 0;
-  usize prefilled_finished = 0;
-  auto apply_replayed_arm = [](SuiteRow& row, int arm, const JournalArmOutcome& out) {
-    switch (arm) {
-      case SuiteRow::kArmBaseline: row.t_baseline_ms = out.t_ms; break;
-      case SuiteRow::kArmDcsrC: row.t_dcsr_c_ms = out.t_ms; break;
-      case SuiteRow::kArmOnlineB: row.t_online_b_ms = out.t_ms; break;
-      case SuiteRow::kArmOfflineB:
-        row.t_offline_b_ms = out.t_ms;
-        row.offline_prep_ms = out.prep_ms;
-        break;
-      default: break;
-    }
-  };
-  for (usize idx = 0; idx < total; ++idx) {
-    const auto it = replay.rows.find(idx);
-    if (it == replay.rows.end()) continue;
-    const JournalRow& jr = it->second;
-    if (!jr.complete(SuiteRow::kArmCount)) {
-      partial[idx] = &jr;
-      continue;
-    }
-    ++prefilled_finished;
-    if (jr.degenerate) continue;
-    SuiteRow row;
-    row.spec = specs[idx];
-    if (jr.error.has_value()) {
-      row.error = *jr.error;
-      record_failure(idx, -1, row.error);
-    } else {
-      row.profile = jr.profile;
-      for (int a = 0; a < SuiteRow::kArmCount; ++a) {
-        const JournalArmOutcome& out = *jr.arms[static_cast<usize>(a)];
-        if (out.failed()) {
-          row.arm_error[static_cast<usize>(a)] = out.error;
-          record_failure(idx, a, out.error);
-        } else {
-          apply_replayed_arm(row, a, out);
-        }
-      }
-    }
-    slots[idx] = std::move(row);
-    if (progress) progress(++reported, total, *slots[idx]);
-    else ++reported;
-  }
-
-  usize live_remaining = total - prefilled_finished;
-  if (live_remaining > 0) {
-    Supervisor sup(proc_opts,
-                   make_suite_handler(std::vector<MatrixSpec>(specs.begin(), specs.end()),
-                                      cfg, K, opts.arm_timeout_ms));
-
-    struct TaskRef {
-      usize idx;
-      int arm;  ///< -1 for the plan task
-    };
-    std::map<u64, TaskRef> inflight;
-    std::vector<int> arms_left(total, 0);
-
-    auto submit_plan = [&](usize idx) {
-      WireWriter w;
-      w.put_u32(static_cast<u32>(idx));
-      const u64 id = sup.submit(kTaskPlanRow, fault::mix(0x704c, static_cast<u64>(idx)),
-                                std::move(w.out), static_cast<u64>(idx));
-      inflight.emplace(id, TaskRef{idx, -1});
-    };
-    auto submit_arm = [&](usize idx, int arm) {
-      WireWriter w;
-      w.put_u32(static_cast<u32>(idx));
-      w.put_u8(static_cast<u8>(arm));
-      const u64 id =
-          sup.submit(kTaskRunArm, fault::mix(static_cast<u64>(idx), static_cast<u64>(arm)),
-                     std::move(w.out), static_cast<u64>(idx));
-      inflight.emplace(id, TaskRef{idx, arm});
-    };
-
-    auto report_row = [&](usize idx) {
-      --live_remaining;
-      if (progress) progress(++reported, total, *slots[idx]);
-      else ++reported;
-    };
-    auto finish_unreported = [&](usize /*idx*/) { --live_remaining; };
-
-    // Rows enter flight through a bounded window so arm tasks land
-    // while their planning worker is still warm (affinity dispatch
-    // reuses its cached plan/B) instead of queueing the whole sweep's
-    // plans up front.
-    const usize window = static_cast<usize>(proc_opts.workers) * 2 + 2;
-    usize rows_in_flight = 0;
-    usize next_idx = 0;
-    auto top_up = [&] {
-      while (rows_in_flight < window && next_idx < total) {
-        const usize idx = next_idx++;
-        if (slots[idx].has_value() ||
-            (replay.rows.count(idx) != 0 &&
-             replay.rows.at(idx).complete(SuiteRow::kArmCount))) {
-          continue;  // fully replayed above
-        }
-        ++rows_in_flight;
-        submit_plan(idx);
-      }
-    };
-
-    auto handle_plan_done = [&](usize idx, const TaskOutcome& out) {
-      const JournalRow* jrow = partial[idx];
-      if (!out.ok) {
-        // Typed handler failure (generation / planning threw) or a
-        // WorkerError quarantine: either way a row-level typed error,
-        // exactly like the in-process row path.
-        SuiteRow row;
-        row.spec = specs[idx];
-        row.error = out.error;
-        if (writer) {
-          writer->row_error(idx, row.error);
-          checkpoint();
-        }
-        slots[idx] = std::move(row);
-        record_failure(idx, -1, out.error);
-        --rows_in_flight;
-        report_row(idx);
-        return;
-      }
-      WireReader r(out.payload);
-      const u8 status = r.get_u8("plan result status");
-      if (status == 0) {  // degenerate draw: journaled, never reported
-        r.expect_done("plan result");
-        if (writer && !(jrow && jrow->degenerate)) {
-          writer->row_degenerate(idx);
-          checkpoint();
-        }
-        --rows_in_flight;
-        finish_unreported(idx);
-        return;
-      }
-      SuiteRow row;
-      row.spec = specs[idx];
-      row.profile = decode_profile(r.get_str("plan result profile"));
-      r.expect_done("plan result");
-      if (writer && !(jrow && jrow->planned)) {
-        writer->row_planned(idx, row.profile);
-        checkpoint();
-      }
-      // Fold replayed arms in before dispatching the rest.
-      int missing = 0;
-      for (int a = 0; a < SuiteRow::kArmCount; ++a) {
-        const auto& rep =
-            jrow ? jrow->arms[static_cast<usize>(a)] : std::optional<JournalArmOutcome>{};
-        if (!rep.has_value()) {
-          ++missing;
-          continue;
-        }
-        if (rep->failed()) {
-          row.arm_error[static_cast<usize>(a)] = rep->error;
-          record_failure(idx, a, rep->error);
-        } else {
-          apply_replayed_arm(row, a, *rep);
-        }
-      }
-      arms_left[idx] = missing;
-      slots[idx] = std::move(row);
-      if (missing == 0) {
-        // Only reachable via a CRC-valid journal the writer never
-        // produces (arm outcomes without row_planned); with no live
-        // arms the row is already whole.
-        --rows_in_flight;
-        report_row(idx);
-        return;
-      }
-      for (int a = 0; a < SuiteRow::kArmCount; ++a) {
-        if (!(jrow && jrow->arms[static_cast<usize>(a)].has_value())) submit_arm(idx, a);
-      }
-    };
-
-    auto handle_arm_done = [&](usize idx, int arm, const TaskOutcome& out) {
-      SuiteRow& row = *slots[idx];
-      if (!out.ok) {
-        row.arm_error[static_cast<usize>(arm)] = out.error;
-        if (writer) {
-          writer->arm_error(idx, arm, out.error);
-          checkpoint();
-        }
-        record_failure(idx, arm, out.error);
-      } else {
-        WireReader r(out.payload);
-        const double t_ms = r.get_f64("arm result time");
-        const double prep_ms = r.get_f64("arm result prep");
-        const u32 crc = r.get_u32("arm result crc");
-        r.expect_done("arm result");
-        switch (arm) {
-          case SuiteRow::kArmBaseline: row.t_baseline_ms = t_ms; break;
-          case SuiteRow::kArmDcsrC: row.t_dcsr_c_ms = t_ms; break;
-          case SuiteRow::kArmOnlineB: row.t_online_b_ms = t_ms; break;
-          default:
-            row.t_offline_b_ms = t_ms;
-            row.offline_prep_ms = prep_ms;
-            break;
-        }
-        if (c_crc_out) (*c_crc_out)[idx][static_cast<usize>(arm)] = crc;
-        if (writer) {
-          writer->arm_done(idx, arm, t_ms, prep_ms);
-          checkpoint();
-        }
-      }
-      if (--arms_left[idx] == 0) {
-        --rows_in_flight;
-        report_row(idx);
-      }
-    };
-
-    bool cancelled = false;
-    while (live_remaining > 0) {
-      if (suite_token.cancelled()) {
-        cancelled = true;
-        break;
-      }
-      top_up();
-      auto c = sup.wait_completion(/*timeout_ms=*/25.0);
-      if (!c) continue;
-      const auto it = inflight.find(c->id);
-      if (it == inflight.end()) continue;
-      const TaskRef ref = it->second;
-      inflight.erase(it);
-      if (ref.arm < 0) handle_plan_done(ref.idx, c->outcome);
-      else handle_arm_done(ref.idx, ref.arm, c->outcome);
-    }
-    // Leaving scope shuts the supervisor down; on cancellation the
-    // in-flight tasks are abandoned — not journaled, not reported — so
-    // a resumed sweep re-executes them from scratch, bit-identically.
-    if (cancelled) {
-      if (writer) writer->flush();
-      obs::MetricsRegistry::global().counter("suite.cancelled").add(1);
-      const std::string where =
-          opts.journal_path.empty()
-              ? std::string(" (no journal was configured; completed work is lost)")
-              : " (completed work is checkpointed in " + opts.journal_path + ")";
-      if (suite_token.reason() == CancelReason::kSuiteDeadline) {
-        throw TimeoutError("suite sweep exceeded its deadline" + where);
-      }
-      throw CancelledError("suite sweep cancelled" + where);
-    }
-  }
-
-  if (writer) writer->flush();
-
-  if (opts.policy == SuiteErrorPolicy::kFailFast && err_rank >= 0) {
-    std::rethrow_exception(exception_from_description(err_desc));
-  }
-
-  std::vector<SuiteRow> rows;
-  rows.reserve(total);
-  for (auto& slot : slots) {
-    if (slot.has_value()) rows.push_back(std::move(*slot));
-  }
-  return rows;
+  return suite::drive_suite(
+      specs, cfg, K, progress, opts,
+      [&](suite::RowWork work) -> std::unique_ptr<suite::Backend> {
+        // A forked worker cannot see later requests on the parent's
+        // token: the driver stops workers through abandon() instead.
+        // Each arm's own deadline still runs in the worker.
+        work.cancel = CancelToken{};
+        return std::make_unique<ProcBackend>(proc_opts, std::move(work));
+      },
+      c_crc_out);
 }
 
 }  // namespace nmdt::proc

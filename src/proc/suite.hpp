@@ -3,16 +3,18 @@
 // supervised worker *processes* (proc/supervisor.hpp) instead of
 // in-process pool threads.
 //
-// Bit-identity contract: rows are identical to in-process run_suite at
-// any worker count.  Workers are forked without exec, so they inherit
-// the specs / config as live objects and task payloads carry only
-// (row, arm) coordinates; each worker computes the same pure function
-// — per-row RNG seeding (0xb0b0 + idx) and plan construction are the
-// executor's exact expressions — and timings / profiles travel back as
-// raw f64 / encoded-profile bits.  The checkpoint journal is written
-// only by the supervising parent, in the same entry vocabulary as the
-// in-process runner, so --resume composes across modes (start a sweep
-// in-process, resume it isolated, or vice versa).
+// run_suite_isolated is the worker-process backend of the one suite
+// driver (core/suite_driver.hpp); run_suite is its thread-pool
+// backend.  The driver — journal, replay, cancellation, deadlines,
+// failure ranking, merge order, progress — is shared code, and so is
+// the row work: workers are forked without exec, inherit the driver's
+// RowWork as a live object, and run the same plan/arm functions as the
+// pool threads, so rows are bit-identical to in-process run_suite at
+// any worker count.  Task payloads carry only (row, arm) coordinates;
+// timings and profiles travel back as raw f64 / encoded-profile bits.
+// Only the supervising parent writes the journal, so --resume composes
+// across modes (start a sweep in-process, resume it isolated, or vice
+// versa).
 //
 // Failure semantics: a worker crash (SIGSEGV / SIGKILL / abort /
 // RLIMIT_AS breach / missed heartbeat) re-dispatches the in-flight
@@ -23,19 +25,13 @@
 // behave exactly as in-process: journaled, ranked, never retried.
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "core/executor.hpp"
+#include "core/suite_driver.hpp"
 #include "proc/supervisor.hpp"
 
 namespace nmdt::proc {
-
-/// Per-(row, arm) CRC32 of the C output, computed inside the worker
-/// that ran the arm.  Lets tests pin cross-process value bit-identity
-/// without shipping C panels over the pipe.  Arms replayed from a
-/// journal (which stores no checksum) and failed arms stay 0.
-using SuiteCrcs = std::vector<std::array<u32, SuiteRow::kArmCount>>;
 
 /// Process-isolated run_suite.  Same contract as the in-process
 /// overload — identical rows, progress semantics, journal entries,
@@ -43,6 +39,8 @@ using SuiteCrcs = std::vector<std::array<u32, SuiteRow::kArmCount>>;
 /// supervisor's crash-recovery semantics above.  `cfg.fault` (and any
 /// already-installed FaultScope) is inherited by the workers, so
 /// worker_abort / worker_hang plans crash them deterministically.
+/// `c_crc_out` receives each live arm's C checksum (SuiteCrcs),
+/// computed inside the worker that ran the arm.
 std::vector<SuiteRow> run_suite_isolated(std::span<const MatrixSpec> specs,
                                          const SpmmConfig& cfg, index_t K,
                                          const SuiteProgress& progress,

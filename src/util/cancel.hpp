@@ -1,9 +1,9 @@
 // Cooperative cancellation with wall-clock deadlines.
 //
 // A CancelToken is a shared handle onto one cancellation state: anything
-// holding a copy can request cancellation (a SIGINT handler, the suite
-// watchdog, a test hook) and anything polling it observes the request at
-// its next poll point.  Cancellation is *cooperative* — nothing is ever
+// holding a copy can request cancellation (a SIGINT handler, a test
+// hook) and anything polling it observes the request at its next poll
+// point.  Cancellation is *cooperative* — nothing is ever
 // killed mid-operation; work units poll at natural safe points (kernel
 // shard boundaries, conversion-engine tile requests, suite row/arm
 // starts) and unwind by throwing a typed error, so cancellation latency
@@ -22,9 +22,11 @@
 //
 // Tokens chain: a child token (one suite arm) polls its own state first,
 // then its parent (the whole sweep), so one suite-wide request fans out
-// to every arm without the watchdog touching each token.  All state is
-// in relaxed atomics — request() is async-signal-safe, and polling is a
-// couple of loads on the hot path.
+// to every arm without touching each token.  Deadlines are seen the
+// same way: every cancelled()/reason()/poll() compares the clock against
+// each armed deadline in the chain.  All state is in relaxed atomics —
+// request() is async-signal-safe, and polling is a couple of loads plus
+// a clock read on the hot path.
 #pragma once
 
 #include <atomic>
@@ -59,8 +61,8 @@ class CancelToken {
 
   /// Arm this token's deadline: poll() throws TimeoutError (reason
   /// kDeadline) or CancelledError (reason kSuiteDeadline) once Clock
-  /// passes `at`.  The deadline also makes expiry *observable* between
-  /// polls so a watchdog thread can convert it into a request.
+  /// passes `at`.  cancelled() and reason() observe the expiry too, so a
+  /// driver loop can notice a passed deadline without polling.
   void set_deadline(Clock::time_point at, CancelReason reason) const;
 
   /// True once this token or any ancestor is cancelled or past its

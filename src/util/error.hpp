@@ -49,8 +49,8 @@ class FaultError : public Error {
 };
 
 /// A work unit exceeded its wall-clock deadline (per-arm --arm-timeout)
-/// and was cooperatively cancelled by the suite watchdog.  Recorded as a
-/// typed FAILED row like any other arm error; CLI exit code 6.
+/// and unwound at its next cancellation poll.  Recorded as a typed
+/// FAILED row like any other arm error; CLI exit code 6.
 class TimeoutError : public Error {
  public:
   explicit TimeoutError(const std::string& what) : Error(what) {}

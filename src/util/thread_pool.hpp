@@ -3,9 +3,8 @@
 // single-threaded per task; the pool only overlaps independent
 // simulations across host cores.
 //
-// Tasks may submit further tasks (the suite runner's prep tasks fan out
-// per-kernel arm tasks), so workers never block on each other: a task
-// either runs to completion or enqueues follow-up work.
+// Tasks may submit further tasks, so workers never block on each other:
+// a task either runs to completion or enqueues follow-up work.
 #pragma once
 
 #include <condition_variable>

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "core/executor.hpp"
+#include "core/journal.hpp"
 #include "fault/fault.hpp"
 #include "matgen/suite.hpp"
+#include "obs/metrics.hpp"
 #include "proc/suite.hpp"
 #include "proc/supervisor.hpp"
 #include "util/error.hpp"
@@ -15,9 +17,11 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <optional>
 #include <set>
 #include <thread>
+#include <typeinfo>
 
 #if defined(__unix__) || defined(__APPLE__)
 
@@ -333,6 +337,200 @@ TEST(ProcSuite, JournalsComposeAcrossInProcessAndIsolatedModes) {
   po.workers = 2;
   const auto replayed = run_suite_isolated(specs, cfg, K, {}, resumed, po);
   expect_rows_identical(original, replayed);
+  std::remove(path.c_str());
+}
+
+/// Run one sweep in either mode.
+std::vector<SuiteRow> run_mode(bool isolated, const std::vector<MatrixSpec>& specs,
+                               const SpmmConfig& cfg, index_t K, const SuiteOptions& opts) {
+  ProcOptions po;
+  po.workers = 2;
+  return isolated ? run_suite_isolated(specs, cfg, K, {}, opts, po)
+                  : run_suite(specs, cfg, K, {}, opts);
+}
+
+/// Interrupt a journaled sweep in one mode via on_checkpoint, resume it
+/// in the other, and compare with an uninterrupted run: the resumed
+/// backend really executes the rest of the sweep, not just a replay.
+void interrupt_then_resume_in_other_mode(bool isolated_first, const std::string& stem) {
+  const auto specs = tiny_specs();
+  const index_t K = 8;
+  const SpmmConfig cfg = evaluation_config(4096, K);
+  const auto baseline = run_suite(specs, cfg, K, {}, 1);
+  const std::string path = testing::TempDir() + "nmdt_proc_" + stem + ".nmdj";
+  std::remove(path.c_str());
+
+  SuiteOptions cut;
+  cut.journal_path = path;
+  CancelToken token;
+  cut.cancel = token;
+  cut.on_checkpoint = [token](usize entries) {
+    if (entries >= 7) token.request(CancelReason::kUser);
+  };
+  EXPECT_THROW(run_mode(isolated_first, specs, cfg, K, cut), CancelledError);
+  const JournalReplay partial = read_journal_file(path);
+  usize complete = 0;
+  for (const auto& [idx, row] : partial.rows) {
+    complete += row.complete(SuiteRow::kArmCount) ? 1 : 0;
+  }
+  ASSERT_GT(partial.entries, 0u);
+  ASSERT_LT(complete, specs.size()) << "the interrupt came too late: nothing left to resume";
+
+  SuiteOptions resumed;
+  resumed.journal_path = path;
+  resumed.resume = true;
+  expect_rows_identical(baseline, run_mode(!isolated_first, specs, cfg, K, resumed));
+  std::remove(path.c_str());
+}
+
+TEST(ProcSuite, InterruptedInProcessJournalResumesIsolated) {
+  interrupt_then_resume_in_other_mode(false, "cut_in_process");
+}
+
+TEST(ProcSuite, InterruptedIsolatedJournalResumesInProcess) {
+  interrupt_then_resume_in_other_mode(true, "cut_isolated");
+}
+
+usize timeout_cells(const std::vector<SuiteRow>& rows) {
+  usize n = 0;
+  for (const auto& r : rows) {
+    n += r.error.rfind("TimeoutError", 0) == 0 ? 1 : 0;
+    for (const auto& e : r.arm_error) n += e.rfind("TimeoutError", 0) == 0 ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(ProcSuite, TimeoutCellsCountOnceWhetherLiveOrReplayed) {
+  const auto specs = tiny_specs();
+  const index_t K = 8;
+  const SpmmConfig cfg = evaluation_config(4096, K);
+  const std::string path = testing::TempDir() + "nmdt_proc_timeouts.nmdj";
+  const std::string snapshot = path + ".snapshot";
+  std::remove(path.c_str());
+  std::remove(snapshot.c_str());
+
+  // An already-expired arm deadline: every arm fails with TimeoutError
+  // at its first poll.  The sweep is interrupted — and the journal
+  // copied, exactly as a kill at that point would leave it — as soon as
+  // some row has a journaled TimeoutError arm but still has arms to run.
+  SuiteOptions cut;
+  cut.jobs = 1;
+  cut.policy = SuiteErrorPolicy::kContinue;
+  cut.arm_timeout_ms = 1e-6;
+  cut.journal_path = path;
+  CancelToken token;
+  cut.cancel = token;
+  bool snapped = false;
+  cut.on_checkpoint = [&](usize) {
+    if (snapped) return;
+    const JournalReplay now = read_journal_file(path);
+    for (const auto& [idx, row] : now.rows) {
+      if (row.complete(SuiteRow::kArmCount)) continue;
+      for (const auto& arm : row.arms) {
+        if (arm.has_value() && arm->error.rfind("TimeoutError", 0) == 0) snapped = true;
+      }
+    }
+    if (snapped) {
+      std::filesystem::copy_file(path, snapshot);
+      token.request(CancelReason::kUser);
+    }
+  };
+  try {
+    (void)run_suite(specs, cfg, K, {}, cut);
+  } catch (const CancelledError&) {
+  }
+  ASSERT_TRUE(snapped) << "no partially journaled row with a timed-out arm";
+
+  // One rule in both modes: each TimeoutError cell in the returned rows
+  // counts once, whether it ran live or was replayed from the journal.
+  auto& timeouts = obs::MetricsRegistry::global().counter("fault.timeout");
+  for (bool isolated : {false, true}) {
+    SCOPED_TRACE(isolated ? "isolated resume" : "in-process resume");
+    const std::string copy = path + (isolated ? ".isolated" : ".in_process");
+    std::remove(copy.c_str());
+    std::filesystem::copy_file(snapshot, copy);
+    SuiteOptions resumed = cut;
+    resumed.cancel = CancelToken{};
+    resumed.on_checkpoint = {};
+    resumed.journal_path = copy;
+    resumed.resume = true;
+    const i64 before = timeouts.value();
+    const auto rows = run_mode(isolated, specs, cfg, K, resumed);
+    EXPECT_GT(timeout_cells(rows), 0u);
+    EXPECT_EQ(timeouts.value() - before, static_cast<i64>(timeout_cells(rows)));
+    std::remove(copy.c_str());
+  }
+  std::remove(path.c_str());
+  std::remove(snapshot.c_str());
+}
+
+/// Number of (row, arm) cells among the first `rows` rows whose
+/// kSuiteArm transient persists through every retry under `plan`.
+int persistent_arm_faults(const fault::FaultPlan& plan, usize rows) {
+  fault::FaultScope scope(plan);
+  int n = 0;
+  for (usize row = 0; row < rows; ++row) {
+    for (int arm = 0; arm < SuiteRow::kArmCount; ++arm) {
+      const u64 key = fault::mix(static_cast<u64>(row), static_cast<u64>(arm));
+      bool persists = true;
+      for (int attempt = 0; attempt <= fault::kMaxRetries; ++attempt) {
+        persists = persists && fault::should_inject(plan.site,
+                                                    fault::mix(key, static_cast<u64>(attempt)));
+      }
+      n += persists ? 1 : 0;
+    }
+  }
+  return n;
+}
+
+TEST(ProcSuite, InjectedArmFaultRethrowsTheSameErrorInEveryMode) {
+  auto specs = tiny_specs();
+  specs.resize(3);
+  const index_t K = 8;
+  SpmmConfig cfg = evaluation_config(4096, K);
+  cfg.fault = {fault::FaultSite::kSuiteArm, 0.5, 0};
+  for (u64 seed = 1; seed < 1000; ++seed) {
+    cfg.fault.seed = seed;
+    if (persistent_arm_faults(cfg.fault, specs.size()) == 1) break;
+  }
+  ASSERT_EQ(persistent_arm_faults(cfg.fault, specs.size()), 1);
+
+  // Under continue the sweep completes with exactly that one failed
+  // cell, and its journal carries the failure for the resumes below.
+  const std::string path = testing::TempDir() + "nmdt_proc_one_fault.nmdj";
+  std::remove(path.c_str());
+  SuiteOptions journaled;
+  journaled.policy = SuiteErrorPolicy::kContinue;
+  journaled.journal_path = path;
+  const auto rows = run_suite(specs, cfg, K, {}, journaled);
+  usize failed = 0;
+  for (const auto& r : rows) {
+    for (const auto& e : r.arm_error) failed += e.empty() ? 0 : 1;
+  }
+  ASSERT_EQ(failed, 1u);
+
+  // fail_fast throws the same type and message live in-process (the
+  // original object), live isolated (rebuilt from the worker's
+  // description), and resumed from the journal in either mode.
+  auto thrown = [&](bool isolated, bool resume) -> std::pair<std::string, std::string> {
+    SuiteOptions opts;
+    if (resume) {
+      opts.journal_path = path;
+      opts.resume = true;
+    }
+    try {
+      (void)run_mode(isolated, specs, cfg, K, opts);
+    } catch (const std::exception& e) {
+      return {typeid(e).name(), e.what()};
+    }
+    return {"nothing thrown", ""};
+  };
+  const auto live = thrown(false, false);
+  EXPECT_EQ(live.first, typeid(FaultError).name());
+  EXPECT_NE(live.second.find("persisted through"), std::string::npos) << live.second;
+  EXPECT_EQ(thrown(true, false), live);
+  EXPECT_EQ(thrown(false, true), live);
+  EXPECT_EQ(thrown(true, true), live);
   std::remove(path.c_str());
 }
 
