@@ -24,9 +24,11 @@ int main(int argc, char** argv) {
       B.randomize(rng);
       const SpmmConfig cfg = evaluation_config(A.rows, K);
       const double t_base =
-          run_spmm(KernelKind::kCsrCStationaryRowWarp, A, B, cfg).timing.total_ns;
-      const double t_c = run_spmm(KernelKind::kDcsrCStationary, A, B, cfg).timing.total_ns;
-      const double t_b = run_spmm(KernelKind::kTiledDcsrOnline, A, B, cfg).timing.total_ns;
+          run_one_shot(KernelKind::kCsrCStationaryRowWarp, A, B, cfg).timing.total_ns;
+      const double t_c =
+          run_one_shot(KernelKind::kDcsrCStationary, A, B, cfg).timing.total_ns;
+      const double t_b =
+          run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg).timing.total_ns;
       table.begin_row()
           .cell(label)
           .cell(i64{K})

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     for (index_t height : {16, 64, 256}) {
       SpmmConfig cfg = evaluation_config(A.rows, 64);
       cfg.tiling = TilingSpec{width, height};
-      const SpmmResult r = run_spmm(KernelKind::kTiledDcsrOnline, A, B, cfg);
+      const SpmmResult r = run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg);
       table.begin_row()
           .cell(i64{width})
           .cell(i64{height})

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     for (KernelKind kind :
          {KernelKind::kCsrCStationaryRowWarp, KernelKind::kDcsrCStationary,
           KernelKind::kTiledDcsrBStationary, KernelKind::kTiledDcsrOnline}) {
-      const SpmmResult r = run_spmm(kind, A, B, cfg);
+      const SpmmResult r = run_one_shot(kind, A, B, cfg);
       // Busy/transfer ratio on the hottest channel = effective
       // bandwidth derating from row misses.
       const double transfer =

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     for (KernelKind kind :
          {KernelKind::kCsrCStationaryRowWarp, KernelKind::kDcsrCStationary,
           KernelKind::kTiledDcsrBStationary, KernelKind::kTiledDcsrOnline}) {
-      const SpmmResult r = run_spmm(kind, A, B, cfg);
+      const SpmmResult r = run_one_shot(kind, A, B, cfg);
       const EnergyBreakdown e = estimate_energy(model, cfg.arch, r.counters, r.mem,
                                                 r.engine.steps, r.timing);
       if (kind == KernelKind::kCsrCStationaryRowWarp) baseline_uj = e.total_uj();

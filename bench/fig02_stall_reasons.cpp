@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
     DenseMatrix B(A.cols, env.K);
     B.randomize(rng);
     const SpmmConfig cfg = evaluation_config(A.rows, env.K);
-    const SpmmResult r = run_spmm(KernelKind::kCsrCStationaryRowWarp, A, B, cfg);
+    const SpmmResult r = run_one_shot(KernelKind::kCsrCStationaryRowWarp, A, B, cfg);
     // Average over matrices with enough work to fill the GPU; tiny
     // grids are launch-bound, which is why the paper's dataset filters
     // out matrices under 4k rows (Sec. 5.1).

@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
     if (A.nnz() == 0) continue;
     DenseMatrix B(A.cols, env.K);
     B.randomize(rng);
-    csr_total += run_spmm(KernelKind::kTiledCsrBStationary, A, B, cfg).counters;
-    dcsr_total += run_spmm(KernelKind::kTiledDcsrBStationary, A, B, cfg).counters;
+    csr_total += run_one_shot(KernelKind::kTiledCsrBStationary, A, B, cfg).counters;
+    dcsr_total += run_one_shot(KernelKind::kTiledDcsrBStationary, A, B, cfg).counters;
   }
 
   const Breakdown csr = breakdown_of(csr_total);

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
          {PlacementPolicy::kStripCamping, PlacementPolicy::kTileRotation}) {
       SpmmConfig cfg = evaluation_config(A.rows, env.K);
       cfg.placement = policy;
-      const SpmmResult r = run_spmm(KernelKind::kTiledDcsrOnline, A, B, cfg);
+      const SpmmResult r = run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg);
       placement.begin_row()
           .cell(label)
           .cell(placement_name(policy))

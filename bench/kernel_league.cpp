@@ -34,9 +34,9 @@ int main(int argc, char** argv) {
     DenseMatrix B(A.cols, env.K);
     B.randomize(rng);
     const double t_base =
-        run_spmm(KernelKind::kCsrCStationaryRowWarp, A, B, cfg).timing.total_ns;
+        run_one_shot(KernelKind::kCsrCStationaryRowWarp, A, B, cfg).timing.total_ns;
     for (KernelKind kind : kKernels) {
-      const double t = run_spmm(kind, A, B, cfg).timing.total_ns;
+      const double t = run_one_shot(kind, A, B, cfg).timing.total_ns;
       speedups[kernel_name(kind)][family_name(spec.family)].push_back(t_base / t);
       speedups[kernel_name(kind)]["ALL"].push_back(t_base / t);
     }

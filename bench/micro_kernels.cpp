@@ -206,7 +206,7 @@ int run(int argc, char** argv) {
   obs::MetricsRegistry::global().reset();
   const auto plan = [&] {
     obs::ScopedTimer t("bench.plan_ms");
-    return build_plan(A, {cfg.tiling, default_ssf_threshold(), 1.0, precision});
+    return build_plan(A, plan_options_for(cfg));
   }();
   const double profile_ms =
       obs::MetricsRegistry::global().histogram("plan.profile_ms").snapshot().sum;
@@ -335,9 +335,7 @@ int run(int argc, char** argv) {
     pcfg.precision = p;
     pcfg.jobs = 1;
     const SpmmExecutor exec(pcfg);
-    const auto pplan = p == precision
-                           ? plan
-                           : build_plan(A, {cfg.tiling, default_ssf_threshold(), 1.0, p});
+    const auto pplan = p == precision ? plan : build_plan(A, plan_options_for(pcfg));
     i64 total_dram = 0;
     json << (pi == 0 ? "" : ",\n") << "    {\"precision\": \"" << precision_name(p)
          << "\", \"value_bytes\": " << value_bytes(p)

@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
     DenseMatrix B(A.cols, env.K);
     B.randomize(rng);
     const SpmmConfig cfg = evaluation_config(A.rows, env.K);
-    const SpmmResult hong = run_spmm(KernelKind::kHongHybrid, A, B, cfg);
-    const SpmmResult online = run_spmm(KernelKind::kTiledDcsrOnline, A, B, cfg);
+    const SpmmResult hong = run_one_shot(KernelKind::kHongHybrid, A, B, cfg);
+    const SpmmResult online = run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg);
     const double hong_total = hong.timing.total_ns + hong.offline_prep_ns;
     for (const auto& [name, r, include_prep] :
          {std::tuple<const char*, const SpmmResult*, bool>{"hong_hybrid", &hong, true},

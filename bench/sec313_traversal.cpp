@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
            {TraversalOrder::kColumnMajor, TraversalOrder::kRowMajor}) {
         SpmmConfig cfg = evaluation_config(A.rows, K);
         cfg.traversal = order;
-        const SpmmResult r = run_spmm(kind, A, B, cfg);
+        const SpmmResult r = run_one_shot(kind, A, B, cfg);
         if (order == TraversalOrder::kColumnMajor) col_time = r.timing.total_ns;
         table.begin_row()
             .cell(label)

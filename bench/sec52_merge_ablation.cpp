@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     double rowwarp_ns = 0.0;
     for (KernelKind kind : {KernelKind::kDcsrCStationary, KernelKind::kMergeCStationary,
                             KernelKind::kTiledDcsrOnline}) {
-      const SpmmResult r = run_spmm(kind, A, B, cfg);
+      const SpmmResult r = run_one_shot(kind, A, B, cfg);
       if (kind == KernelKind::kDcsrCStationary) rowwarp_ns = r.timing.total_ns;
       table.begin_row()
           .cell(label)

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   for (const auto& row : rows) {
     const TrafficEstimate est = estimate_traffic(profile, row.strategy, K, spec);
     const TrafficEstimate closed = estimate_traffic_uniform(n, d, row.strategy, K, spec);
-    const SpmmResult sim = run_spmm(row.kernel, A, B, cfg);
+    const SpmmResult sim = run_one_shot(row.kernel, A, B, cfg);
     const double sim_total = static_cast<double>(sim.mem.total_dram_bytes());
     auto operand = [&](const char* tag) {
       const auto it = sim.mem.operand_bytes.find(tag);

@@ -157,8 +157,7 @@ bool bitwise_equal(const DenseMatrixT<T>& x, const DenseMatrixT<T>& y) {
 /// against an f64 reference on the same stored operands.
 int run_kernel_sweep(const Csr& A, const DenseMatrix& B, const SpmmConfig& cfg,
                      const std::vector<KernelKind>& kernels) {
-  const auto plan =
-      build_plan(A, {cfg.tiling, default_ssf_threshold(), 1.0, cfg.precision});
+  const auto plan = build_plan(A, plan_options_for(cfg));
   // One f64 reference and one set of row scales serve every kernel: all
   // arms compute the same product from the same stored-precision A/B.
   DenseMatrixT<double> ref(0, 0);

@@ -50,27 +50,26 @@ SpmmResult SpmmExecutor::execute(const SpmmPlan& plan, const DenseMatrix& B) con
 
 SpmmResult SpmmExecutor::execute(KernelKind kind, const SpmmPlan& plan,
                                  const DenseMatrix& B) const {
-  // A plan's tiled artifacts are only valid under the tiling they were
-  // built with; a mismatch would silently fall back to in-kernel
-  // conversion and defeat the amortization, so fail loudly instead.
-  NMDT_CHECK_CONFIG(plan.options().tiling == cfg_.tiling,
-                    "plan was built under a different TilingSpec than the executor's");
-  // Same for the value precision: running an f32 plan under a bf16
-  // config would silently measure the wrong value traffic.
-  NMDT_CHECK_CONFIG(plan.precision() == cfg_.precision,
-                    "plan was built at a different precision than the executor's");
+  // A tiling or precision mismatch between plan and config is a
+  // ConfigError from the kernel entry's operand check.
   return dispatch_precision(plan.precision(), [&](auto tag) -> SpmmResult {
     using V = typename decltype(tag)::type;
     const SpmmOperandsT<V> ops = plan.operands_at<V>().bundle();
     if constexpr (std::is_same_v<V, value_t>) {
-      return run_spmm_t<V>(kind, ops, B, cfg_);
+      return run_spmm<V>(kind, ops, B, cfg_);
     } else {
       // B arrives at the canonical f32 precision; retype per call (the
       // plan amortizes A's conversions, B changes every block anyway).
       const DenseMatrixT<V> b = retype<V>(B);
-      return run_spmm_t<V>(kind, ops, b, cfg_);
+      return run_spmm<V>(kind, ops, b, cfg_);
     }
   });
+}
+
+SpmmResult run_one_shot(KernelKind kind, const Csr& A, const DenseMatrix& B,
+                        const SpmmConfig& cfg) {
+  const auto plan = build_plan(A, plan_options_for(cfg));
+  return SpmmExecutor(cfg).execute(kind, *plan, B);
 }
 
 namespace {

@@ -3,7 +3,8 @@
 // An SpmmExecutor runs a previously built SpmmPlan against any
 // conforming dense B (B.rows == A.cols): the kernels consume the plan's
 // pre-converted operand formats, so no profiling or conversion happens
-// on the execution path.
+// on the execution path.  It is the only caller of the kernel entry
+// (run_spmm, kernels/spmm.hpp).
 //
 // run_suite — the Fig. 4 / Fig. 16 sweep — is declared here too: each
 // suite matrix is planned once and its four kernel arms execute against
@@ -52,12 +53,19 @@ class SpmmExecutor {
   SpmmResult execute(const SpmmPlan& plan, const DenseMatrix& B) const;
 
   /// Run a specific kernel against B using the plan's operands
-  /// (bypasses the plan's heuristic decision).
+  /// (bypasses the plan's heuristic decision).  ConfigError when the
+  /// plan's tiling or precision differs from the executor's.
   SpmmResult execute(KernelKind kind, const SpmmPlan& plan, const DenseMatrix& B) const;
 
  private:
   SpmmConfig cfg_;
 };
+
+/// One-shot multiplication: build_plan(A, plan_options_for(cfg)), then
+/// SpmmExecutor(cfg).execute(kind, plan, B).  Plans every format on
+/// each call; reuse one plan when A is multiplied repeatedly.
+SpmmResult run_one_shot(KernelKind kind, const Csr& A, const DenseMatrix& B,
+                        const SpmmConfig& cfg);
 
 /// One row of a suite sweep: everything Fig. 4 / Fig. 16 plot per
 /// matrix.

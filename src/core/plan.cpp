@@ -17,6 +17,10 @@ double default_ssf_threshold() {
   return 3.2e4;
 }
 
+PlanOptions plan_options_for(const SpmmConfig& cfg) {
+  return {cfg.tiling, default_ssf_threshold(), 1.0, cfg.precision};
+}
+
 template <class V>
 SpmmOperandsT<V> PlanOperandsT<V>::bundle() const {
   SpmmOperandsT<V> ops;

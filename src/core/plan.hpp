@@ -53,6 +53,10 @@ struct PlanOptions {
   bool operator==(const PlanOptions&) const = default;
 };
 
+/// The plan options a kernel run under `cfg` needs: cfg's tiling and
+/// precision, the shipped SSF threshold, full-matrix profiling.
+PlanOptions plan_options_for(const SpmmConfig& cfg);
+
 /// The converted operand formats of one plan, stored at precision V.
 /// Structural layouts are precision-independent; only the value arrays
 /// (and hence bytes()) change width.
@@ -91,24 +95,11 @@ class SpmmPlan {
   Strategy strategy() const { return strategy_; }
   KernelKind kernel() const { return kernel_; }
 
-  /// Typed operand set at precision V; ConfigError if V is not the
-  /// plan's precision.
+  /// The one way into the plan's converted formats: the typed operand
+  /// set at precision V (`.bundle()` gives the kernel view over it);
+  /// ConfigError if V is not the plan's precision.
   template <class V>
   const PlanOperandsT<V>& operands_at() const;
-
-  // f32 accessors (ConfigError when the plan holds another precision —
-  // the overwhelmingly common canonical case keeps its terse spelling).
-  const Csr& csr() const { return operands_at<value_t>().csr; }
-  const Csc& csc() const { return operands_at<value_t>().csc; }
-  const Dcsr& dcsr() const { return operands_at<value_t>().dcsr; }
-  const TiledDcsr& tiled_dcsr() const { return operands_at<value_t>().tiled_dcsr; }
-  const TiledCsr& tiled_csr() const { return operands_at<value_t>().tiled_csr; }
-  const StripNnz& strip_nnz() const { return operands_at<value_t>().strip_nnz; }
-
-  /// Non-owning operand bundle over this plan's converted formats (f32
-  /// plans only; use operands_at<V>().bundle() for other precisions).
-  /// The plan must outlive any kernel call using the bundle.
-  SpmmOperands operands() const { return operands_at<value_t>().bundle(); }
 
   /// Resident bytes of all converted artifacts (the cache budget unit).
   i64 bytes() const { return bytes_; }

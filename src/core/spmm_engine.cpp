@@ -33,7 +33,7 @@ PlanCacheStats SpmmEngine::cache_stats() const {
 
 SpmmResult SpmmEngine::run_kernel(KernelKind kind, const Csr& A,
                                   const DenseMatrix& B) const {
-  return run_spmm(kind, A, B, options_.spmm);
+  return SpmmExecutor(options_.spmm).execute(kind, *plan_for(A), B);
 }
 
 SpmmReport SpmmEngine::run(const Csr& A, const DenseMatrix& B) const {

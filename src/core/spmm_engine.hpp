@@ -77,8 +77,9 @@ class SpmmEngine {
   /// run, report.
   SpmmReport run(const Csr& A, const DenseMatrix& B) const;
 
-  /// Run a specific kernel with this engine's configuration (bypasses
-  /// the heuristic and the plan cache — one-shot conversion).
+  /// Run a specific kernel with this engine's configuration: bypasses
+  /// the heuristic, but plans through the engine's plan cache like
+  /// run(), so repeated calls on the same A convert once.
   SpmmResult run_kernel(KernelKind kind, const Csr& A, const DenseMatrix& B) const;
 
   /// The plan this engine would execute for A, from the cache when

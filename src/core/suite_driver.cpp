@@ -82,7 +82,7 @@ Completion RowWork::plan(usize row) const {
     {
       obs::TraceSpan sp("suite.plan");
       obs::ScopedTimer t("suite.plan_ms");
-      plan = build_plan(A, {cfg.tiling, default_ssf_threshold(), 1.0, cfg.precision});
+      plan = build_plan(A, plan_options_for(cfg));
       sp.arg("matrix", specs[row].name.c_str()).arg("nnz", static_cast<i64>(A.nnz()));
     }
     // B depends only on the row index, so every thread and every worker

@@ -129,7 +129,7 @@ TiledCsrT<V> tiled_csr_from_csr(const CsrT<V>& csr, const TilingSpec& spec);
 /// Per-strip non-zero counts under `spec` — the strip-skip table the
 /// B-stationary kernels consult before touching a strip.  Derivable
 /// from A alone (one col_idx scan), so plans compute it once and pass
-/// it through SpmmOperands instead of every kernel call rescanning.
+/// it through SpmmOperandsT instead of every kernel call rescanning.
 struct StripNnz {
   TilingSpec spec;
   std::vector<i64> counts;  ///< counts[s] = non-zeros in vertical strip s

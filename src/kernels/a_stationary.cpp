@@ -10,7 +10,6 @@
 // order (per C row the contribution order is strips-ascending, same as
 // the serial sweep).
 #include <algorithm>
-#include <optional>
 
 #include "kernels/detail.hpp"
 
@@ -22,11 +21,7 @@ SpmmResult spmm_a_stationary(const SpmmOperandsT<V>& ops, const DenseMatrixT<V>&
   using CT = typename VTraits<V>::compute_t;
   constexpr i64 kVB = static_cast<i64>(sizeof(V));
   const CsrT<V>& A = *ops.csr;
-  const TilingSpec& spec = cfg.tiling;
-  std::optional<TiledCsrT<V>> local;
-  const TiledCsrT<V>& tiled = (ops.tiled_csr && ops.tiled_csr->spec == spec)
-                                  ? *ops.tiled_csr
-                                  : local.emplace(tiled_csr_from_csr(A, spec));
+  const TiledCsrT<V>& tiled = *ops.tiled_csr;
 
   const index_t K = B.cols();
 

@@ -24,7 +24,6 @@
 // under either traversal, so the reduced output is bit-identical to the
 // serial sweep.
 #include <algorithm>
-#include <optional>
 
 #include "kernels/detail.hpp"
 #include "transform/arena.hpp"
@@ -116,15 +115,6 @@ TileOffsets compute_offsets(const Tiled& tiled, MetaWordsFn&& meta_words_of) {
   return off;
 }
 
-/// Strip-skip table: take the plan's if it was built under this tiling,
-/// else compute locally (legacy path).
-template <class V>
-const StripNnz& resolve_strip_nnz(const SpmmOperandsT<V>& ops, const CsrT<V>& A,
-                                  const TilingSpec& spec, std::optional<StripNnz>& local) {
-  if (ops.strip_nnz && ops.strip_nnz->spec == spec) return *ops.strip_nnz;
-  return local.emplace(strip_nnz_of(A, spec));
-}
-
 }  // namespace
 
 template <class V>
@@ -134,12 +124,8 @@ SpmmResult spmm_tiled_csr_b_stationary(const SpmmOperandsT<V>& ops,
   constexpr i64 kVB = static_cast<i64>(sizeof(V));
   const CsrT<V>& A = *ops.csr;
   const TilingSpec& spec = cfg.tiling;
-  std::optional<TiledCsrT<V>> local;
-  const TiledCsrT<V>& tiled = (ops.tiled_csr && ops.tiled_csr->spec == spec)
-                                  ? *ops.tiled_csr
-                                  : local.emplace(tiled_csr_from_csr(A, spec));
-  std::optional<StripNnz> local_nnz;
-  const StripNnz& strip_nnz = resolve_strip_nnz(ops, A, spec, local_nnz);
+  const TiledCsrT<V>& tiled = *ops.tiled_csr;
+  const StripNnz& strip_nnz = *ops.strip_nnz;
   const TileOffsets off = compute_offsets(tiled, [](const CsrTileT<V>& t) {
     return static_cast<i64>(t.body.row_ptr.size());
   });
@@ -228,12 +214,8 @@ SpmmResult spmm_tiled_dcsr_b_stationary(const SpmmOperandsT<V>& ops,
   constexpr i64 kVB = static_cast<i64>(sizeof(V));
   const CsrT<V>& A = *ops.csr;
   const TilingSpec& spec = cfg.tiling;
-  std::optional<TiledDcsrT<V>> local;
-  const TiledDcsrT<V>& tiled = (ops.tiled_dcsr && ops.tiled_dcsr->spec == spec)
-                                   ? *ops.tiled_dcsr
-                                   : local.emplace(tiled_dcsr_from_csr(A, spec));
-  std::optional<StripNnz> local_nnz;
-  const StripNnz& strip_nnz = resolve_strip_nnz(ops, A, spec, local_nnz);
+  const TiledDcsrT<V>& tiled = *ops.tiled_dcsr;
+  const StripNnz& strip_nnz = *ops.strip_nnz;
   const TileOffsets off = compute_offsets(tiled, [](const DcsrTileT<V>& t) {
     return static_cast<i64>(t.body.row_idx.size() + t.body.row_ptr.size());
   });
@@ -295,8 +277,7 @@ SpmmResult spmm_tiled_dcsr_online(const SpmmOperandsT<V>& ops, const DenseMatrix
   constexpr i64 kVB = static_cast<i64>(sizeof(V));
   const CsrT<V>& A = *ops.csr;
   const TilingSpec& spec = cfg.tiling;
-  std::optional<CscT<V>> local;
-  const CscT<V>& csc = ops.csc ? *ops.csc : local.emplace(csc_from_csr(A));
+  const CscT<V>& csc = *ops.csc;
 
   const index_t K = B.cols();
   const index_t bt = spec.strip_width;

@@ -7,7 +7,6 @@
 // output matrix directly; counters and memory events merge in
 // shard-index order.
 #include <algorithm>
-#include <optional>
 
 #include "kernels/detail.hpp"
 
@@ -200,10 +199,8 @@ SpmmResult spmm_dcsr_c_stationary(const SpmmOperandsT<V>& ops, const DenseMatrix
   const CsrT<V>& A = *ops.csr;
   // Offline densification is cheap and sequential (paper Sec. 5.2
   // includes untiled DCSR in the realistic baseline set): one streaming
-  // pass over CSR, one write of the DCSR arrays.  Planned callers carry
-  // the densified form; the legacy path converts one-shot.
-  std::optional<DcsrT<V>> local;
-  const DcsrT<V>& D = ops.dcsr ? *ops.dcsr : local.emplace(dcsr_from_csr(A));
+  // pass over CSR, one write of the DCSR arrays — done by the plan.
+  const DcsrT<V>& D = *ops.dcsr;
 
   const index_t K = B.cols();
   const i64 nrows = D.nnz_rows();

@@ -278,10 +278,10 @@ class VisitOrder {
 
 // Kernel implementations (one translation unit per family), templated
 // on the stored value type and explicitly instantiated for float,
-// double, and bf16_t in their defining translation units.  Each takes
-// the operand bundle and consumes the pre-converted artifact it needs,
-// converting locally only when the field is absent (legacy path) or
-// built under a different tiling than cfg.tiling.
+// double, and bf16_t in their defining translation units.  Each reads
+// the pre-converted artifacts it needs straight from the bundle: the
+// entry (run_spmm) has already checked that they are present and cut
+// under cfg.tiling, so no kernel converts.
 template <class V>
 SpmmResult spmm_csr_row_warp(const SpmmOperandsT<V>& A, const DenseMatrixT<V>& B,
                              const SpmmConfig& cfg);

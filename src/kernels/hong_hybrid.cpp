@@ -67,12 +67,15 @@ SpmmResult spmm_hong_hybrid(const SpmmOperandsT<V>& ops, const DenseMatrixT<V>& 
   SpmmResult light_res;
   bool ran_heavy = false, ran_light = false;
   if (split.heavy.nnz() > 0) {
-    heavy_res =
-        spmm_tiled_dcsr_b_stationary(SpmmOperandsT<V>::from_csr(split.heavy), B, cfg);
+    // Tiling the heavy part is the Hong scheme's own preprocessing.
+    const TiledDcsrT<V> tiles = tiled_dcsr_from_csr(split.heavy, cfg.tiling);
+    const StripNnz strips = strip_nnz_of(split.heavy, cfg.tiling);
+    heavy_res = spmm_tiled_dcsr_b_stationary(
+        {.csr = &split.heavy, .tiled_dcsr = &tiles, .strip_nnz = &strips}, B, cfg);
     ran_heavy = true;
   }
   if (split.light.nnz() > 0) {
-    light_res = spmm_csr_row_warp(SpmmOperandsT<V>::from_csr(split.light), B, cfg);
+    light_res = spmm_csr_row_warp({.csr = &split.light}, B, cfg);
     ran_light = true;
   }
 

@@ -18,7 +18,6 @@
 // The one-time metadata stream is charged to shard 0 so merged totals
 // match the serial kernel exactly.
 #include <algorithm>
-#include <optional>
 
 #include "kernels/detail.hpp"
 #include "util/error.hpp"
@@ -32,8 +31,7 @@ SpmmResult spmm_merge_c_stationary(const SpmmOperandsT<V>& ops, const DenseMatri
   using CT = typename VTraits<V>::compute_t;
   constexpr i64 kVB = static_cast<i64>(sizeof(V));
   const CsrT<V>& A = *ops.csr;
-  std::optional<DcsrT<V>> local;
-  const DcsrT<V>& D = ops.dcsr ? *ops.dcsr : local.emplace(dcsr_from_csr(A));
+  const DcsrT<V>& D = *ops.dcsr;
 
   const index_t K = B.cols();
   const index_t chunk = cfg.merge_chunk;

@@ -1,18 +1,13 @@
 // Pre-converted operand bundle consumed by the SpMM kernels.
 //
-// Historically every kernel converted its own input (CSC for the online
-// engine, DCSR for the densified C-stationary arm, tiled forms for the
-// offline arms) on every call.  The Plan → Execute split moves those
-// conversions to plan time: a kernel receives this bundle and uses
-// whichever pre-converted artifact it needs, falling back to a local
-// one-shot conversion only when the field is absent (the legacy
-// `run_spmm(kind, A, B, cfg)` compatibility path) or when a tiled form
-// was built under a different TilingSpec than the run's config.
+// Every format conversion happens at plan time (core/plan.hpp).  A
+// kernel reads the artifacts it needs from this bundle and never
+// converts: the kernel entry (`run_spmm`, kernels/spmm.hpp) checks the
+// bundle once and throws ConfigError when it is incomplete or was cut
+// under another TilingSpec.
 //
-// All pointers are non-owning views; the caller (an SpmmPlan, or the
-// legacy shim's stack frame) guarantees they outlive the kernel call.
-// `csr` is always required — it is the canonical operand every kernel
-// can derive from.
+// All pointers are non-owning views; the caller (an SpmmPlan's operand
+// set) guarantees they outlive the kernel call.
 //
 // The bundle is typed on the stored value precision V: every format in
 // one bundle carries the same scalar type, so a kernel can never mix
@@ -28,22 +23,12 @@ namespace nmdt {
 
 template <class V>
 struct SpmmOperandsT {
-  const CsrT<V>* csr = nullptr;                ///< required
+  const CsrT<V>* csr = nullptr;                ///< every kernel
   const CscT<V>* csc = nullptr;                ///< online tiled-DCSR kernel
   const DcsrT<V>* dcsr = nullptr;              ///< untiled DCSR kernels
   const TiledDcsrT<V>* tiled_dcsr = nullptr;   ///< offline B-stationary arm
   const TiledCsrT<V>* tiled_csr = nullptr;     ///< tiled-CSR strawman, A-stationary
   const StripNnz* strip_nnz = nullptr;         ///< B-stationary strip-skip table
-
-  /// CSR-only bundle (every other format converts on demand).
-  static SpmmOperandsT from_csr(const CsrT<V>& a) {
-    SpmmOperandsT ops;
-    ops.csr = &a;
-    return ops;
-  }
 };
-
-/// Default-precision alias; existing f32 call sites use this name.
-using SpmmOperands = SpmmOperandsT<value_t>;
 
 }  // namespace nmdt

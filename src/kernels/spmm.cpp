@@ -4,7 +4,6 @@
 #include <optional>
 #include <type_traits>
 
-#include "formats/retype.hpp"
 #include "kernels/detail.hpp"
 #include "obs/profiler.hpp"
 #include "obs/scoped_timer.hpp"
@@ -55,6 +54,48 @@ SpmmConfig evaluation_config(index_t n, index_t K) {
 
 namespace {
 
+/// The kernel → required-artifacts table: the first artifact `kind`
+/// reads that the bundle lacks, or nullptr when it is complete.
+/// Hong-hybrid tiles its own threshold-dependent split, so it reads CSR
+/// alone.
+template <class V>
+const char* missing_artifact(KernelKind kind, const SpmmOperandsT<V>& A) {
+  if (A.csr == nullptr) return "csr";
+  switch (kind) {
+    case KernelKind::kCsrCStationaryRowWarp:
+    case KernelKind::kCsrCStationaryRowThread:
+    case KernelKind::kHongHybrid: return nullptr;
+    case KernelKind::kDcsrCStationary:
+    case KernelKind::kMergeCStationary: return A.dcsr ? nullptr : "dcsr";
+    case KernelKind::kTiledCsrBStationary:
+      return !A.tiled_csr ? "tiled_csr" : !A.strip_nnz ? "strip_nnz" : nullptr;
+    case KernelKind::kTiledDcsrBStationary:
+      return !A.tiled_dcsr ? "tiled_dcsr" : !A.strip_nnz ? "strip_nnz" : nullptr;
+    case KernelKind::kTiledDcsrOnline: return A.csc ? nullptr : "csc";
+    case KernelKind::kAStationary: return A.tiled_csr ? nullptr : "tiled_csr";
+  }
+  return nullptr;
+}
+
+/// The one operand check, made at kernel entry: cfg names precision V,
+/// the bundle is complete for `kind`, and every tiled artifact in it was
+/// cut under cfg.tiling.
+template <class V>
+void check_operands(KernelKind kind, const SpmmOperandsT<V>& A, const SpmmConfig& cfg) {
+  NMDT_CHECK_CONFIG(cfg.precision == VTraits<V>::kPrecision,
+                    std::string("cfg.precision is ") + precision_name(cfg.precision) +
+                        ", the operands are " + precision_name(VTraits<V>::kPrecision));
+  if (const char* missing = missing_artifact(kind, A)) {
+    throw ConfigError(std::string(kernel_name(kind)) + " needs the " + missing +
+                      " operand, which the bundle lacks");
+  }
+  const TilingSpec& t = cfg.tiling;
+  NMDT_CHECK_CONFIG((!A.tiled_dcsr || A.tiled_dcsr->spec == t) &&
+                        (!A.tiled_csr || A.tiled_csr->spec == t) &&
+                        (!A.strip_nnz || A.strip_nnz->spec == t),
+                    "a tiled operand was built under a TilingSpec other than cfg.tiling");
+}
+
 template <class V>
 SpmmResult dispatch_spmm(KernelKind kind, const SpmmOperandsT<V>& A,
                          const DenseMatrixT<V>& B, const SpmmConfig& cfg) {
@@ -78,11 +119,11 @@ SpmmResult dispatch_spmm(KernelKind kind, const SpmmOperandsT<V>& A,
 }  // namespace
 
 template <class V>
-SpmmResult run_spmm_t(KernelKind kind, const SpmmOperandsT<V>& A,
-                      const DenseMatrixT<V>& B, const SpmmConfig& cfg) {
-  NMDT_REQUIRE(A.csr != nullptr, "SpmmOperands must carry the CSR operand");
-  NMDT_REQUIRE(A.csr->cols == B.rows(), "SpMM shape mismatch: A.cols != B.rows");
+SpmmResult run_spmm(KernelKind kind, const SpmmOperandsT<V>& A, const DenseMatrixT<V>& B,
+                    const SpmmConfig& cfg) {
   cfg.tiling.validate();
+  check_operands(kind, A, cfg);
+  NMDT_REQUIRE(A.csr->cols == B.rows(), "SpMM shape mismatch: A.cols != B.rows");
   static obs::Counter& runs = obs::MetricsRegistry::global().counter("kernel.runs");
   runs.add(1);
   obs::ScopedTimer timer("kernel.host_ms");
@@ -129,33 +170,12 @@ SpmmResult run_spmm_t(KernelKind kind, const SpmmOperandsT<V>& A,
   return res;
 }
 
-template SpmmResult run_spmm_t(KernelKind, const SpmmOperandsT<float>&,
-                               const DenseMatrixT<float>&, const SpmmConfig&);
-template SpmmResult run_spmm_t(KernelKind, const SpmmOperandsT<double>&,
-                               const DenseMatrixT<double>&, const SpmmConfig&);
-template SpmmResult run_spmm_t(KernelKind, const SpmmOperandsT<bf16_t>&,
-                               const DenseMatrixT<bf16_t>&, const SpmmConfig&);
-
-SpmmResult run_spmm(KernelKind kind, const SpmmOperands& A, const DenseMatrix& B,
-                    const SpmmConfig& cfg) {
-  if (cfg.precision == Precision::kF32) return run_spmm_t<float>(kind, A, B, cfg);
-  // Legacy untyped entry asked for a non-default precision: retype the
-  // canonical f32 operands once (derived formats rebuild on demand at
-  // the kernel's precision — structural conversions commute with
-  // retyping, so results match a fully pre-converted plan).
-  NMDT_REQUIRE(A.csr != nullptr, "SpmmOperands must carry the CSR operand");
-  return dispatch_precision(cfg.precision, [&](auto tag) -> SpmmResult {
-    using V = typename decltype(tag)::type;
-    const CsrT<V> a = retype<V>(*A.csr);
-    const DenseMatrixT<V> b = retype<V>(B);
-    return run_spmm_t<V>(kind, SpmmOperandsT<V>::from_csr(a), b, cfg);
-  });
-}
-
-SpmmResult run_spmm(KernelKind kind, const Csr& A, const DenseMatrix& B,
-                    const SpmmConfig& cfg) {
-  return run_spmm(kind, SpmmOperands::from_csr(A), B, cfg);
-}
+template SpmmResult run_spmm(KernelKind, const SpmmOperandsT<float>&,
+                             const DenseMatrixT<float>&, const SpmmConfig&);
+template SpmmResult run_spmm(KernelKind, const SpmmOperandsT<double>&,
+                             const DenseMatrixT<double>&, const SpmmConfig&);
+template SpmmResult run_spmm(KernelKind, const SpmmOperandsT<bf16_t>&,
+                             const DenseMatrixT<bf16_t>&, const SpmmConfig&);
 
 DenseMatrix spmm_reference(const Csr& A, const DenseMatrix& B) {
   NMDT_REQUIRE(A.cols == B.rows(), "SpMM shape mismatch: A.cols != B.rows");

@@ -103,10 +103,8 @@ struct SpmmConfig {
   /// Stored value precision of the A/B operands and the C output.
   /// Arithmetic runs at the type's compute precision (bf16 widens to
   /// f32 for every FMA); storage width is what the memory system sees,
-  /// so bf16 halves value traffic relative to f32.  The typed
-  /// `run_spmm_t<V>` entry points require V to match this field's
-  /// meaning only through the legacy untyped shim, which retypes its
-  /// f32 operands when the field requests another precision.
+  /// so bf16 halves value traffic relative to f32.  `run_spmm<V>`
+  /// throws ConfigError unless this field names V.
   Precision precision = Precision::kF32;
 };
 
@@ -145,29 +143,18 @@ struct SpmmResult {
   bool used_fallback = false;
 };
 
-/// Run one kernel against a pre-converted operand bundle (the planned
-/// path): each kernel consumes the artifact it needs from `A` and only
-/// converts locally when it is missing.  The modelled offline-prep cost
-/// (`SpmmResult::offline_prep_ns`) is unchanged either way — it is part
-/// of the report semantics, not of host work.
-SpmmResult run_spmm(KernelKind kind, const SpmmOperands& A, const DenseMatrix& B,
-                    const SpmmConfig& cfg);
-
-/// Typed entry point: operands and B stored at precision V, arithmetic
-/// at VTraits<V>::compute_t.  The f32 instantiation is the exact legacy
-/// code path (bit-identical results and simulated metrics).  Explicitly
-/// instantiated for float, double, and bf16_t.
+/// The one kernel entry: run `kind` against a complete pre-converted
+/// operand bundle (SpmmExecutor, core/executor.hpp, is its caller).
+/// Operands and B are stored at precision V, arithmetic runs at
+/// VTraits<V>::compute_t; instantiated for float, double, and bf16_t.
+/// Kernels never convert.  ConfigError, before any work, when an
+/// artifact the kernel reads is missing, when a tiled artifact or the
+/// StripNnz table was built under a TilingSpec other than cfg.tiling,
+/// or when cfg.precision does not name V.  The modelled offline-prep
+/// cost (`SpmmResult::offline_prep_ns`) is report semantics, not host
+/// work.
 template <class V>
-SpmmResult run_spmm_t(KernelKind kind, const SpmmOperandsT<V>& A,
-                      const DenseMatrixT<V>& B, const SpmmConfig& cfg);
-
-/// Compatibility shim: A given as CSR only; kernels that consume other
-/// formats (CSC for online conversion, tiled forms for offline) convert
-/// internally, one-shot.  Prefer building an SpmmPlan (core/plan.hpp)
-/// when the same A is multiplied repeatedly.  When `cfg.precision` is
-/// not f32 the f32 operands are retyped (one RNE rounding into bf16,
-/// exact widening into f64) before the typed kernel runs.
-SpmmResult run_spmm(KernelKind kind, const Csr& A, const DenseMatrix& B,
+SpmmResult run_spmm(KernelKind kind, const SpmmOperandsT<V>& A, const DenseMatrixT<V>& B,
                     const SpmmConfig& cfg);
 
 /// Reference result: dense row-major triple loop (no simulation).

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "analysis/sampling.hpp"
+#include "core/executor.hpp"
 #include "gpusim/energy.hpp"
 #include "kernels/spmm.hpp"
 #include "matgen/generators.hpp"
@@ -101,7 +102,7 @@ TEST(Energy, EngineEnergyIsNegligibleInRealKernels) {
   DenseMatrix B(A.cols, 64);
   B.randomize(rng);
   const SpmmConfig cfg = evaluation_config(A.rows, 64);
-  const SpmmResult r = run_spmm(KernelKind::kTiledDcsrOnline, A, B, cfg);
+  const SpmmResult r = run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg);
   const EnergyBreakdown e =
       estimate_energy(EnergyModel{}, cfg.arch, r.counters, r.mem, r.engine.steps, r.timing);
   EXPECT_LT(e.engine_uj, 0.01 * e.total_uj());
@@ -114,8 +115,8 @@ TEST(Energy, FasterKernelBurnsLessStaticEnergy) {
   DenseMatrix B(A.cols, 64);
   B.randomize(rng);
   const SpmmConfig cfg = evaluation_config(A.rows, 64);
-  const SpmmResult slow = run_spmm(KernelKind::kDcsrCStationary, A, B, cfg);
-  const SpmmResult fast = run_spmm(KernelKind::kTiledDcsrOnline, A, B, cfg);
+  const SpmmResult slow = run_one_shot(KernelKind::kDcsrCStationary, A, B, cfg);
+  const SpmmResult fast = run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg);
   ASSERT_LT(fast.timing.total_ns, slow.timing.total_ns);
   const EnergyModel m;
   const double e_slow =

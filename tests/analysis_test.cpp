@@ -7,6 +7,7 @@
 #include "analysis/heuristic.hpp"
 #include "analysis/profile.hpp"
 #include "analysis/traffic_model.hpp"
+#include "core/executor.hpp"
 #include "formats/convert.hpp"
 #include "kernels/spmm.hpp"
 #include "matgen/generators.hpp"
@@ -147,7 +148,7 @@ TEST(Traffic, ModelMatchesSimulatedKernelWithinFactor) {
   B.randomize(rng);
   SpmmConfig cfg;
   const auto model = estimate_traffic(p, Strategy::kCStationary, 64, kSpec);
-  const SpmmResult sim = run_spmm(KernelKind::kCsrCStationaryRowWarp, m, B, cfg);
+  const SpmmResult sim = run_one_shot(KernelKind::kCsrCStationaryRowWarp, m, B, cfg);
   const double simulated = static_cast<double>(sim.mem.total_dram_bytes());
   EXPECT_GT(simulated, 0.5 * model.total());
   EXPECT_LT(simulated, 2.0 * model.total());

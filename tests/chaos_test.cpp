@@ -112,7 +112,7 @@ TEST(Chaos, PipelineSiteSweepRecoversBitIdenticalAtEveryJobCount) {
   for (int jobs : kJobs) {
     SpmmConfig cfg;
     cfg.jobs = jobs;
-    baseline.emplace(jobs, run_spmm(KernelKind::kTiledDcsrOnline, A, B, cfg));
+    baseline.emplace(jobs, run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg));
   }
   expect_identical(baseline.at(1), baseline.at(4));
 
@@ -133,7 +133,7 @@ TEST(Chaos, PipelineSiteSweepRecoversBitIdenticalAtEveryJobCount) {
           cfg.fault = {site, rate, seed};
           bool threw = false;
           try {
-            const SpmmResult r = run_spmm(KernelKind::kTiledDcsrOnline, A, B, cfg);
+            const SpmmResult r = run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg);
             if (r.used_fallback) {
               // Different kernel, different FP accumulation order: the
               // degraded answer is correct, not bit-identical.
@@ -170,7 +170,7 @@ TEST(Chaos, PersistentTileFaultDegradesToVerifiedFallback) {
   reset_metrics();
   SpmmConfig cfg;
   cfg.fault = {fault::FaultSite::kTileVal, 1.0, 9};
-  const SpmmResult r = run_spmm(KernelKind::kTiledDcsrOnline, A, B, cfg);
+  const SpmmResult r = run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg);
   EXPECT_TRUE(r.used_fallback);
   EXPECT_LT(r.C.max_abs_diff(spmm_reference(A, B)), 1e-3);
   const FaultCounters c = read_fault_counters();
@@ -182,7 +182,7 @@ TEST(Chaos, PersistentTileFaultDegradesToVerifiedFallback) {
   EXPECT_EQ(c.fallbacks, 1);
 
   cfg.fault_fallback = false;
-  EXPECT_THROW(run_spmm(KernelKind::kTiledDcsrOnline, A, B, cfg), FaultError);
+  EXPECT_THROW(run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg), FaultError);
 }
 
 // Arena-backed reconversion: bit-flip recovery in convert_tile_checked
@@ -273,7 +273,7 @@ TEST(Chaos, PersistentShardFaultSurfacesTypedErrorWithoutFallback) {
   SpmmConfig cfg;
   cfg.fault = {fault::FaultSite::kShardExec, 1.0, 2};
   // The baseline CSR kernel has no degraded mode to hide behind.
-  EXPECT_THROW(run_spmm(KernelKind::kCsrCStationaryRowWarp, A, B, cfg), FaultError);
+  EXPECT_THROW(run_one_shot(KernelKind::kCsrCStationaryRowWarp, A, B, cfg), FaultError);
   const FaultCounters c = read_fault_counters();
   expect_accounted(c);
   EXPECT_GT(c.unrecovered, 0);
@@ -298,9 +298,10 @@ TEST(Chaos, CacheEntryCorruptionEvictsAndRebuilds) {
           const auto plan = cache.get_or_build(m, {});
           ASSERT_NE(plan, nullptr);
           // The returned plan is always the right one, corrupt or not.
-          EXPECT_EQ(plan->csr().row_ptr, m.row_ptr);
-          EXPECT_EQ(plan->csr().col_idx, m.col_idx);
-          EXPECT_EQ(plan->csr().val, m.val);
+          const Csr& planned = plan->operands_at<value_t>().csr;
+          EXPECT_EQ(planned.row_ptr, m.row_ptr);
+          EXPECT_EQ(planned.col_idx, m.col_idx);
+          EXPECT_EQ(planned.val, m.val);
         }
       }
       const FaultCounters c = read_fault_counters();
@@ -453,7 +454,8 @@ TEST(Chaos, RateZeroPlanIsBitwiseNoop) {
     SpmmConfig cfg;
     cfg.jobs = 4;
     if (install) cfg.fault = {fault::FaultSite::kTileVal, 0.0, 42};
-    Leg out{run_spmm(KernelKind::kTiledDcsrOnline, A, B, cfg), read_fault_counters(), {}};
+    Leg out{run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg), read_fault_counters(),
+            {}};
     session.uninstall();
     for (const auto& ev : session.events()) {
       out.spans.emplace_back(ev.track, ev.name, ev.args_json);

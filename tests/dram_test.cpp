@@ -2,6 +2,7 @@
 // system and timing.
 #include <gtest/gtest.h>
 
+#include "core/executor.hpp"
 #include "gpusim/dram.hpp"
 #include "gpusim/memory_system.hpp"
 #include "kernels/spmm.hpp"
@@ -103,8 +104,8 @@ TEST(Dram, EngineStreamsAreRowFriendlyInKernels) {
   DenseMatrix B(A.cols, 64);
   B.randomize(rng);
   const SpmmConfig cfg = evaluation_config(A.rows, 64);
-  const SpmmResult base = run_spmm(KernelKind::kCsrCStationaryRowWarp, A, B, cfg);
-  const SpmmResult online = run_spmm(KernelKind::kTiledDcsrOnline, A, B, cfg);
+  const SpmmResult base = run_one_shot(KernelKind::kCsrCStationaryRowWarp, A, B, cfg);
+  const SpmmResult online = run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg);
   EXPECT_GT(online.mem.dram_row_hit_rate(), base.mem.dram_row_hit_rate());
 }
 

@@ -5,6 +5,7 @@
 // the converters and a kernel to make "benign" mean benign end to end.
 #include <gtest/gtest.h>
 
+#include "core/executor.hpp"
 #include "core/journal.hpp"
 #include "formats/convert.hpp"
 #include "proc/frame.hpp"
@@ -83,7 +84,7 @@ TEST(Fuzz, MutatedCsrEitherValidatesOrThrowsTypedError) {
     DenseMatrix B(m.cols, 8);
     B.randomize(brng);
     SpmmConfig cfg;
-    const SpmmResult r = run_spmm(KernelKind::kTiledDcsrOnline, m, B, cfg);
+    const SpmmResult r = run_one_shot(KernelKind::kTiledDcsrOnline, m, B, cfg);
     EXPECT_LE(r.C.max_abs_diff(spmm_reference(m, B)), 1e-3);
   }
   // The mutation mix must actually exercise both branches.

@@ -75,8 +75,8 @@ TEST(Integration, PlacementPolicyDoesNotChangeResults) {
   camping.placement = PlacementPolicy::kStripCamping;
   SpmmConfig rotation = camping;
   rotation.placement = PlacementPolicy::kTileRotation;
-  const DenseMatrix c1 = run_spmm(KernelKind::kTiledDcsrOnline, A, B, camping).C;
-  const DenseMatrix c2 = run_spmm(KernelKind::kTiledDcsrOnline, A, B, rotation).C;
+  const DenseMatrix c1 = run_one_shot(KernelKind::kTiledDcsrOnline, A, B, camping).C;
+  const DenseMatrix c2 = run_one_shot(KernelKind::kTiledDcsrOnline, A, B, rotation).C;
   EXPECT_DOUBLE_EQ(c1.max_abs_diff(c2), 0.0);
 }
 
@@ -90,8 +90,8 @@ TEST(Integration, MemModeDoesNotChangeResults) {
   cached.mem_mode = MemMode::kCacheSim;
   for (KernelKind kind : {KernelKind::kCsrCStationaryRowWarp,
                           KernelKind::kTiledDcsrOnline, KernelKind::kHongHybrid}) {
-    const DenseMatrix c1 = run_spmm(kind, A, B, counting).C;
-    const DenseMatrix c2 = run_spmm(kind, A, B, cached).C;
+    const DenseMatrix c1 = run_one_shot(kind, A, B, counting).C;
+    const DenseMatrix c2 = run_one_shot(kind, A, B, cached).C;
     EXPECT_DOUBLE_EQ(c1.max_abs_diff(c2), 0.0) << kernel_name(kind);
   }
 }

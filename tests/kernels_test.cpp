@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 
+#include "core/executor.hpp"
 #include "kernels/spmm.hpp"
 #include "matgen/generators.hpp"
 #include "matgen/suite.hpp"
@@ -80,7 +81,7 @@ TEST_P(KernelCorrectness, MatchesDenseReference) {
   DenseMatrix B(c.matrix.cols, c.K);
   B.randomize(rng);
   const DenseMatrix ref = spmm_reference(c.matrix, B);
-  const SpmmResult res = run_spmm(kind, c.matrix, B, small_config());
+  const SpmmResult res = run_one_shot(kind, c.matrix, B, small_config());
   EXPECT_LE(res.C.max_abs_diff(ref), tolerance_for(c.matrix, c.K))
       << "kernel " << kernel_name(kind) << " on case " << c.name;
 }
@@ -106,8 +107,8 @@ TEST(KernelModel, EmptyRowsInflateInactiveSlotsForTiledCsr) {
   DenseMatrix B(A.cols, 64);
   B.randomize(rng);
   const SpmmConfig cfg = small_config();
-  const SpmmResult csr = run_spmm(KernelKind::kTiledCsrBStationary, A, B, cfg);
-  const SpmmResult dcsr = run_spmm(KernelKind::kTiledDcsrBStationary, A, B, cfg);
+  const SpmmResult csr = run_one_shot(KernelKind::kTiledCsrBStationary, A, B, cfg);
+  const SpmmResult dcsr = run_one_shot(KernelKind::kTiledDcsrBStationary, A, B, cfg);
   EXPECT_GT(csr.counters.inactive_fraction(), 0.3);
   EXPECT_LT(dcsr.counters.lane_slots_inactive, csr.counters.lane_slots_inactive / 4)
       << "DCSR should eliminate the bulk of inactive executions";
@@ -120,9 +121,9 @@ TEST(KernelModel, TiledCsrReadsMoreMetadataThanTiledDcsr) {
   B.randomize(rng);
   const SpmmConfig cfg = small_config();
   const i64 csr_bytes_read =
-      run_spmm(KernelKind::kTiledCsrBStationary, A, B, cfg).mem.total_dram_bytes();
+      run_one_shot(KernelKind::kTiledCsrBStationary, A, B, cfg).mem.total_dram_bytes();
   const i64 dcsr_bytes_read =
-      run_spmm(KernelKind::kTiledDcsrBStationary, A, B, cfg).mem.total_dram_bytes();
+      run_one_shot(KernelKind::kTiledDcsrBStationary, A, B, cfg).mem.total_dram_bytes();
   EXPECT_GT(csr_bytes_read, dcsr_bytes_read);
 }
 
@@ -134,8 +135,8 @@ TEST(KernelModel, OnlineConversionMovesLessDramThanOfflineTiledDcsr) {
   DenseMatrix B(A.cols, 64);
   B.randomize(rng);
   const SpmmConfig cfg = small_config();
-  const SpmmResult online = run_spmm(KernelKind::kTiledDcsrOnline, A, B, cfg);
-  const SpmmResult offline = run_spmm(KernelKind::kTiledDcsrBStationary, A, B, cfg);
+  const SpmmResult online = run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg);
+  const SpmmResult offline = run_one_shot(KernelKind::kTiledDcsrBStationary, A, B, cfg);
   EXPECT_LT(online.mem.total_dram_bytes(), offline.mem.total_dram_bytes());
   EXPECT_EQ(offline.engine.elements, 0u);
   EXPECT_GT(online.engine.elements, 0u);
@@ -149,8 +150,8 @@ TEST(KernelModel, BStationaryPaysAtomics) {
   DenseMatrix B(A.cols, 64);
   B.randomize(rng);
   const SpmmConfig cfg = small_config();
-  const SpmmResult b_stat = run_spmm(KernelKind::kTiledDcsrBStationary, A, B, cfg);
-  const SpmmResult c_stat = run_spmm(KernelKind::kDcsrCStationary, A, B, cfg);
+  const SpmmResult b_stat = run_one_shot(KernelKind::kTiledDcsrBStationary, A, B, cfg);
+  const SpmmResult c_stat = run_one_shot(KernelKind::kDcsrCStationary, A, B, cfg);
   EXPECT_GT(b_stat.counters.atomic_updates, 0u);
   EXPECT_EQ(c_stat.counters.atomic_updates, 0u);
   i64 b_atomic_bytes = 0;
@@ -167,8 +168,8 @@ TEST(KernelModel, CStationaryRereadsBPerNonZero) {
   DenseMatrix B(A.cols, 64);
   B.randomize(rng);
   const SpmmConfig cfg = small_config();
-  const SpmmResult c_stat = run_spmm(KernelKind::kDcsrCStationary, A, B, cfg);
-  const SpmmResult b_stat = run_spmm(KernelKind::kTiledDcsrBStationary, A, B, cfg);
+  const SpmmResult c_stat = run_one_shot(KernelKind::kDcsrCStationary, A, B, cfg);
+  const SpmmResult b_stat = run_one_shot(KernelKind::kTiledDcsrBStationary, A, B, cfg);
   i64 c_reads = 0, b_reads = 0;
   for (const auto& ch : c_stat.mem.channels) c_reads += ch.read_bytes;
   for (const auto& ch : b_stat.mem.channels) b_reads += ch.read_bytes;
@@ -181,8 +182,8 @@ TEST(KernelModel, RowThreadSuffersDivergenceOnSkewedRows) {
   DenseMatrix B(A.cols, 32);
   B.randomize(rng);
   const SpmmConfig cfg = small_config();
-  const SpmmResult warp = run_spmm(KernelKind::kCsrCStationaryRowWarp, A, B, cfg);
-  const SpmmResult thread = run_spmm(KernelKind::kCsrCStationaryRowThread, A, B, cfg);
+  const SpmmResult warp = run_one_shot(KernelKind::kCsrCStationaryRowWarp, A, B, cfg);
+  const SpmmResult thread = run_one_shot(KernelKind::kCsrCStationaryRowThread, A, B, cfg);
   EXPECT_GT(thread.counters.inactive_fraction(), warp.counters.inactive_fraction());
 }
 
@@ -193,11 +194,11 @@ TEST(KernelModel, AStationaryMovesMostBBytes) {
   B.randomize(rng);
   const SpmmConfig cfg = small_config();
   i64 a_stat = 0, b_stat = 0;
-  for (const auto& ch : run_spmm(KernelKind::kAStationary, A, B, cfg).mem.channels) {
+  for (const auto& ch : run_one_shot(KernelKind::kAStationary, A, B, cfg).mem.channels) {
     a_stat += ch.read_bytes;
   }
   for (const auto& ch :
-       run_spmm(KernelKind::kTiledDcsrBStationary, A, B, cfg).mem.channels) {
+       run_one_shot(KernelKind::kTiledDcsrBStationary, A, B, cfg).mem.channels) {
     b_stat += ch.read_bytes;
   }
   EXPECT_GT(a_stat, b_stat);
@@ -212,7 +213,7 @@ TEST(KernelModel, StallBreakdownIsMemoryDominatedAndSumsToOne) {
   DenseMatrix B(A.cols, 64);
   B.randomize(rng);
   const SpmmResult res =
-      run_spmm(KernelKind::kCsrCStationaryRowWarp, A, B, small_config());
+      run_one_shot(KernelKind::kCsrCStationaryRowWarp, A, B, small_config());
   const auto& t = res.timing;
   EXPECT_NEAR(t.frac_memory + t.frac_sm + t.frac_other, 1.0, 1e-9);
   EXPECT_GT(t.frac_memory, 0.5) << "SpMM should be memory-bound (Fig. 2)";
@@ -224,7 +225,7 @@ TEST(KernelModel, FlopsMatchTwoNnzK) {
   DenseMatrix B(A.cols, 48);
   B.randomize(rng);
   for (KernelKind kind : kAllKernels) {
-    const SpmmResult res = run_spmm(kind, A, B, small_config());
+    const SpmmResult res = run_one_shot(kind, A, B, small_config());
     EXPECT_EQ(res.counters.flops, static_cast<u64>(2 * A.nnz() * 48))
         << kernel_name(kind);
   }
@@ -238,9 +239,11 @@ TEST(KernelModel, CacheSimModeReducesDramTraffic) {
   SpmmConfig counting = small_config();
   SpmmConfig cached = small_config();
   cached.mem_mode = MemMode::kCacheSim;
-  const i64 uncached_bytes =
-      run_spmm(KernelKind::kCsrCStationaryRowWarp, A, B, counting).mem.total_dram_bytes();
-  const SpmmResult cache_res = run_spmm(KernelKind::kCsrCStationaryRowWarp, A, B, cached);
+  const SpmmResult uncached =
+      run_one_shot(KernelKind::kCsrCStationaryRowWarp, A, B, counting);
+  const i64 uncached_bytes = uncached.mem.total_dram_bytes();
+  const SpmmResult cache_res =
+      run_one_shot(KernelKind::kCsrCStationaryRowWarp, A, B, cached);
   EXPECT_LT(cache_res.mem.total_dram_bytes(), uncached_bytes)
       << "L2 hits on reused B rows must cut DRAM traffic";
   EXPECT_GT(cache_res.mem.l2.hit_rate(), 0.1);
@@ -249,8 +252,84 @@ TEST(KernelModel, CacheSimModeReducesDramTraffic) {
 TEST(KernelModel, ShapeMismatchThrows) {
   const Csr A = gen_uniform(64, 64, 0.05, 87);
   DenseMatrix B(32, 16);
-  EXPECT_THROW(run_spmm(KernelKind::kCsrCStationaryRowWarp, A, B, small_config()),
+  EXPECT_THROW(run_one_shot(KernelKind::kCsrCStationaryRowWarp, A, B, small_config()),
                FormatError);
+}
+
+TEST(KernelModel, IncompleteOperandsThrowConfigError) {
+  // The kernel entry takes complete planned operands only.  A missing
+  // artifact, a tiled artifact or strip table cut under another
+  // TilingSpec, or a precision other than the operands' is a typed
+  // ConfigError before any work — never a local conversion.
+  using Ops = SpmmOperandsT<value_t>;
+  const Csr A = gen_powerlaw_rows(128, 128, 0.05, 1.2, 31);
+  Rng rng(5);
+  DenseMatrix B(A.cols, 16);
+  B.randomize(rng);
+  const SpmmConfig cfg = small_config();  // tiling {64, 64}
+  SpmmConfig cfg32 = cfg;
+  cfg32.tiling = {32, 32};
+  const auto plan = build_plan(A, plan_options_for(cfg));
+  const auto plan32 = build_plan(A, plan_options_for(cfg32));
+  const Ops full = plan->operands_at<value_t>().bundle();
+  const PlanOperandsT<value_t>& at32 = plan32->operands_at<value_t>();
+
+  // Bundles each missing one artifact the kernel reads (CSR itself for
+  // the kernels that read nothing else).
+  auto incomplete = [&](KernelKind kind) {
+    std::vector<Ops> out;
+    auto without = [&](auto member) {
+      Ops ops = full;
+      ops.*member = nullptr;
+      out.push_back(ops);
+    };
+    switch (kind) {
+      case KernelKind::kCsrCStationaryRowWarp:
+      case KernelKind::kCsrCStationaryRowThread:
+      case KernelKind::kHongHybrid: without(&Ops::csr); break;
+      case KernelKind::kDcsrCStationary:
+      case KernelKind::kMergeCStationary:
+        without(&Ops::csr);
+        without(&Ops::dcsr);
+        break;
+      case KernelKind::kTiledCsrBStationary:
+        without(&Ops::tiled_csr);
+        without(&Ops::strip_nnz);
+        break;
+      case KernelKind::kTiledDcsrBStationary:
+        without(&Ops::tiled_dcsr);
+        without(&Ops::strip_nnz);
+        break;
+      case KernelKind::kTiledDcsrOnline: without(&Ops::csc); break;
+      case KernelKind::kAStationary: without(&Ops::tiled_csr); break;
+    }
+    return out;
+  };
+  // Bundles carrying one artifact cut under {32, 32} while cfg.tiling
+  // is {64, 64}.
+  std::vector<Ops> mistiled(3, full);
+  mistiled[0].tiled_dcsr = &at32.tiled_dcsr;
+  mistiled[1].tiled_csr = &at32.tiled_csr;
+  mistiled[2].strip_nnz = &at32.strip_nnz;
+
+  for (KernelKind kind : kAllKernels) {
+    SCOPED_TRACE(kernel_name(kind));
+    // The complete bundle runs: each throw below comes from the defect.
+    EXPECT_NO_THROW(run_spmm(kind, full, B, cfg));
+    const std::vector<Ops> missing = incomplete(kind);
+    ASSERT_FALSE(missing.empty());
+    for (const Ops& ops : missing) {
+      EXPECT_THROW(run_spmm(kind, ops, B, cfg), ConfigError);
+    }
+    for (const Ops& ops : mistiled) {
+      EXPECT_THROW(run_spmm(kind, ops, B, cfg), ConfigError);
+    }
+    for (Precision p : {Precision::kF64, Precision::kBf16}) {
+      SpmmConfig other = cfg;
+      other.precision = p;
+      EXPECT_THROW(run_spmm(kind, full, B, other), ConfigError);
+    }
+  }
 }
 
 TEST(KernelModel, KernelNamesAreDistinct) {
@@ -266,8 +345,8 @@ TEST(KernelModel, MergeBasedBoundsCriticalChain) {
   B.randomize(rng);
   SpmmConfig cfg = small_config();
   cfg.merge_chunk = 64;
-  const SpmmResult row_warp = run_spmm(KernelKind::kDcsrCStationary, A, B, cfg);
-  const SpmmResult merge = run_spmm(KernelKind::kMergeCStationary, A, B, cfg);
+  const SpmmResult row_warp = run_one_shot(KernelKind::kDcsrCStationary, A, B, cfg);
+  const SpmmResult merge = run_one_shot(KernelKind::kMergeCStationary, A, B, cfg);
   EXPECT_LE(merge.counters.max_chain_iters, 64u);
   EXPECT_GT(row_warp.counters.max_chain_iters, 64u)
       << "skewed matrix must have a heavy row to make this test meaningful";
@@ -280,7 +359,7 @@ TEST(KernelModel, MergeChunkMustBePositive) {
   DenseMatrix B(A.cols, 8);
   SpmmConfig cfg = small_config();
   cfg.merge_chunk = 0;
-  EXPECT_THROW(run_spmm(KernelKind::kMergeCStationary, A, B, cfg), ConfigError);
+  EXPECT_THROW(run_one_shot(KernelKind::kMergeCStationary, A, B, cfg), ConfigError);
 }
 
 TEST(KernelModel, TraversalOrdersAgreeNumerically) {
@@ -294,8 +373,8 @@ TEST(KernelModel, TraversalOrdersAgreeNumerically) {
   row.traversal = TraversalOrder::kRowMajor;
   for (KernelKind kind : {KernelKind::kTiledDcsrBStationary, KernelKind::kTiledDcsrOnline,
                           KernelKind::kTiledCsrBStationary}) {
-    const DenseMatrix c_col = run_spmm(kind, A, B, col).C;
-    const DenseMatrix c_row = run_spmm(kind, A, B, row).C;
+    const DenseMatrix c_col = run_one_shot(kind, A, B, col).C;
+    const DenseMatrix c_row = run_one_shot(kind, A, B, row).C;
     EXPECT_LE(c_col.max_abs_diff(c_row), 1e-5) << kernel_name(kind);
   }
 }
@@ -311,9 +390,9 @@ TEST(KernelModel, RowMajorTraversalThrashesCForUniform) {
   SpmmConfig row = col;
   row.traversal = TraversalOrder::kRowMajor;
   const i64 col_bytes =
-      run_spmm(KernelKind::kTiledDcsrBStationary, A, B, col).mem.total_dram_bytes();
+      run_one_shot(KernelKind::kTiledDcsrBStationary, A, B, col).mem.total_dram_bytes();
   const i64 row_bytes =
-      run_spmm(KernelKind::kTiledDcsrBStationary, A, B, row).mem.total_dram_bytes();
+      run_one_shot(KernelKind::kTiledDcsrBStationary, A, B, row).mem.total_dram_bytes();
   EXPECT_GT(row_bytes, col_bytes);
 }
 
@@ -322,7 +401,7 @@ TEST(KernelModel, HongHybridChargesPreprocessing) {
   Rng rng(14);
   DenseMatrix B(A.cols, 32);
   B.randomize(rng);
-  const SpmmResult r = run_spmm(KernelKind::kHongHybrid, A, B, small_config());
+  const SpmmResult r = run_one_shot(KernelKind::kHongHybrid, A, B, small_config());
   EXPECT_GT(r.offline_prep_ns, 0.0);
   EXPECT_EQ(r.engine.elements, 0u) << "offline hybrid never uses the engine";
 }
@@ -336,14 +415,14 @@ TEST(KernelModel, HongHybridDegeneratesGracefully) {
   B1.randomize(rng);
   SpmmConfig cfg = small_config();
   cfg.hong_heavy_threshold = 64;  // nothing qualifies as heavy
-  EXPECT_LE(run_spmm(KernelKind::kHongHybrid, light, B1, cfg)
+  EXPECT_LE(run_one_shot(KernelKind::kHongHybrid, light, B1, cfg)
                 .C.max_abs_diff(spmm_reference(light, B1)),
             1e-4);
   const Csr heavy = gen_banded(256, 16, 0.9, 96);
   DenseMatrix B2(heavy.cols, 32);
   B2.randomize(rng);
   cfg.hong_heavy_threshold = 1;  // everything is heavy
-  EXPECT_LE(run_spmm(KernelKind::kHongHybrid, heavy, B2, cfg)
+  EXPECT_LE(run_one_shot(KernelKind::kHongHybrid, heavy, B2, cfg)
                 .C.max_abs_diff(spmm_reference(heavy, B2)),
             1e-4);
 }
@@ -353,7 +432,7 @@ TEST(KernelModel, HongHybridRejectsBadThreshold) {
   DenseMatrix B(A.cols, 8);
   SpmmConfig cfg = small_config();
   cfg.hong_heavy_threshold = 0;
-  EXPECT_THROW(run_spmm(KernelKind::kHongHybrid, A, B, cfg), ConfigError);
+  EXPECT_THROW(run_one_shot(KernelKind::kHongHybrid, A, B, cfg), ConfigError);
 }
 
 TEST(KernelModel, OnlineBeatsHongHybridWithPrepOnClusteredInput) {
@@ -363,8 +442,8 @@ TEST(KernelModel, OnlineBeatsHongHybridWithPrepOnClusteredInput) {
   DenseMatrix B(A.cols, 64);
   B.randomize(rng);
   const SpmmConfig cfg = evaluation_config(A.rows, 64);
-  const SpmmResult hong = run_spmm(KernelKind::kHongHybrid, A, B, cfg);
-  const SpmmResult online = run_spmm(KernelKind::kTiledDcsrOnline, A, B, cfg);
+  const SpmmResult hong = run_one_shot(KernelKind::kHongHybrid, A, B, cfg);
+  const SpmmResult online = run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg);
   EXPECT_LT(online.timing.total_ns,
             hong.timing.total_ns + hong.offline_prep_ns);
 }

@@ -106,7 +106,8 @@ TEST(PlanCache, SameShapeDifferentPatternAreDifferentEntries) {
   EXPECT_FALSE(hit);  // must NOT alias despite equal dims/nnz/values
   EXPECT_NE(pa.get(), pb.get());
   EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_NE(pa->csr().col_idx, pb->csr().col_idx);
+  EXPECT_NE(pa->operands_at<value_t>().csr.col_idx,
+            pb->operands_at<value_t>().csr.col_idx);
 }
 
 TEST(PlanCache, LruEvictsOldestUnderByteBudget) {
@@ -323,48 +324,43 @@ TEST(PlanCache, SingleFlightHammerConservesStatsUnderChurn) {
 TEST(Plan, ConvertsEveryOperandFormat) {
   const Csr A = gen_powerlaw_rows(300, 200, 0.02, 1.2, 5);
   const auto plan = build_plan(A);
-  EXPECT_EQ(plan->csr().nnz(), A.nnz());
-  EXPECT_EQ(plan->dcsr().nnz(), A.nnz());
-  EXPECT_EQ(plan->tiled_dcsr().nnz(), A.nnz());
+  const PlanOperandsT<value_t>& formats = plan->operands_at<value_t>();
+  EXPECT_EQ(formats.csr.nnz(), A.nnz());
+  EXPECT_EQ(formats.dcsr.nnz(), A.nnz());
+  EXPECT_EQ(formats.tiled_dcsr.nnz(), A.nnz());
   EXPECT_GT(plan->bytes(), 0);
-  const SpmmOperands ops = plan->operands();
-  EXPECT_EQ(ops.csr, &plan->csr());
-  EXPECT_EQ(ops.csc, &plan->csc());
-  EXPECT_EQ(ops.dcsr, &plan->dcsr());
-  EXPECT_EQ(ops.tiled_dcsr, &plan->tiled_dcsr());
-  EXPECT_EQ(ops.tiled_csr, &plan->tiled_csr());
-}
-
-TEST(Executor, PlannedRunMatchesLegacyShimBitwise) {
-  const Csr A = gen_powerlaw_rows(256, 256, 0.03, 1.2, 9);
-  const index_t K = 32;
-  Rng rng(4);
-  DenseMatrix B(A.cols, K);
-  B.randomize(rng);
-  const SpmmConfig cfg = evaluation_config(A.rows, K);
-  const auto plan = build_plan(A, {cfg.tiling, default_ssf_threshold(), 1.0});
-  const SpmmExecutor ex(cfg);
-  for (KernelKind kind :
-       {KernelKind::kCsrCStationaryRowWarp, KernelKind::kDcsrCStationary,
-        KernelKind::kTiledDcsrOnline, KernelKind::kTiledDcsrBStationary}) {
-    const SpmmResult planned = ex.execute(kind, *plan, B);
-    const SpmmResult legacy = run_spmm(kind, A, B, cfg);
-    EXPECT_EQ(planned.C.max_abs_diff(legacy.C), 0.0) << kernel_name(kind);
-    EXPECT_EQ(planned.timing.total_ns, legacy.timing.total_ns) << kernel_name(kind);
-    EXPECT_EQ(planned.counters.flops, legacy.counters.flops) << kernel_name(kind);
-  }
+  const SpmmOperandsT<value_t> ops = formats.bundle();
+  EXPECT_EQ(ops.csr, &formats.csr);
+  EXPECT_EQ(ops.csc, &formats.csc);
+  EXPECT_EQ(ops.dcsr, &formats.dcsr);
+  EXPECT_EQ(ops.tiled_dcsr, &formats.tiled_dcsr);
+  EXPECT_EQ(ops.tiled_csr, &formats.tiled_csr);
 }
 
 TEST(Executor, RejectsPlanBuiltUnderDifferentTiling) {
   const Csr A = gen_uniform(64, 64, 0.1, 1);
   SpmmConfig cfg = evaluation_config(64, 8);
-  PlanOptions opts{cfg.tiling, default_ssf_threshold(), 1.0};
+  PlanOptions opts = plan_options_for(cfg);
   opts.tiling = TilingSpec{32, 32};
   const auto plan = build_plan(A, opts);
   DenseMatrix B(A.cols, 8);
   Rng rng(1);
   B.randomize(rng);
   EXPECT_THROW(SpmmExecutor(cfg).execute(*plan, B), ConfigError);
+}
+
+TEST(SpmmEngine, RunKernelPlansThroughTheEngineCache) {
+  const Csr A = gen_uniform(96, 96, 0.05, 13);
+  DenseMatrix B(A.cols, 8);
+  Rng rng(2);
+  B.randomize(rng);
+  const SpmmEngine engine;
+  const SpmmResult first = engine.run_kernel(KernelKind::kAStationary, A, B);
+  const SpmmResult second = engine.run_kernel(KernelKind::kAStationary, A, B);
+  const PlanCacheStats s = engine.cache_stats();
+  EXPECT_EQ(s.misses, 1u);  // the first call planned A ...
+  EXPECT_EQ(s.hits, 1u);    // ... the second reused that plan
+  EXPECT_EQ(first.C.max_abs_diff(second.C), 0.0);
 }
 
 TEST(SpmmEngine, SecondRunOnSameMatrixIsACacheHitWithIdenticalReport) {

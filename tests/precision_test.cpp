@@ -107,7 +107,7 @@ TEST(ToleranceComparator, CrossPrecisionF32PassesToleranceButFailsBitwise) {
   Rng rng(3);
   B.randomize(rng);
   const SpmmConfig cfg = evaluation_config(A.rows, 8);
-  const SpmmResult r = run_spmm(KernelKind::kCsrCStationaryRowWarp, A, B, cfg);
+  const SpmmResult r = run_one_shot(KernelKind::kCsrCStationaryRowWarp, A, B, cfg);
   const DenseMatrixT<double> ref = spmm_reference_f64(A, B);
   const DenseMatrixT<double> actual = retype<double>(r.C);
 
@@ -148,8 +148,7 @@ TEST(Bf16, EveryKernelIsBitIdenticalAcrossJobs) {
   B.randomize(rng);
   SpmmConfig cfg = evaluation_config(A.rows, K);
   cfg.precision = Precision::kBf16;
-  const auto plan = build_plan(A, {cfg.tiling, default_ssf_threshold(), 1.0,
-                                   Precision::kBf16});
+  const auto plan = build_plan(A, plan_options_for(cfg));
   for (KernelKind kind : kAllKernels) {
     SpmmConfig c1 = cfg, c4 = cfg;
     c1.jobs = 1;
@@ -174,8 +173,7 @@ TEST(Bf16, ResultStaysInsideToleranceOfF64Reference) {
   B.randomize(rng);
   SpmmConfig cfg = evaluation_config(A.rows, 8);
   cfg.precision = Precision::kBf16;
-  const auto plan =
-      build_plan(A, {cfg.tiling, default_ssf_threshold(), 1.0, Precision::kBf16});
+  const auto plan = build_plan(A, plan_options_for(cfg));
   const CsrT<bf16_t>& a = plan->operands_at<bf16_t>().csr;
   const DenseMatrixT<bf16_t> b = retype<bf16_t>(B);
   const DenseMatrixT<double> ref = spmm_reference_f64(a, b);

@@ -2,6 +2,7 @@
 // planner (Sec. 6.2).
 #include <gtest/gtest.h>
 
+#include "core/executor.hpp"
 #include "kernels/spmm.hpp"
 #include "matgen/generators.hpp"
 #include "sched/layout.hpp"
@@ -61,8 +62,8 @@ TEST(Layout, OnlineKernelBalancesWithRotation) {
   camping.placement = PlacementPolicy::kStripCamping;
   SpmmConfig rotation;
   rotation.placement = PlacementPolicy::kTileRotation;
-  const SpmmResult r_camp = run_spmm(KernelKind::kTiledDcsrOnline, A, B, camping);
-  const SpmmResult r_rot = run_spmm(KernelKind::kTiledDcsrOnline, A, B, rotation);
+  const SpmmResult r_camp = run_one_shot(KernelKind::kTiledDcsrOnline, A, B, camping);
+  const SpmmResult r_rot = run_one_shot(KernelKind::kTiledDcsrOnline, A, B, rotation);
   EXPECT_GT(r_camp.engine_busy_ns, r_rot.engine_busy_ns)
       << "camping serializes conversions on few engines";
   EXPECT_EQ(r_camp.engine.elements, r_rot.engine.elements)

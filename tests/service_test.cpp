@@ -55,8 +55,7 @@ BatchReference batch_reference(const Request& req) {
   B.randomize(rng);
   SpmmConfig cfg = evaluation_config(A.rows, req.k);
   cfg.precision = req.precision;
-  const auto plan =
-      build_plan(A, {cfg.tiling, default_ssf_threshold(), 1.0, req.precision});
+  const auto plan = build_plan(A, plan_options_for(cfg));
   const KernelKind kind = req.kernel.value_or(plan->kernel());
   const SpmmResult r = SpmmExecutor(cfg).execute(kind, *plan, B);
   const auto bits = result_bits(r);

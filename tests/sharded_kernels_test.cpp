@@ -12,6 +12,7 @@
 
 #include <initializer_list>
 
+#include "core/executor.hpp"
 #include "kernels/detail.hpp"
 #include "kernels/spmm.hpp"
 #include "matgen/generators.hpp"
@@ -102,9 +103,9 @@ TEST(ShardedKernels, CountingRunIsIdenticalAtAnyJobCount) {
                           KernelKind::kTiledDcsrOnline}) {
     SpmmConfig cfg;
     cfg.jobs = 1;
-    const SpmmResult serial = run_spmm(kind, A, B, cfg);
+    const SpmmResult serial = run_one_shot(kind, A, B, cfg);
     cfg.jobs = 4;
-    const SpmmResult parallel = run_spmm(kind, A, B, cfg);
+    const SpmmResult parallel = run_one_shot(kind, A, B, cfg);
     SCOPED_TRACE(kernel_name(kind));
     expect_identical(serial, parallel);
   }
@@ -132,18 +133,18 @@ class KernelShardingSweep : public ::testing::TestWithParam<KernelKind> {};
 TEST_P(KernelShardingSweep, CountingModeIdenticalAcrossJobs) {
   SpmmConfig cfg;
   cfg.jobs = 1;
-  const SpmmResult serial = run_spmm(GetParam(), sweep_matrix(), sweep_b(), cfg);
+  const SpmmResult serial = run_one_shot(GetParam(), sweep_matrix(), sweep_b(), cfg);
   cfg.jobs = 4;
-  const SpmmResult parallel = run_spmm(GetParam(), sweep_matrix(), sweep_b(), cfg);
+  const SpmmResult parallel = run_one_shot(GetParam(), sweep_matrix(), sweep_b(), cfg);
   expect_identical(serial, parallel);
 }
 
 TEST_P(KernelShardingSweep, CacheSimModeIdenticalAcrossJobs) {
   SpmmConfig cfg = evaluation_config(4096, 32);
   cfg.jobs = 1;
-  const SpmmResult serial = run_spmm(GetParam(), sweep_matrix(), sweep_b(), cfg);
+  const SpmmResult serial = run_one_shot(GetParam(), sweep_matrix(), sweep_b(), cfg);
   cfg.jobs = 4;
-  const SpmmResult parallel = run_spmm(GetParam(), sweep_matrix(), sweep_b(), cfg);
+  const SpmmResult parallel = run_one_shot(GetParam(), sweep_matrix(), sweep_b(), cfg);
   expect_identical(serial, parallel);
 }
 
@@ -154,9 +155,9 @@ TEST_P(KernelShardingSweep, TraversalOrderDoesNotChangeC) {
   SpmmConfig cfg;
   cfg.jobs = 2;
   cfg.traversal = TraversalOrder::kColumnMajor;
-  const SpmmResult col = run_spmm(GetParam(), sweep_matrix(), sweep_b(), cfg);
+  const SpmmResult col = run_one_shot(GetParam(), sweep_matrix(), sweep_b(), cfg);
   cfg.traversal = TraversalOrder::kRowMajor;
-  const SpmmResult row = run_spmm(GetParam(), sweep_matrix(), sweep_b(), cfg);
+  const SpmmResult row = run_one_shot(GetParam(), sweep_matrix(), sweep_b(), cfg);
   expect_bitwise_equal(col.C, row.C);
 }
 

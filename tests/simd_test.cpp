@@ -18,6 +18,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/executor.hpp"
 #include "gpusim/memory_system.hpp"
 #include "kernels/spmm.hpp"
 #include "matgen/generators.hpp"
@@ -158,9 +159,9 @@ TEST(CountingFastPath, CountersBitIdenticalToEventPathAllKernels) {
       cfg.jobs = jobs;
       SCOPED_TRACE(std::string(kernel_name(kind)) + " jobs=" + std::to_string(jobs));
       MemorySystem::set_counting_fast_path_for_test(true);
-      const SpmmResult fast = run_spmm(kind, A, B, cfg);
+      const SpmmResult fast = run_one_shot(kind, A, B, cfg);
       MemorySystem::set_counting_fast_path_for_test(false);
-      const SpmmResult slow = run_spmm(kind, A, B, cfg);
+      const SpmmResult slow = run_one_shot(kind, A, B, cfg);
       expect_same_run(fast, slow);
     }
   }
@@ -178,9 +179,9 @@ TEST(CountingFastPath, HoldsAcrossPrecisions) {
       cfg.precision = p;
       SCOPED_TRACE(std::string(kernel_name(kind)) + " " + precision_name(p));
       MemorySystem::set_counting_fast_path_for_test(true);
-      const SpmmResult fast = run_spmm(kind, A, B, cfg);
+      const SpmmResult fast = run_one_shot(kind, A, B, cfg);
       MemorySystem::set_counting_fast_path_for_test(false);
-      const SpmmResult slow = run_spmm(kind, A, B, cfg);
+      const SpmmResult slow = run_one_shot(kind, A, B, cfg);
       expect_same_run(fast, slow);
     }
   }

@@ -16,7 +16,7 @@
 #include <sstream>
 #include <string>
 
-#include "core/plan.hpp"
+#include "core/executor.hpp"
 #include "kernels/spmm.hpp"
 #include "matgen/generators.hpp"
 #include "obs/profiler.hpp"
@@ -181,14 +181,14 @@ std::string traced_online_json() {
   const Csr A = gen_powerlaw_rows(512, 4096, 0.01, 1.2, 7);
   SpmmConfig cfg;  // counting mode: fast and fully deterministic
   cfg.jobs = 4;
-  const auto plan = build_plan(A, {cfg.tiling, default_ssf_threshold(), 1.0});
+  const auto plan = build_plan(A, plan_options_for(cfg));
   Rng rng(3);
   DenseMatrix B(A.cols, 8);
   B.randomize(rng);
 
   TraceSession session;
   session.install();
-  (void)run_spmm(KernelKind::kTiledDcsrOnline, plan->operands(), B, cfg);
+  (void)SpmmExecutor(cfg).execute(KernelKind::kTiledDcsrOnline, *plan, B);
   session.uninstall();
   std::ostringstream os;
   session.write_chrome_json(os);

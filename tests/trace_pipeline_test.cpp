@@ -141,12 +141,12 @@ SpanTree traced_online_run(int jobs) {
   const Csr A = test_matrix();
   SpmmConfig cfg;  // counting mode: fast and fully deterministic
   cfg.jobs = jobs;
-  const auto plan = build_plan(A, {cfg.tiling, default_ssf_threshold(), 1.0});
+  const auto plan = build_plan(A, plan_options_for(cfg));
   const DenseMatrix B = random_b(A.cols, 8, 3);
 
   obs::TraceSession session;
   session.install();
-  (void)run_spmm(KernelKind::kTiledDcsrOnline, plan->operands(), B, cfg);
+  (void)SpmmExecutor(cfg).execute(KernelKind::kTiledDcsrOnline, *plan, B);
   session.uninstall();
 
   SpanTree tree;
@@ -261,11 +261,11 @@ TEST(TraceNoop, TracedSweepIsBitIdenticalToUntraced) {
 
   for (KernelKind kind : kAllKernels) {
     SCOPED_TRACE(kernel_name(kind));
-    const SpmmResult bare = run_spmm(kind, A, B, cfg);
+    const SpmmResult bare = run_one_shot(kind, A, B, cfg);
     SpmmResult traced = [&] {
       obs::TraceSession session;
       session.install();
-      SpmmResult r = run_spmm(kind, A, B, cfg);
+      SpmmResult r = run_one_shot(kind, A, B, cfg);
       session.uninstall();
       EXPECT_FALSE(session.events().empty());
       return r;
