@@ -29,6 +29,7 @@
 #include <csignal>
 #include <iostream>
 #include <limits>
+#include <sstream>
 #include <thread>
 
 #include "fault/fault.hpp"
@@ -91,23 +92,37 @@ void install_signal_handlers() {
 #endif
 }
 
+/// The one statement of every ServerOptions default: options_from falls
+/// back to it and --help quotes it.
+const ServerOptions kDefaults{};
+
+/// `help` followed by " (default <value>)".
+template <class T>
+std::string with_default(const std::string& help, T value) {
+  std::ostringstream os;
+  os << help << " (default " << value << ")";
+  return os.str();
+}
+
 ServerOptions options_from(const CliParser& cli) {
+  const ServerOptions& d = kDefaults;
   ServerOptions opts;
-  opts.workers = static_cast<int>(cli.get_int("workers", 2));
-  opts.queue_capacity = static_cast<usize>(
-      std::max<i64>(1, cli.get_int("queue-capacity", 64)));
-  opts.tenant_rate = cli.get_double("tenant-rate", 0.0);
-  opts.tenant_burst = cli.get_double("tenant-burst", 8.0);
-  opts.default_deadline_ms = cli.get_double("default-deadline-ms", 0.0);
-  opts.plan_cache_bytes = cli.get_int("plan-cache-mb", 512) << 20;
-  opts.plan_ttl_ms = cli.get_double("plan-ttl-ms", 0.0);
-  opts.coalesce_max = static_cast<int>(cli.get_int("coalesce-max", 4));
-  opts.coalesce_max_k = static_cast<index_t>(cli.get_int("coalesce-max-k", 256));
-  opts.jobs = static_cast<int>(cli.get_int("jobs", 1));
+  opts.workers = static_cast<int>(cli.get_int("workers", d.workers));
+  opts.queue_capacity = static_cast<usize>(std::max<i64>(
+      1, cli.get_int("queue-capacity", static_cast<i64>(d.queue_capacity))));
+  opts.tenant_rate = cli.get_double("tenant-rate", d.tenant_rate);
+  opts.tenant_burst = cli.get_double("tenant-burst", d.tenant_burst);
+  opts.default_deadline_ms = cli.get_double("default-deadline-ms", d.default_deadline_ms);
+  opts.plan_cache_bytes = cli.get_int("plan-cache-mb", d.plan_cache_bytes >> 20) << 20;
+  opts.plan_ttl_ms = cli.get_double("plan-ttl-ms", d.plan_ttl_ms);
+  opts.coalesce_max = static_cast<int>(cli.get_int("coalesce-max", d.coalesce_max));
+  opts.coalesce_max_k =
+      static_cast<index_t>(cli.get_int("coalesce-max-k", d.coalesce_max_k));
+  opts.jobs = static_cast<int>(cli.get_int("jobs", d.jobs));
   opts.fault_fallback = !cli.has("no-fault-fallback");
-  opts.queue_hint_ms = cli.get_double("queue-hint-ms", 10.0);
-  opts.isolate_workers = static_cast<int>(cli.get_int("isolate-workers", 0));
-  opts.worker_mem_mb = cli.get_int("worker-mem-mb", 0);
+  opts.queue_hint_ms = cli.get_double("queue-hint-ms", d.queue_hint_ms);
+  opts.isolate_workers = static_cast<int>(cli.get_int("isolate-workers", d.isolate_workers));
+  opts.worker_mem_mb = cli.get_int("worker-mem-mb", d.worker_mem_mb);
   return opts;
 }
 
@@ -115,34 +130,49 @@ ServerOptions options_from(const CliParser& cli) {
 
 int main(int argc, char** argv) {
   CliParser cli(argc, argv);
-  cli.declare("workers", "worker threads serving admitted requests (default 2)");
+  const ServerOptions& d = kDefaults;
+  cli.declare("workers",
+              with_default("worker threads serving admitted requests", d.workers));
   cli.declare("queue-capacity",
-              "bounded admission queue depth; overflow sheds with OverloadError "
-              "(default 64)");
+              with_default("bounded admission queue depth; overflow sheds with "
+                           "OverloadError",
+                           d.queue_capacity));
   cli.declare("tenant-rate",
-              "per-tenant token-bucket refill, requests/second; 0 disables "
-              "quotas (default 0)");
-  cli.declare("tenant-burst", "per-tenant token-bucket capacity (default 8)");
+              with_default("per-tenant token-bucket refill, requests/second; 0 "
+                           "disables quotas",
+                           d.tenant_rate));
+  cli.declare("tenant-burst",
+              with_default("per-tenant token-bucket capacity", d.tenant_burst));
   cli.declare("default-deadline-ms",
-              "deadline for requests without their own; 0 = none (default 0)");
-  cli.declare("plan-cache-mb", "PlanCache byte budget in MiB (default 512)");
+              with_default("deadline for requests without their own; 0 = none",
+                           d.default_deadline_ms));
+  cli.declare("plan-cache-mb", with_default("PlanCache byte budget in MiB",
+                                            d.plan_cache_bytes >> 20));
   cli.declare("plan-ttl-ms",
-              "evict cached plans older than this; 0 = no TTL (default 0)");
+              with_default("evict cached plans older than this; 0 = no TTL",
+                           d.plan_ttl_ms));
   cli.declare("coalesce-max",
-              "max concurrent same-key requests batched into one kernel "
-              "execution; 1 disables coalescing (default 4)");
-  cli.declare("coalesce-max-k", "max combined B columns per batch (default 256)");
-  cli.declare("jobs", "intra-kernel shard threads per execution (default 1)");
+              with_default("max concurrent same-key requests batched into one "
+                           "kernel execution; 1 disables coalescing",
+                           d.coalesce_max));
+  cli.declare("coalesce-max-k",
+              with_default("max combined B columns per batch", d.coalesce_max_k));
+  cli.declare("jobs",
+              with_default("intra-kernel shard threads per execution", d.jobs));
   cli.declare("queue-hint-ms",
-              "expected per-request service time seeding the admission EWMA, "
-              "so cold-start retry_after_ms hints are honest (default 10)");
+              with_default("expected per-request service time seeding the "
+                           "admission EWMA, so cold-start retry_after_ms hints "
+                           "are honest",
+                           d.queue_hint_ms));
   cli.declare("isolate-workers",
-              "execute kernels in N supervised worker processes: crashes are "
-              "respawned+retried, poison requests answered with WorkerError; "
-              "0 = in-process (default 0)");
+              with_default("execute kernels in N supervised worker processes: "
+                           "crashes are respawned+retried, poison requests "
+                           "answered with WorkerError; 0 = in-process",
+                           d.isolate_workers));
   cli.declare("worker-mem-mb",
-              "address-space rlimit per isolated worker in MiB; 0 = unlimited "
-              "(default 0)");
+              with_default("address-space rlimit per isolated worker in MiB; 0 "
+                           "= unlimited",
+                           d.worker_mem_mb));
   cli.declare("max-line-bytes",
               "request line byte cap; longer lines get a ParseError response "
               "(default 1 MiB)");

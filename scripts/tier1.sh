@@ -200,6 +200,24 @@ test -n "$crc1" && test "$crc1" = "$crc2"
 timeout 60 ./build/examples/example_trace_lint --metrics "$service_dir/metrics.json"
 grep -q "service.completed" "$service_dir/metrics.json"
 rm -f "$service_dir/requests.fifo"
+# Isolated leg: the same requests served by supervised worker processes
+# (--isolate-workers), drained on stdin EOF.  One response line per
+# request line, exit 0, and ok-1's result bits equal the in-process run.
+{
+  echo '{"id":"ok-1","matrix":"gen:uniform:128x128:0.05:1","k":8}'
+  echo '{"id":"ok-1-again","tenant":"t2","matrix":"gen:uniform:128x128:0.05:1","k":8}'
+  echo 'this is not json'
+} > "$service_dir/isolated_requests.jsonl"
+rc=0
+timeout 120 ./build/examples/example_nmdt_serve --isolate-workers 2 \
+  < "$service_dir/isolated_requests.jsonl" \
+  > "$service_dir/isolated_responses.jsonl" 2> "$service_dir/isolated_serve.log" \
+  || rc=$?
+test "$rc" -eq 0
+test "$(wc -l < "$service_dir/isolated_responses.jsonl")" -eq 3
+crc_isolated=$(grep '"id":"ok-1"' "$service_dir/isolated_responses.jsonl" \
+  | grep -o '"c_crc32":[0-9]*' | cut -d: -f2)
+test -n "$crc_isolated" && test "$crc_isolated" = "$crc1"
 
 echo "==== tier-1: supervisor chaos (isolated suite + kill -9 = same bytes) ===="
 # The crash-isolation headline: a process-isolated sweep with workers

@@ -78,7 +78,11 @@ struct Response {
   std::string c_hex;        ///< little-endian hex of those bits (opt-in)
   bool used_fallback = false;  ///< degraded to the reference CSR kernel
   int coalesced = 1;        ///< batch size this request was served in
+  // One definition on every path (solo, coalesced, isolated worker):
+  /// Admission to the start of the kernel execution — queue wait plus,
+  /// on a cold request, matrix load and plan build.
   double queue_ms = 0.0;
+  /// The kernel execution alone (the whole batch's, when coalesced).
   double exec_ms = 0.0;
 };
 

@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <charconv>
+#include <functional>
+#include <list>
+#include <mutex>
+#include <optional>
+#include <span>
 
 #include "formats/matrix_market.hpp"
 #include "formats/serialize.hpp"
@@ -15,11 +20,47 @@
 
 namespace nmdt::service {
 
-namespace {
-
 using Clock = std::chrono::steady_clock;
 
+/// Small LRU of resolved matrices keyed by spec string, safe to share
+/// across worker threads.
+class MatrixLru {
+ public:
+  explicit MatrixLru(usize capacity) : capacity_(capacity) {}
+
+  std::shared_ptr<const Csr> get(const std::string& spec) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+        if (it->first == spec) {
+          lru_.splice(lru_.begin(), lru_, it);
+          return lru_.front().second;
+        }
+      }
+    }
+    // Load outside the lock; a racing duplicate load is wasted work, not
+    // a correctness problem (the LRU adopts whichever lands last).
+    auto loaded = std::make_shared<const Csr>(load_matrix_spec(spec));
+    std::lock_guard<std::mutex> lock(mu_);
+    lru_.emplace_front(spec, loaded);
+    while (lru_.size() > capacity_) lru_.pop_back();
+    return loaded;
+  }
+
+ private:
+  usize capacity_;
+  std::mutex mu_;
+  std::list<std::pair<std::string, std::shared_ptr<const Csr>>> lru_;
+};
+
+namespace {
+
 constexpr index_t kMaxGenDim = index_t{1} << 20;
+/// Expected non-zeros (rows · cols · density) a generator spec may ask
+/// for.  The dimension cap alone admits ~1e12: past 2^31 the generated
+/// row pointer wraps index_t, and long before that one request would
+/// exhaust the daemon's memory and take every tenant down with it.
+constexpr double kMaxGenNnz = double{1 << 26};
 
 /// Split "a:b:c" on ':'; no empty-segment collapsing.
 std::vector<std::string> split_colon(const std::string& s) {
@@ -69,98 +110,195 @@ DenseMatrix request_b(const Csr& A, const Request& req) {
   return B;
 }
 
+/// The members' B panels side by side, in member order.
+DenseMatrix group_b(const Csr& A, std::span<const Request* const> group, index_t total_k) {
+  if (group.size() == 1) return request_b(A, *group.front());
+  DenseMatrix B(A.cols, total_k);
+  index_t off = 0;
+  for (const Request* req : group) {
+    const DenseMatrix member_b = request_b(A, *req);
+    for (index_t r = 0; r < member_b.rows(); ++r) {
+      const auto src = member_b.row(r);
+      std::copy(src.begin(), src.end(), B.row(r).begin() + off);
+    }
+    off += req->k;
+  }
+  return B;
+}
+
+SpmmConfig exec_config(const ServerOptions& opts, index_t rows, index_t k,
+                       Precision precision) {
+  SpmmConfig cfg = evaluation_config(rows, k);
+  cfg.jobs = opts.jobs;
+  cfg.precision = precision;
+  cfg.fault_fallback = opts.fault_fallback;
+  return cfg;
+}
+
+double ms_between(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
+}
+
 /// Effective per-request deadline in ms (0 = none).
 double effective_deadline_ms(const Request& req, const ServerOptions& opts) {
   return req.deadline_ms > 0.0 ? req.deadline_ms : opts.default_deadline_ms;
+}
+
+/// Receives one member's response, its result half filled, together
+/// with the instant the group's execute call began.
+using MemberDone =
+    std::function<void(usize member, Response& result, Clock::time_point exec_start)>;
+
+/// The one request path: every ok response the service sends is filled
+/// here, whether the group was coalesced, a solo run (a group of one),
+/// or a task in an isolated worker process.  Resolves A once, plans it
+/// through `plans`, runs one kernel over the members' concatenated B
+/// panels under `token`, and splits C back per member.  Each column of
+/// C = A·B depends only on its own column of B, accumulated in A's
+/// non-zero order, so a member's bits are exactly a solo run's.
+/// Members go to `done` in order, each as soon as its CRC is taken: the
+/// bytewise CRC of a large slice takes milliseconds, and a member must
+/// not wait for its neighbours' digests.  Resolution, planning and
+/// execution failures throw before the first `done`.
+void execute_group(MatrixLru& matrices, PlanCache& plans, const ServerOptions& opts,
+                   std::span<const Request* const> group, const CancelToken& token,
+                   const MemberDone& done) {
+  const Request& head = *group.front();
+  const std::shared_ptr<const Csr> A = matrices.get(head.matrix);
+  index_t total_k = 0;
+  for (const Request* req : group) total_k += req->k;
+  const SpmmConfig cfg = exec_config(opts, A->rows, total_k, head.precision);
+  const auto plan = plans.get_or_build(*A, plan_options_for(cfg));
+  const KernelKind kind = head.kernel.value_or(plan->kernel());
+  const DenseMatrix B = group_b(*A, group, total_k);
+
+  CancelScope scope(token);
+  token.poll();
+  const auto exec_start = Clock::now();
+  const SpmmResult result = SpmmExecutor(cfg).execute(kind, *plan, B);
+  const double exec_ms = ms_between(exec_start, Clock::now());
+
+  // Member i owns a byte-column band of every row of C; a member that
+  // spans whole rows (a group of one) is one contiguous piece.
+  const auto bits = result_bits(result);
+  const usize rows = static_cast<usize>(A->rows);
+  const usize row_bytes = bits.size() / rows;
+  usize off = 0;
+  for (usize i = 0; i < group.size(); ++i) {
+    const Request* req = group[i];
+    Response resp;
+    resp.ok = true;
+    resp.kernel = kernel_name(kind);
+    resp.precision = precision_name(req->precision);
+    resp.rows = A->rows;
+    resp.k = req->k;
+    resp.used_fallback = result.used_fallback;
+    resp.exec_ms = exec_ms;
+    const usize width = row_bytes / static_cast<usize>(total_k) * static_cast<usize>(req->k);
+    const bool whole = width == row_bytes;
+    const usize piece = whole ? bits.size() : width;
+    if (req->return_c) resp.c_hex.reserve(2 * width * rows);
+    for (usize r = 0; r < (whole ? 1 : rows); ++r) {
+      const u8* p = bits.data() + r * row_bytes + off;
+      resp.c_crc32 = crc32(p, piece, resp.c_crc32);
+      if (req->return_c) resp.c_hex += hex_encode(p, piece);
+    }
+    off += width;
+    done(i, resp, exec_start);
+  }
 }
 
 /// The one task kind on the service supervisor pipe: execute a request.
 constexpr u8 kTaskExec = 1;
 
 /// Worker-process handler for isolate_workers mode.  Runs in the child:
-/// resolves the matrix and plan through *child-local* caches (the
+/// execute_group over a group of one, through *child-local* caches (the
 /// parent's PlanCache / matrix LRU are never touched across the fork —
-/// their mutexes and shared_ptr control blocks stay parent-owned), then
-/// executes exactly the expressions process_single uses, so responses
-/// are bit-identical to in-process serving.
+/// their mutexes and shared_ptr control blocks stay parent-owned).
 proc::TaskHandler make_exec_handler(ServerOptions opts) {
-  struct ChildState {
-    PlanCache plans;
-    std::list<std::pair<std::string, std::shared_ptr<const Csr>>> matrices;
-    ChildState(i64 bytes, double ttl) : plans(bytes, ttl) {}
-  };
-  auto state = std::make_shared<ChildState>(opts.plan_cache_bytes, opts.plan_ttl_ms);
-  return [opts = std::move(opts), state](u8 kind, u64 /*key*/,
-                                         const std::string& payload) -> std::string {
+  auto matrices = std::make_shared<MatrixLru>(opts.matrix_cache_entries);
+  auto plans = std::make_shared<PlanCache>(opts.plan_cache_bytes, opts.plan_ttl_ms);
+  return [opts = std::move(opts), matrices, plans](
+             u8 kind, u64 /*key*/, const std::string& payload) -> std::string {
     if (kind != kTaskExec) {
       throw ParseError("service worker: unknown task kind " + std::to_string(int{kind}));
     }
     proc::WireReader r(payload);
-    const std::string matrix = r.get_str("exec matrix spec");
-    const auto k = static_cast<index_t>(r.get_u64("exec k"));
-    const u64 b_seed = r.get_u64("exec b_seed");
-    const i64 kernel_id = r.get_i64("exec kernel");
-    const auto precision = static_cast<Precision>(r.get_u8("exec precision"));
-    const bool return_c = r.get_u8("exec return_c") != 0;
-    const double deadline_ms = r.get_f64("exec deadline");
+    Request req;
+    req.matrix = r.get_str("exec matrix spec");
+    req.k = static_cast<index_t>(r.get_u64("exec k"));
+    req.b_seed = r.get_u64("exec b_seed");
+    if (const i64 id = r.get_i64("exec kernel"); id >= 0) {
+      req.kernel = static_cast<KernelKind>(id);
+    }
+    req.precision = static_cast<Precision>(r.get_u8("exec precision"));
+    req.return_c = r.get_u8("exec return_c") != 0;
+    const i64 deadline = r.get_i64("exec deadline");
     r.expect_done("exec task");
 
-    // Child-local matrix LRU, same policy as SpmmServer::matrix_for.
-    std::shared_ptr<const Csr> A;
-    for (auto it = state->matrices.begin(); it != state->matrices.end(); ++it) {
-      if (it->first == matrix) {
-        state->matrices.splice(state->matrices.begin(), state->matrices, it);
-        A = state->matrices.front().second;
-        break;
-      }
-    }
-    if (!A) {
-      A = std::make_shared<const Csr>(load_matrix_spec(matrix));
-      state->matrices.emplace_front(matrix, A);
-      while (state->matrices.size() > opts.matrix_cache_entries) {
-        state->matrices.pop_back();
-      }
-    }
-    const auto plan = state->plans.get_or_build(
-        *A, PlanOptions{TilingSpec{64, 64}, default_ssf_threshold(), 1.0, precision});
-
-    // The remaining deadline travels with the task; the kernels poll it
+    // The ticket's deadline travels with the task; the kernels poll it
     // in the child exactly where they poll in-process.
     const CancelToken token;
-    if (deadline_ms > 0.0) {
-      token.set_deadline(CancelToken::Clock::now() +
-                             std::chrono::duration_cast<CancelToken::Clock::duration>(
-                                 std::chrono::duration<double, std::milli>(deadline_ms)),
-                         CancelReason::kDeadline);
+    if (deadline != 0) {
+      token.set_deadline(Clock::time_point{Clock::duration{deadline}}, CancelReason::kDeadline);
     }
-    CancelScope scope(token);
-    token.poll();
-    const KernelKind kind_run =
-        kernel_id >= 0 ? static_cast<KernelKind>(kernel_id) : plan->kernel();
-    Rng rng(b_seed);
-    DenseMatrix B(A->cols, k);
-    B.randomize(rng);
-    SpmmConfig cfg = evaluation_config(A->rows, k);
-    cfg.jobs = opts.jobs;
-    cfg.precision = precision;
-    cfg.fault_fallback = opts.fault_fallback;
-    const auto exec_start = Clock::now();
-    const SpmmResult result = SpmmExecutor(cfg).execute(kind_run, *plan, B);
-    const double exec_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - exec_start).count();
-
-    const auto bits = result_bits(result);
+    const Request* group[] = {&req};
     proc::WireWriter w;
-    w.put_u8(result.used_fallback ? 1 : 0);
-    w.put_str(kernel_name(kind_run));
-    w.put_i64(static_cast<i64>(A->rows));
-    w.put_u32(crc32(bits.data(), bits.size()));
-    w.put_f64(exec_ms);
-    w.put_str(return_c
-                  ? std::string(reinterpret_cast<const char*>(bits.data()), bits.size())
-                  : std::string());
+    execute_group(*matrices, *plans, opts, group, token,
+                  [&w](usize, Response& res, Clock::time_point exec_start) {
+                    w.put_str(res.kernel);
+                    w.put_str(res.precision);
+                    w.put_i64(static_cast<i64>(res.rows));
+                    w.put_i64(static_cast<i64>(res.k));
+                    w.put_u8(res.used_fallback ? 1 : 0);
+                    w.put_f64(res.exec_ms);
+                    w.put_u32(res.c_crc32);
+                    w.put_str(res.c_hex);
+                    w.put_i64(static_cast<i64>(exec_start.time_since_epoch().count()));
+                  });
     return w.out;
   };
+}
+
+/// execute_group for one ticket in a supervised worker process: the
+/// request goes down the pipe, the result half comes back to `done`.  Worker
+/// crashes surface as a typed WorkerError after the retry budget.
+void execute_isolated(proc::Supervisor& supervisor, const Ticket& t, const MemberDone& done) {
+  proc::WireWriter w;
+  w.put_str(t.req.matrix);
+  w.put_u64(static_cast<u64>(t.req.k));
+  w.put_u64(t.req.b_seed);
+  w.put_i64(t.req.kernel ? static_cast<i64>(*t.req.kernel) : i64{-1});
+  w.put_u8(static_cast<u8>(t.req.precision));
+  w.put_u8(t.req.return_c ? 1 : 0);
+  // steady_clock is the system-wide monotonic clock, which the forked
+  // child shares: time points cross the pipe as raw ticks (0 = none).
+  w.put_i64(t.deadline ? static_cast<i64>(t.deadline->time_since_epoch().count()) : 0);
+  // The task key feeds worker_abort / worker_hang fault draws; derive
+  // it from the request id so chaos plans target requests stably.
+  const u64 key = crc32(t.req.id.data(), t.req.id.size());
+  proc::TaskOutcome out = supervisor.call(kTaskExec, key, std::move(w.out));
+  if (!out.ok) {
+    // Typed child failure (TimeoutError, FaultError, ParseError …) or
+    // a WorkerError quarantine: rebuild the typed exception so the
+    // response carries the same error_type / exit semantics as
+    // in-process serving.
+    std::rethrow_exception(exception_from_description(out.error));
+  }
+  proc::WireReader r(out.payload);
+  Response res;
+  res.ok = true;
+  res.kernel = r.get_str("exec result kernel");
+  res.precision = r.get_str("exec result precision");
+  res.rows = static_cast<index_t>(r.get_i64("exec result rows"));
+  res.k = static_cast<index_t>(r.get_i64("exec result k"));
+  res.used_fallback = r.get_u8("exec result fallback") != 0;
+  res.exec_ms = r.get_f64("exec result time");
+  res.c_crc32 = r.get_u32("exec result crc");
+  res.c_hex = r.get_str("exec result c_hex");
+  const Clock::time_point exec_start{Clock::duration{r.get_i64("exec result start")}};
+  r.expect_done("exec result");
+  done(0, res, exec_start);
 }
 
 }  // namespace
@@ -187,12 +325,18 @@ Csr load_matrix_spec(const std::string& spec) {
     if (!(density >= 0.0 && density <= 1.0)) {
       throw ParseError("matrix spec: density must be in [0, 1]");
     }
-    const u64 seed = static_cast<u64>(parse_i64_field(parts[4], "seed"));
+    if (static_cast<double>(rows) * static_cast<double>(cols) * density > kMaxGenNnz) {
+      throw ParseError("matrix spec: rows x cols x density exceeds " +
+                       std::to_string(static_cast<i64>(kMaxGenNnz)) + " non-zeros");
+    }
+    const i64 seed = parse_i64_field(parts[4], "seed");
+    if (seed < 0) throw ParseError("matrix spec: seed must be >= 0");
     const auto r = static_cast<index_t>(rows);
     const auto c = static_cast<index_t>(cols);
-    if (kind == "uniform") return gen_uniform(r, c, density, seed);
-    if (kind == "powerlaw_rows") return gen_powerlaw_rows(r, c, density, 1.2, seed);
-    if (kind == "powerlaw_cols") return gen_powerlaw_cols(r, c, density, 1.2, seed);
+    const auto gen_seed = static_cast<u64>(seed);
+    if (kind == "uniform") return gen_uniform(r, c, density, gen_seed);
+    if (kind == "powerlaw_rows") return gen_powerlaw_rows(r, c, density, 1.2, gen_seed);
+    if (kind == "powerlaw_cols") return gen_powerlaw_cols(r, c, density, 1.2, gen_seed);
     throw ParseError("matrix spec: unknown generator '" + kind +
                      "' (expected uniform | powerlaw_rows | powerlaw_cols)");
   }
@@ -207,7 +351,8 @@ SpmmServer::SpmmServer(ServerOptions opts, ResponseSink sink)
       sink_(std::move(sink)),
       queue_(opts.queue_capacity, opts.queue_hint_ms),
       quotas_(opts.tenant_rate, opts.tenant_burst),
-      plan_cache_(opts.plan_cache_bytes, opts.plan_ttl_ms) {
+      plan_cache_(opts.plan_cache_bytes, opts.plan_ttl_ms),
+      matrices_(std::make_unique<MatrixLru>(opts.matrix_cache_entries)) {
   NMDT_CHECK_CONFIG(opts_.workers >= 1, "server needs at least one worker");
   NMDT_CHECK_CONFIG(opts_.jobs >= 0, "server jobs must be >= 0");
   NMDT_CHECK_CONFIG(opts_.matrix_cache_entries >= 1,
@@ -329,33 +474,6 @@ ServerStats SpmmServer::stats() const {
   return stats_;
 }
 
-std::shared_ptr<const Csr> SpmmServer::matrix_for(const std::string& spec) {
-  {
-    std::lock_guard<std::mutex> lock(matrix_mu_);
-    for (auto it = matrix_lru_.begin(); it != matrix_lru_.end(); ++it) {
-      if (it->first == spec) {
-        matrix_lru_.splice(matrix_lru_.begin(), matrix_lru_, it);
-        return matrix_lru_.front().second;
-      }
-    }
-  }
-  // Load outside the lock; a racing duplicate load is wasted work, not
-  // a correctness problem (the LRU adopts whichever lands last).
-  auto loaded = std::make_shared<const Csr>(load_matrix_spec(spec));
-  std::lock_guard<std::mutex> lock(matrix_mu_);
-  matrix_lru_.emplace_front(spec, loaded);
-  while (matrix_lru_.size() > opts_.matrix_cache_entries) matrix_lru_.pop_back();
-  return loaded;
-}
-
-SpmmConfig SpmmServer::exec_config(index_t rows, index_t k, Precision precision) const {
-  SpmmConfig cfg = evaluation_config(rows, k);
-  cfg.jobs = opts_.jobs;
-  cfg.precision = precision;
-  cfg.fault_fallback = opts_.fault_fallback;
-  return cfg;
-}
-
 void SpmmServer::worker_loop() {
   while (auto first = queue_.pop()) {
     std::vector<Ticket> group;
@@ -388,8 +506,7 @@ void SpmmServer::worker_loop() {
       // swallow and keep serving (the response-per-ticket invariant is
       // preserved by the per-ticket handlers below).
     }
-    queue_.note_service_ms(
-        std::chrono::duration<double, std::milli>(Clock::now() - batch_start).count());
+    queue_.note_service_ms(ms_between(batch_start, Clock::now()));
   }
 }
 
@@ -398,240 +515,70 @@ void SpmmServer::process_group(std::vector<Ticket> group) {
       obs::MetricsRegistry::global().counter("service.coalesced_batches");
   obs::TraceSpan span("service.batch");
   span.arg("size", static_cast<i64>(group.size()));
-
-  if (supervisor_) {
-    // Isolated mode (coalesce_max forced to 1, so groups are singleton;
-    // the loop is belt-and-braces): each ticket is one supervised task.
-    for (auto& t : group) process_isolated(t);
-    return;
-  }
-
-  const Request& head = group.front().req;
-  std::shared_ptr<const Csr> A;
-  std::shared_ptr<const SpmmPlan> plan;
-  try {
-    A = matrix_for(head.matrix);
-    plan = plan_cache_.get_or_build(
-        *A, PlanOptions{TilingSpec{64, 64}, default_ssf_threshold(), 1.0,
-                        head.precision});
-  } catch (const std::exception& e) {
-    // Matrix resolution / planning failed: same typed failure for every
-    // member (they share the coalescing key, hence the matrix).
-    for (auto& t : group) finish_error(t, e, static_cast<int>(group.size()));
-    return;
-  }
-
-  if (group.size() > 1) {
+  const int coalesced = static_cast<int>(group.size());
+  if (coalesced > 1) {
     coalesced_batches.add(1);
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.coalesced_batches;
     stats_.coalesced_requests += group.size();
   }
 
-  if (group.size() == 1) {
-    process_single(group.front(), plan, *A, 1);
-    return;
-  }
-
-  // Batched path: drop members already past their deadline (each gets
-  // its TimeoutError response), then run the survivors as one kernel
-  // call on the column-concatenated B.
+  // Members already past their deadline (or cancelled) are answered
+  // now, so neither a batch nor an isolated worker ever sees them.
   std::vector<Ticket*> live;
   for (auto& t : group) {
     try {
       t.cancel.poll();
       live.push_back(&t);
     } catch (const std::exception& e) {
-      finish_error(t, e, static_cast<int>(group.size()));
-    }
-  }
-  if (live.empty()) return;
-  if (live.size() == 1) {
-    process_single(*live.front(), plan, *A, static_cast<int>(group.size()));
-    return;
-  }
-
-  index_t total_k = 0;
-  for (const Ticket* t : live) total_k += t->req.k;
-  DenseMatrix B(A->cols, total_k);
-  {
-    index_t off = 0;
-    for (const Ticket* t : live) {
-      const DenseMatrix member_b = request_b(*A, t->req);
-      for (index_t r = 0; r < member_b.rows(); ++r) {
-        const auto src = member_b.row(r);
-        std::copy(src.begin(), src.end(), B.row(r).begin() + off);
-      }
-      off += t->req.k;
+      finish_error(t, e, coalesced);
     }
   }
 
-  // One token guards the whole batch: child of the server token, armed
-  // with the earliest member deadline.  If it fires (or anything else
-  // throws), the batch degrades to per-member solo runs below — one
-  // expiring member must not consume its neighbours' results.
-  CancelToken batch_token = CancelToken::child_of(cancel_);
-  {
+  // One execute_group call for `members` (a worker process's, when
+  // isolated: those groups are singletons), answering each member as
+  // its result arrives.  Throws before the first answer when execution
+  // fails.
+  const auto serve = [&](const std::vector<Ticket*>& members, const CancelToken& token) {
+    const MemberDone done = [&](usize i, Response& resp, Clock::time_point exec_start) {
+      resp.id = members[i]->req.id;
+      resp.tenant = members[i]->req.tenant;
+      resp.coalesced = coalesced;
+      resp.queue_ms = ms_between(members[i]->admitted_at, exec_start);
+      finish_ok(resp);
+    };
+    if (supervisor_) {
+      execute_isolated(*supervisor_, *members.front(), done);
+      return;
+    }
+    std::vector<const Request*> reqs;
+    for (const Ticket* t : members) reqs.push_back(&t->req);
+    execute_group(*matrices_, plan_cache_, opts_, reqs, token, done);
+  };
+
+  if (live.size() > 1) {
+    // One token guards the whole batch: child of the server token, armed
+    // with the earliest member deadline.  If it fires (or anything else
+    // throws), the batch degrades to per-member solo runs below — one
+    // expiring member must not consume its neighbours' results.
+    CancelToken batch_token = CancelToken::child_of(cancel_);
     std::optional<Clock::time_point> earliest;
     for (const Ticket* t : live) {
-      if (t->deadline && (!earliest || *t->deadline < *earliest)) {
-        earliest = t->deadline;
-      }
+      if (t->deadline && (!earliest || *t->deadline < *earliest)) earliest = t->deadline;
     }
     if (earliest) batch_token.set_deadline(*earliest, CancelReason::kDeadline);
+    try {
+      serve(live, batch_token);
+      return;
+    } catch (const std::exception&) {
+    }
   }
-  const KernelKind kind = head.kernel.value_or(plan->kernel());
-  const auto exec_start = Clock::now();
-  std::optional<SpmmResult> batched;
-  try {
-    CancelScope scope(batch_token);
-    batch_token.poll();
-    batched = SpmmExecutor(exec_config(A->rows, total_k, head.precision))
-                  .execute(kind, *plan, B);
-  } catch (const std::exception&) {
-    batched.reset();
-  }
-  if (!batched) {
-    // Graceful degradation: the batch failed as a unit (deadline, fault,
-    // cancellation); each member re-runs alone under its own token so
-    // per-member outcomes are typed individually.
-    for (Ticket* t : live) process_single(*t, plan, *A, static_cast<int>(group.size()));
-    return;
-  }
-  const double exec_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - exec_start).count();
-
-  // Split C back per member.  Each member's bits are exactly what a
-  // solo run of its request would have produced (per-column accumulation
-  // order depends only on A).
-  index_t off = 0;
   for (Ticket* t : live) {
-    Response resp;
-    resp.id = t->req.id;
-    resp.tenant = t->req.tenant;
-    resp.ok = true;
-    resp.kernel = kernel_name(kind);
-    resp.precision = precision_name(t->req.precision);
-    resp.rows = A->rows;
-    resp.k = t->req.k;
-    resp.coalesced = static_cast<int>(group.size());
-    resp.used_fallback = batched->used_fallback;
-    resp.queue_ms = std::chrono::duration<double, std::milli>(exec_start -
-                                                              t->admitted_at)
-                        .count();
-    resp.exec_ms = exec_ms;
-    if (t->req.precision == Precision::kF64) {
-      DenseMatrixT<double> slice(A->rows, t->req.k);
-      for (index_t r = 0; r < A->rows; ++r) {
-        const auto src = batched->C64.row(r);
-        std::copy(src.begin() + off, src.begin() + off + t->req.k,
-                  slice.row(r).begin());
-      }
-      const auto d = slice.data();
-      resp.c_crc32 = crc32(d.data(), d.size() * sizeof(double));
-      if (t->req.return_c) resp.c_hex = hex_encode(d.data(), d.size() * sizeof(double));
-    } else {
-      DenseMatrix slice(A->rows, t->req.k);
-      for (index_t r = 0; r < A->rows; ++r) {
-        const auto src = batched->C.row(r);
-        std::copy(src.begin() + off, src.begin() + off + t->req.k,
-                  slice.row(r).begin());
-      }
-      const auto d = slice.data();
-      resp.c_crc32 = crc32(d.data(), d.size() * sizeof(float));
-      if (t->req.return_c) resp.c_hex = hex_encode(d.data(), d.size() * sizeof(float));
+    try {
+      serve({t}, t->cancel);
+    } catch (const std::exception& e) {
+      finish_error(*t, e, coalesced);
     }
-    off += t->req.k;
-    finish_ok(resp);
-  }
-}
-
-void SpmmServer::process_single(Ticket& t, const std::shared_ptr<const SpmmPlan>& plan,
-                                const Csr& A, int coalesced_with) {
-  const auto exec_start = Clock::now();
-  try {
-    CancelScope scope(t.cancel);
-    t.cancel.poll();
-    const KernelKind kind = t.req.kernel.value_or(plan->kernel());
-    const DenseMatrix B = request_b(A, t.req);
-    const SpmmResult result =
-        SpmmExecutor(exec_config(A.rows, t.req.k, t.req.precision))
-            .execute(kind, *plan, B);
-    Response resp;
-    resp.id = t.req.id;
-    resp.tenant = t.req.tenant;
-    resp.ok = true;
-    resp.kernel = kernel_name(kind);
-    resp.precision = precision_name(t.req.precision);
-    resp.rows = A.rows;
-    resp.k = t.req.k;
-    resp.coalesced = coalesced_with;
-    resp.used_fallback = result.used_fallback;
-    resp.queue_ms =
-        std::chrono::duration<double, std::milli>(exec_start - t.admitted_at).count();
-    resp.exec_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - exec_start).count();
-    const auto bits = result_bits(result);
-    resp.c_crc32 = crc32(bits.data(), bits.size());
-    if (t.req.return_c) resp.c_hex = hex_encode(bits.data(), bits.size());
-    finish_ok(resp);
-  } catch (const std::exception& e) {
-    finish_error(t, e, coalesced_with);
-  }
-}
-
-void SpmmServer::process_isolated(Ticket& t) {
-  const auto exec_start = Clock::now();
-  try {
-    // Admission-time failures (expired deadline, cancel_all) are typed
-    // here in the parent; the child only ever sees live work.
-    t.cancel.poll();
-    double remaining_ms = 0.0;
-    if (t.deadline) {
-      remaining_ms =
-          std::chrono::duration<double, std::milli>(*t.deadline - exec_start).count();
-      if (remaining_ms <= 0.0) remaining_ms = 0.001;  // let the child's poll type it
-    }
-    proc::WireWriter w;
-    w.put_str(t.req.matrix);
-    w.put_u64(static_cast<u64>(t.req.k));
-    w.put_u64(t.req.b_seed);
-    w.put_i64(t.req.kernel ? static_cast<i64>(*t.req.kernel) : i64{-1});
-    w.put_u8(static_cast<u8>(t.req.precision));
-    w.put_u8(t.req.return_c ? 1 : 0);
-    w.put_f64(remaining_ms);
-    // The task key feeds worker_abort / worker_hang fault draws; derive
-    // it from the request id so chaos plans target requests stably.
-    const u64 key = crc32(t.req.id.data(), t.req.id.size());
-    proc::TaskOutcome out = supervisor_->call(kTaskExec, key, std::move(w.out));
-    if (!out.ok) {
-      // Typed child failure (TimeoutError, FaultError, ParseError …) or
-      // a WorkerError quarantine: rebuild the typed exception so the
-      // response carries the same error_type / exit semantics as
-      // in-process serving.
-      std::rethrow_exception(exception_from_description(out.error));
-    }
-    proc::WireReader r(out.payload);
-    Response resp;
-    resp.id = t.req.id;
-    resp.tenant = t.req.tenant;
-    resp.ok = true;
-    resp.used_fallback = r.get_u8("exec result fallback") != 0;
-    resp.kernel = r.get_str("exec result kernel");
-    resp.rows = static_cast<index_t>(r.get_i64("exec result rows"));
-    resp.c_crc32 = r.get_u32("exec result crc");
-    resp.exec_ms = r.get_f64("exec result time");
-    const std::string c_bits = r.get_str("exec result bits");
-    r.expect_done("exec result");
-    resp.precision = precision_name(t.req.precision);
-    resp.k = t.req.k;
-    resp.coalesced = 1;
-    resp.queue_ms =
-        std::chrono::duration<double, std::milli>(exec_start - t.admitted_at).count();
-    if (t.req.return_c) resp.c_hex = hex_encode(c_bits.data(), c_bits.size());
-    finish_ok(resp);
-  } catch (const std::exception& e) {
-    finish_error(t, e, 1);
   }
 }
 

@@ -12,16 +12,18 @@
 //
 // Request coalescing: a worker that pops a ticket also claims every
 // queued ticket with the same (matrix, kernel, precision) coalescing
-// key (up to coalesce_max / coalesce_max_k), concatenates their B
-// panels column-wise, and runs ONE kernel execution against the one
-// resident plan, then splits C back per request.  Each column of
-// C = A·B depends only on its own column of B, accumulated in A's
-// non-zero order, so every coalesced request's result stays
-// bit-identical to a solo run (pinned by the service tests).  If the
-// batched execution fails (one member's deadline expired mid-run, a
-// fault surfaced), the group degrades gracefully: each member re-runs
-// individually under its own CancelToken so one victim cannot take its
-// neighbours down.
+// key (up to coalesce_max / coalesce_max_k).  Every request — solo,
+// coalesced, or in an isolated worker process — then runs through one
+// execute-and-respond function (execute_group, server.cpp): resolve A,
+// look up the plan, concatenate the members' B panels column-wise, run
+// ONE kernel execution against the one resident plan, and split C back
+// per request.  Each column of C = A·B depends only on its own column
+// of B, accumulated in A's non-zero order, so every coalesced request's
+// result stays bit-identical to a solo run (pinned by the service
+// tests).  If the batched execution fails (one member's deadline
+// expired mid-run, a fault surfaced), the group degrades gracefully:
+// each member re-runs individually under its own CancelToken so one
+// victim cannot take its neighbours down.
 //
 // Per-request deadlines: every admitted ticket carries a CancelToken
 // child of the server token with its deadline armed at admission; the
@@ -39,7 +41,6 @@
 #pragma once
 
 #include <atomic>
-#include <list>
 #include <memory>
 #include <thread>
 
@@ -116,6 +117,8 @@ using ResponseSink = std::function<void(const Response&)>;
 /// same function the tests use to build the batch-mode reference side.
 Csr load_matrix_spec(const std::string& spec);
 
+class MatrixLru;
+
 class SpmmServer {
  public:
   SpmmServer(ServerOptions opts, ResponseSink sink);
@@ -161,20 +164,13 @@ class SpmmServer {
   enum class State : int { kRunning = 0, kDraining, kStopped };
 
   void worker_loop();
+  /// Serve one coalescing group through execute_group (server.cpp):
+  /// one batched run, degrading to per-member solo runs if it throws.
+  /// Always emits exactly one response per ticket.
   void process_group(std::vector<Ticket> group);
-  /// Serve one ticket alone under its own token (the non-coalesced and
-  /// the degraded-group path).  Always emits exactly one response.
-  void process_single(Ticket& t, const std::shared_ptr<const SpmmPlan>& plan,
-                      const Csr& A, int coalesced_with);
-  /// Serve one ticket in a supervised worker process (isolate_workers
-  /// mode).  Always emits exactly one response; worker crashes surface
-  /// as typed WorkerError responses after the retry budget.
-  void process_isolated(Ticket& t);
-  std::shared_ptr<const Csr> matrix_for(const std::string& spec);
   void finish_ok(const Response& resp);
   void finish_error(const Ticket& t, const std::exception& e, int coalesced_with);
   void respond(const Response& r);
-  SpmmConfig exec_config(index_t rows, index_t k, Precision precision) const;
 
   ServerOptions opts_;
   ResponseSink sink_;
@@ -189,9 +185,8 @@ class SpmmServer {
   /// worker threads exist (fork-before-threads, proc/supervisor.hpp).
   std::unique_ptr<proc::Supervisor> supervisor_;
 
-  // Small LRU of resolved matrices keyed by spec string.
-  std::mutex matrix_mu_;
-  std::list<std::pair<std::string, std::shared_ptr<const Csr>>> matrix_lru_;
+  /// Resolved matrices keyed by spec string (an LRU, server.cpp).
+  std::unique_ptr<MatrixLru> matrices_;
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;

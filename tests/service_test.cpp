@@ -229,7 +229,8 @@ TEST(Protocol, LoadMatrixSpecParsesGeneratorsAndRejectsGarbage) {
   for (const char* bad :
        {"gen:uniform:64x48:0.1", "gen:warp:64x48:0.1:3", "gen:uniform:64:0.1:3",
         "gen:uniform:0x48:0.1:3", "gen:uniform:64x48:1.5:3",
-        "gen:uniform:axb:0.1:3", "plain-string", "m.txt"}) {
+        "gen:uniform:axb:0.1:3", "plain-string", "m.txt",
+        "gen:uniform:65536x65536:1:1", "gen:uniform:64x48:0.1:-3"}) {
     EXPECT_THROW(load_matrix_spec(bad), ParseError) << bad;
   }
 }
@@ -560,6 +561,62 @@ TEST(Service, RepeatRequestsHitThePlanCache) {
   const PlanCacheStats pc = server.plan_cache_stats();
   EXPECT_EQ(pc.misses, 1u);
   EXPECT_EQ(pc.hits, 3u);
+}
+
+TEST(Service, IsolatedWorkersAnswerBitIdenticalToInProcess) {
+  // isolate_workers moves execution into supervised child processes;
+  // the result half of every response must not notice.
+  std::vector<Request> reqs;
+  reqs.push_back(make_request("iso-f32", kSpecA, 8));
+  Request bf16 = make_request("iso-bf16", kSpecB, 8);
+  bf16.precision = Precision::kBf16;
+  reqs.push_back(bf16);
+  Request f64 = make_request("iso-f64", kSpecB, 16);
+  f64.kernel = KernelKind::kDcsrCStationary;
+  f64.precision = Precision::kF64;
+  f64.return_c = true;
+  reqs.push_back(f64);
+
+  const auto serve = [&](int isolate_workers, const std::vector<Request>& batch) {
+    Collector out;
+    ServerOptions opts;
+    opts.workers = 1;
+    opts.isolate_workers = isolate_workers;
+    SpmmServer server(opts, out.sink());
+    server.start();
+    for (const auto& r : batch) EXPECT_TRUE(server.submit(r)) << r.id;
+    server.drain();
+    std::map<std::string, Response> by_id;
+    for (const auto& r : batch) by_id[r.id] = out.only(r.id);
+    return by_id;
+  };
+  auto in_process = serve(0, reqs);
+  auto isolated = serve(2, reqs);
+  for (const auto& req : reqs) {
+    const Response& a = in_process[req.id];
+    const Response& b = isolated[req.id];
+    ASSERT_TRUE(a.ok) << req.id << ": " << a.error_type << ": " << a.message;
+    ASSERT_TRUE(b.ok) << req.id << ": " << b.error_type << ": " << b.message;
+    EXPECT_EQ(b.kernel, a.kernel) << req.id;
+    EXPECT_EQ(b.precision, a.precision) << req.id;
+    EXPECT_EQ(b.rows, a.rows) << req.id;
+    EXPECT_EQ(b.k, a.k) << req.id;
+    EXPECT_EQ(b.used_fallback, a.used_fallback) << req.id;
+    EXPECT_EQ(b.c_crc32, a.c_crc32) << req.id;
+    EXPECT_EQ(b.c_hex, a.c_hex) << req.id;
+  }
+  EXPECT_EQ(isolated["iso-f64"].kernel, "dcsr_c_stationary");
+  EXPECT_FALSE(isolated["iso-f64"].c_hex.empty());
+
+  // Typed failures cross the process boundary with their type intact.
+  Request late = make_request("iso-late");
+  late.deadline_ms = 0.001;
+  auto failures =
+      serve(2, {make_request("iso-bad-spec", "gen:bogus:8x8:0.1:1"), late});
+  EXPECT_FALSE(failures["iso-bad-spec"].ok);
+  EXPECT_EQ(failures["iso-bad-spec"].error_type, "ParseError");
+  EXPECT_FALSE(failures["iso-late"].ok);
+  EXPECT_EQ(failures["iso-late"].error_type, "TimeoutError");
 }
 
 // ------------------------------------------------------------------- chaos

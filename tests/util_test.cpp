@@ -1,6 +1,6 @@
 // Unit and property tests for the util module: RNG determinism and
 // distribution sanity, statistics helpers, histogram edge handling,
-// table/CSV emission, CLI parsing.
+// table/CSV emission, CLI parsing, CRC-32 chaining.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "util/cli.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -209,6 +210,22 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(format_double(1.23456, 2), "1.23");
   EXPECT_EQ(format_bytes(1536.0), "1.5 KiB");
   EXPECT_EQ(format_sci(0.000123).substr(0, 4), "1.23");
+}
+
+TEST(Crc32, ChainingEqualsTheDigestOfTheConcatenation) {
+  // crc32(b, crc32(a)) == crc32(a||b) at every split point, the empty
+  // pieces included: multi-buffer digests need no scratch copy.
+  const std::string s = "123456789";
+  const u32 whole = crc32(s.data(), s.size());
+  EXPECT_EQ(whole, 0xCBF43926u);  // the IEEE 802.3 check value
+  for (usize cut = 0; cut <= s.size(); ++cut) {
+    const u32 head = crc32(s.data(), cut);
+    EXPECT_EQ(crc32(s.data() + cut, s.size() - cut, head), whole) << "cut " << cut;
+  }
+  EXPECT_EQ(crc32(s.data(), 0), 0u);             // empty digest
+  EXPECT_EQ(crc32(s.data(), 0, whole), whole);   // an empty piece is a no-op
+  // Three pieces, chained left to right.
+  EXPECT_EQ(crc32(s.data() + 6, 3, crc32(s.data() + 2, 4, crc32(s.data(), 2))), whole);
 }
 
 TEST(Cli, ParsesBothSyntaxes) {
