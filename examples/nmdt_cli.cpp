@@ -164,7 +164,7 @@ int run_kernel_sweep(const Csr& A, const DenseMatrix& B, const SpmmConfig& cfg,
   std::vector<double> scales;
   dispatch_precision(cfg.precision, [&](auto tag) {
     using V = typename decltype(tag)::type;
-    const CsrT<V>& a = plan->operands_at<V>().csr;
+    const CsrT<V>& a = plan->csr_at<V>();
     const DenseMatrixT<V> b = retype<V>(B);
     ref = spmm_reference_f64(a, b);
     scales = ToleranceComparator::row_scales(a, b);

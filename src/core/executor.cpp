@@ -50,11 +50,13 @@ SpmmResult SpmmExecutor::execute(const SpmmPlan& plan, const DenseMatrix& B) con
 
 SpmmResult SpmmExecutor::execute(KernelKind kind, const SpmmPlan& plan,
                                  const DenseMatrix& B) const {
-  // A tiling or precision mismatch between plan and config is a
-  // ConfigError from the kernel entry's operand check.
+  // Checked before operands_for converts anything for a call that
+  // cannot run.
+  NMDT_CHECK_CONFIG(plan.options().tiling == cfg_.tiling && plan.precision() == cfg_.precision,
+                    "the plan's tiling or precision differs from the executor's config");
   return dispatch_precision(plan.precision(), [&](auto tag) -> SpmmResult {
     using V = typename decltype(tag)::type;
-    const SpmmOperandsT<V> ops = plan.operands_at<V>().bundle();
+    const SpmmOperandsT<V> ops = plan.operands_for<V>(kind);
     if constexpr (std::is_same_v<V, value_t>) {
       return run_spmm<V>(kind, ops, B, cfg_);
     } else {

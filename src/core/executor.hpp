@@ -2,9 +2,10 @@
 //
 // An SpmmExecutor runs a previously built SpmmPlan against any
 // conforming dense B (B.rows == A.cols): the kernels consume the plan's
-// pre-converted operand formats, so no profiling or conversion happens
-// on the execution path.  It is the only caller of the kernel entry
-// (run_spmm, kernels/spmm.hpp).
+// operand formats, so no profiling happens on the execution path and at
+// most one conversion per artifact per plan — the first execute whose
+// kernel reads an artifact builds it (SpmmPlan::operands_for).  It is
+// the only caller of the kernel entry (run_spmm, kernels/spmm.hpp).
 //
 // run_suite — the Fig. 4 / Fig. 16 sweep — is declared here too: each
 // suite matrix is planned once and its four kernel arms execute against
@@ -62,8 +63,9 @@ class SpmmExecutor {
 };
 
 /// One-shot multiplication: build_plan(A, plan_options_for(cfg)), then
-/// SpmmExecutor(cfg).execute(kind, plan, B).  Plans every format on
-/// each call; reuse one plan when A is multiplied repeatedly.
+/// SpmmExecutor(cfg).execute(kind, plan, B).  Profiles A and converts
+/// the formats `kind` reads on each call; reuse one plan when A is
+/// multiplied repeatedly.
 SpmmResult run_one_shot(KernelKind kind, const Csr& A, const DenseMatrix& B,
                         const SpmmConfig& cfg);
 

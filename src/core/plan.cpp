@@ -21,57 +21,35 @@ PlanOptions plan_options_for(const SpmmConfig& cfg) {
   return {cfg.tiling, default_ssf_threshold(), 1.0, cfg.precision};
 }
 
-template <class V>
-SpmmOperandsT<V> PlanOperandsT<V>::bundle() const {
-  SpmmOperandsT<V> ops;
-  ops.csr = &csr;
-  ops.csc = &csc;
-  ops.dcsr = &dcsr;
-  ops.tiled_dcsr = &tiled_dcsr;
-  ops.tiled_csr = &tiled_csr;
-  ops.strip_nnz = &strip_nnz;
-  return ops;
-}
-
-template <class V>
-i64 PlanOperandsT<V>::bytes() const {
-  return footprint(csr).total() + footprint(csc).total() + footprint(dcsr).total() +
-         footprint(tiled_dcsr).total() + footprint(tiled_csr).total() +
-         static_cast<i64>(strip_nnz.counts.size()) * static_cast<i64>(sizeof(i64));
-}
-
-template struct PlanOperandsT<float>;
-template struct PlanOperandsT<double>;
-template struct PlanOperandsT<bf16_t>;
-
 namespace {
 
-/// Derive every converted operand format from the retyped CSR matrix.
-/// Each conversion is timed separately: both as a child span and as an
-/// observation into the shared plan.convert_ms histogram.
-template <class V>
-PlanOperandsT<V> build_operands(CsrT<V> a, const TilingSpec& tiling) {
-  auto convert = [](const char* span_name, auto&& body) {
+template <class F>
+i64 artifact_bytes(const F& format) {
+  return footprint(format).total();
+}
+
+i64 artifact_bytes(const StripNnz& table) {
+  return static_cast<i64>(table.counts.size()) * static_cast<i64>(sizeof(i64));
+}
+
+/// `slot`'s artifact, converted by `convert` under `span_name` on first
+/// use and charged to `bytes`.
+template <class T, class Convert>
+const T& artifact(const LazyArtifact<T>& slot, const char* span_name, std::atomic<i64>& bytes,
+                  Convert&& convert) {
+  return slot.get([&] {
     obs::TraceSpan s(span_name);
     obs::ScopedTimer t("plan.convert_ms");
-    body();
-  };
-  PlanOperandsT<V> ops;
-  ops.csr = std::move(a);
-  convert("plan.convert.csc", [&] { ops.csc = csc_from_csr(ops.csr); });
-  convert("plan.convert.dcsr", [&] { ops.dcsr = dcsr_from_csr(ops.csr); });
-  convert("plan.convert.tiled_dcsr",
-          [&] { ops.tiled_dcsr = tiled_dcsr_from_csr(ops.csr, tiling); });
-  convert("plan.convert.tiled_csr",
-          [&] { ops.tiled_csr = tiled_csr_from_csr(ops.csr, tiling); });
-  convert("plan.convert.strip_nnz",
-          [&] { ops.strip_nnz = strip_nnz_of(ops.csr, tiling); });
-  return ops;
+    T built = convert();
+    bytes.fetch_add(artifact_bytes(built), std::memory_order_relaxed);
+    return built;
+  });
 }
 
 }  // namespace
 
-SpmmPlan::SpmmPlan(const Csr& A, const PlanOptions& opts) : options_(opts) {
+SpmmPlan::SpmmPlan(const Csr& A, const PlanOptions& opts, const MatrixFingerprint* fp)
+    : options_(opts) {
   opts.tiling.validate();
   NMDT_CHECK_CONFIG(
       opts.profile_sample_fraction > 0.0 && opts.profile_sample_fraction <= 1.0,
@@ -80,7 +58,9 @@ SpmmPlan::SpmmPlan(const Csr& A, const PlanOptions& opts) : options_(opts) {
   obs::ProfScope prof(span);  // hw.* args when profiling is enabled
   obs::ScopedTimer timer("plan.build_ms");
   obs::MetricsRegistry::global().counter("plan.builds").add(1);
-  {
+  if (fp != nullptr) {
+    fingerprint_ = *fp;
+  } else {
     NMDT_TRACE_SCOPE("plan.fingerprint");
     // Canonical-input fingerprint: precision selection never changes the
     // cache identity of the matrix, only the PlanOptions half of the key.
@@ -102,13 +82,14 @@ SpmmPlan::SpmmPlan(const Csr& A, const PlanOptions& opts) : options_(opts) {
   strategy_ = select_strategy(profile_.ssf, opts.ssf_threshold);
   kernel_ = strategy_ == Strategy::kBStationary ? KernelKind::kTiledDcsrOnline
                                                 : KernelKind::kDcsrCStationary;
-  // Retype once, then derive all formats at the plan's precision —
-  // structural conversions commute with retyping, so every operand sees
-  // the same once-rounded values (formats/retype.hpp).
+  // Retype once; every artifact derives from this CSR at the plan's
+  // precision — structural conversions commute with retyping, so every
+  // operand sees the same once-rounded values (formats/retype.hpp).
   dispatch_precision(opts.precision, [&](auto tag) {
     using V = typename decltype(tag)::type;
-    ops_ = build_operands<V>(retype<V>(A), opts.tiling);
-    bytes_ = std::get<PlanOperandsT<V>>(ops_).bytes();
+    auto& ops = ops_.emplace<Operands<V>>();
+    ops.csr = retype<V>(A);
+    bytes_ = artifact_bytes(ops.csr);
   });
   build_ms_ = timer.stop();
   span.arg("rows", static_cast<i64>(A.rows))
@@ -118,8 +99,42 @@ SpmmPlan::SpmmPlan(const Csr& A, const PlanOptions& opts) : options_(opts) {
       .arg("strategy", strategy_name(strategy_))
       .arg("kernel", kernel_name(kernel_))
       .arg("precision", precision_name(opts.precision))
-      .arg("bytes", bytes_);
+      .arg("bytes", bytes());
 }
+
+template <class V>
+SpmmOperandsT<V> SpmmPlan::operands_for(KernelKind kind) const {
+  const Operands<V>& ops = operands<V>();
+  const CsrT<V>& a = ops.csr;
+  const TilingSpec& t = options_.tiling;
+  const ArtifactSet need = artifacts_of(kind);
+  SpmmOperandsT<V> out;
+  out.csr = &a;
+  std::atomic<i64>& b = bytes_;
+  if (need.csc) {
+    out.csc = &artifact(ops.csc, "plan.convert.csc", b, [&] { return csc_from_csr(a); });
+  }
+  if (need.dcsr) {
+    out.dcsr = &artifact(ops.dcsr, "plan.convert.dcsr", b, [&] { return dcsr_from_csr(a); });
+  }
+  if (need.tiled_dcsr) {
+    out.tiled_dcsr = &artifact(ops.tiled_dcsr, "plan.convert.tiled_dcsr", b,
+                               [&] { return tiled_dcsr_from_csr(a, t); });
+  }
+  if (need.tiled_csr) {
+    out.tiled_csr = &artifact(ops.tiled_csr, "plan.convert.tiled_csr", b,
+                              [&] { return tiled_csr_from_csr(a, t); });
+  }
+  if (need.strip_nnz) {
+    out.strip_nnz = &artifact(ops.strip_nnz, "plan.convert.strip_nnz", b,
+                              [&] { return strip_nnz_of(a, t); });
+  }
+  return out;
+}
+
+template SpmmOperandsT<float> SpmmPlan::operands_for<float>(KernelKind) const;
+template SpmmOperandsT<double> SpmmPlan::operands_for<double>(KernelKind) const;
+template SpmmOperandsT<bf16_t> SpmmPlan::operands_for<bf16_t>(KernelKind) const;
 
 std::shared_ptr<const SpmmPlan> build_plan(const Csr& A, const PlanOptions& opts) {
   return std::make_shared<const SpmmPlan>(A, opts);
@@ -152,7 +167,13 @@ std::shared_ptr<const SpmmPlan> PlanCache::get_or_build(const Csr& A,
   static obs::Counter& miss_counter =
       obs::MetricsRegistry::global().counter("plan_cache.misses");
   obs::TraceSpan span("plan_cache.lookup");
-  const Key key{fingerprint_of(A), opts};
+  Key key{{}, opts};
+  {
+    // The one hash of A per lookup: it keys the cache, re-verifies a
+    // resident entry, and seeds the plan a miss builds.
+    NMDT_TRACE_SCOPE("plan.fingerprint");
+    key.fp = fingerprint_of(A);
+  }
   bool recovering = false;
   std::shared_ptr<InFlight> flight;
   bool builder = false;
@@ -175,15 +196,17 @@ std::shared_ptr<const SpmmPlan> PlanCache::get_or_build(const Csr& A,
                   .count() > ttl_ms_;
       if (!corrupt && !expired) {
         lru_.splice(lru_.begin(), lru_, it->second);  // bump to most recent
+        std::shared_ptr<const SpmmPlan> plan = lru_.front().second.plan;
+        charge_and_evict_locked();
         ++stats_.hits;
         hit_counter.add(1);
         if (was_hit) *was_hit = true;
         span.arg("hit", i64{1});
-        return lru_.front().second.plan;
+        return plan;
       }
       // Either way the entry is unusable: evict it and fall through to
       // the (single-flighted) rebuild path.
-      stats_.bytes -= it->second->second.plan->bytes();
+      stats_.bytes -= it->second->second.charged;
       lru_.erase(it->second);
       index_.erase(it);
       stats_.entries = index_.size();
@@ -200,6 +223,7 @@ std::shared_ptr<const SpmmPlan> PlanCache::get_or_build(const Csr& A,
         span.arg("ttl_eviction", i64{1});
       }
     }
+    charge_and_evict_locked();
     if (auto fit = inflight_.find(key); fit != inflight_.end()) {
       // Another thread is already building this exact plan: join it
       // instead of building a duplicate (single-flight).
@@ -233,7 +257,7 @@ std::shared_ptr<const SpmmPlan> PlanCache::get_or_build(const Csr& A,
   // in-flight registration above guarantees no duplicate work.
   std::shared_ptr<const SpmmPlan> plan;
   try {
-    plan = build_plan(A, opts);
+    plan = std::make_shared<const SpmmPlan>(A, opts, &key.fp);
   } catch (...) {
     {
       std::lock_guard<std::mutex> fl(flight->m);
@@ -256,33 +280,39 @@ std::shared_ptr<const SpmmPlan> PlanCache::get_or_build(const Csr& A,
 
   std::lock_guard<std::mutex> lock(mu_);
   inflight_.erase(key);
-  if (plan->bytes() > budget_) {
+  const i64 bytes = plan->bytes();
+  if (bytes > budget_) {
     ++stats_.oversize;  // usable, but never resident
     obs::MetricsRegistry::global().counter("plan_cache.oversize").add(1);
-    return plan;
+  } else {
+    lru_.emplace_front(key, Entry{plan, Clock::now(), bytes});
+    index_[key] = lru_.begin();
+    stats_.bytes += bytes;
   }
-  lru_.emplace_front(key, Entry{plan, Clock::now()});
-  index_[key] = lru_.begin();
-  stats_.bytes += plan->bytes();
-  stats_.entries = index_.size();
-  evict_to_budget_locked();
-  obs::MetricsRegistry::global().gauge("plan_cache.resident_bytes").set(
-      static_cast<double>(stats_.bytes));
+  charge_and_evict_locked();
   return plan;
 }
 
-void PlanCache::evict_to_budget_locked() {
+void PlanCache::charge_and_evict_locked() {
   static obs::Counter& evict_counter =
       obs::MetricsRegistry::global().counter("plan_cache.evictions");
+  static obs::Gauge& resident_gauge =
+      obs::MetricsRegistry::global().gauge("plan_cache.resident_bytes");
+  for (auto& [key, entry] : lru_) {
+    const i64 now = entry.plan->bytes();
+    stats_.bytes += now - entry.charged;
+    entry.charged = now;
+  }
   while (stats_.bytes > budget_ && !lru_.empty()) {
     const auto& victim = lru_.back();
-    stats_.bytes -= victim.second.plan->bytes();
+    stats_.bytes -= victim.second.charged;
     index_.erase(victim.first);
     lru_.pop_back();
     ++stats_.evictions;
     evict_counter.add(1);
   }
   stats_.entries = index_.size();
+  resident_gauge.set(static_cast<double>(stats_.bytes));
 }
 
 PlanCacheStats PlanCache::stats() const {
@@ -290,12 +320,11 @@ PlanCacheStats PlanCache::stats() const {
   return stats_;
 }
 
-void PlanCache::clear() {
+std::vector<std::shared_ptr<const SpmmPlan>> PlanCache::resident() const {
   std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-  stats_.bytes = 0;
-  stats_.entries = 0;
+  std::vector<std::shared_ptr<const SpmmPlan>> out;
+  for (const auto& [key, entry] : lru_) out.push_back(entry.plan);
+  return out;
 }
 
 }  // namespace nmdt

@@ -4,10 +4,11 @@
 // (iterative eigensolvers, GNN layers — Sec. 2) while the sparse operand
 // A stays fixed.  Everything derivable from A alone — the profile
 // (Eq. 1/2), the SSF strategy decision, the chosen kernel, and the
-// pre-converted operand formats (CSC, DCSR, tiled DCSR, tiled CSR) — is
-// therefore captured once into an immutable SpmmPlan and reused across
-// calls, the amortized-preprocessing argument of Hong et al. and
-// Yang/Buluç/Owens applied to this codebase.
+// converted operand formats (CSC, DCSR, tiled DCSR, tiled CSR) — is
+// therefore captured into one SpmmPlan and reused across calls, the
+// amortized-preprocessing argument of Hong et al. and Yang/Buluç/Owens
+// applied to this codebase.  Only what the kernel choice needs is built
+// eagerly; each converted format is built on first use (DESIGN.md).
 //
 // A PlanCache keyed by a cheap matrix fingerprint (dims, nnz, hashes of
 // row_ptr/col_idx/val — formats/fingerprint.hpp) with LRU eviction under
@@ -15,13 +16,16 @@
 // calls against the same A skip profiling and conversion entirely.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <variant>
+#include <vector>
 
 #include "analysis/heuristic.hpp"
 #include "analysis/profile.hpp"
@@ -57,36 +61,38 @@ struct PlanOptions {
 /// precision, the shipped SSF threshold, full-matrix profiling.
 PlanOptions plan_options_for(const SpmmConfig& cfg);
 
-/// The converted operand formats of one plan, stored at precision V.
-/// Structural layouts are precision-independent; only the value arrays
-/// (and hence bytes()) change width.
-template <class V>
-struct PlanOperandsT {
-  CsrT<V> csr;
-  CscT<V> csc;
-  DcsrT<V> dcsr;
-  TiledDcsrT<V> tiled_dcsr;
-  TiledCsrT<V> tiled_csr;
-  StripNnz strip_nnz;
+/// One lazily built artifact: built on first use, exactly once.
+/// Concurrent first users share one build (single-flight); a build that
+/// throws leaves the artifact unbuilt, so the next use retries.
+template <class T>
+class LazyArtifact {
+ public:
+  template <class Build>
+  const T& get(Build&& build) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!value_) value_.emplace(build());
+    return *value_;  // never written again once built
+  }
 
-  /// Non-owning kernel bundle over these formats (the PlanOperandsT
-  /// must outlive any kernel call using it).
-  SpmmOperandsT<V> bundle() const;
-  /// Resident bytes of all artifacts (the cache budget unit).
-  i64 bytes() const;
+ private:
+  mutable std::mutex mu_;
+  mutable std::optional<T> value_;
 };
 
-/// Immutable result of planning: the profile, the strategy decision, and
-/// every operand format the kernels can consume, converted once.
+/// The result of planning: the profile, the strategy decision, the
+/// retyped CSR, and every other operand format the kernels can consume,
+/// each converted on first use.  Shareable across threads; everything a
+/// caller can observe except bytes() is fixed at construction.
 class SpmmPlan {
  public:
-  /// Profile A and convert all operand formats.  `A` is the canonical
-  /// f32 matrix (the provenance rule of formats/retype.hpp): the
-  /// fingerprint and the profile are computed from it, then the value
-  /// arrays are retyped once to opts.precision and every operand format
-  /// is derived at that precision.  `A` is copied into the plan so the
-  /// plan can outlive the caller's matrix (cache residency).
-  SpmmPlan(const Csr& A, const PlanOptions& opts);
+  /// Profile A and pick the kernel.  `A` is the canonical f32 matrix
+  /// (the provenance rule of formats/retype.hpp): the fingerprint and
+  /// the profile are computed from it, then the value arrays are
+  /// retyped once to opts.precision, and every later conversion derives
+  /// from that retyped CSR.  `A` is copied into the plan so the plan can
+  /// outlive the caller's matrix (cache residency).  `fp`, when given,
+  /// is A's fingerprint, already computed by the caller.
+  SpmmPlan(const Csr& A, const PlanOptions& opts, const MatrixFingerprint* fp = nullptr);
 
   const PlanOptions& options() const { return options_; }
   Precision precision() const { return options_.precision; }
@@ -95,38 +101,56 @@ class SpmmPlan {
   Strategy strategy() const { return strategy_; }
   KernelKind kernel() const { return kernel_; }
 
-  /// The one way into the plan's converted formats: the typed operand
-  /// set at precision V (`.bundle()` gives the kernel view over it);
-  /// ConfigError if V is not the plan's precision.
+  /// The kernel bundle for `kind` at precision V: the CSR plus exactly
+  /// artifacts_of(kind) (kernels/spmm.hpp), each built here on first
+  /// use.  ConfigError if V is not the plan's precision.
   template <class V>
-  const PlanOperandsT<V>& operands_at() const;
+  SpmmOperandsT<V> operands_for(KernelKind kind) const;
 
-  /// Resident bytes of all converted artifacts (the cache budget unit).
-  i64 bytes() const { return bytes_; }
+  /// The plan's CSR at precision V; ConfigError if V is not the plan's
+  /// precision.
+  template <class V>
+  const CsrT<V>& csr_at() const { return operands<V>().csr; }
 
-  /// Host wall-clock spent building this plan (profiling + conversions).
+  /// Resident bytes of the artifacts built so far (the cache budget
+  /// unit).
+  i64 bytes() const { return bytes_.load(std::memory_order_relaxed); }
+
+  /// Host wall-clock spent in the constructor (fingerprint, profile,
+  /// retype); artifact conversions are paid by the executes that first
+  /// use them.
   double build_ms() const { return build_ms_; }
 
  private:
+  template <class V>
+  struct Operands {
+    CsrT<V> csr;
+    LazyArtifact<CscT<V>> csc;
+    LazyArtifact<DcsrT<V>> dcsr;
+    LazyArtifact<TiledDcsrT<V>> tiled_dcsr;
+    LazyArtifact<TiledCsrT<V>> tiled_csr;
+    LazyArtifact<StripNnz> strip_nnz;
+  };
+
+  template <class V>
+  const Operands<V>& operands() const {
+    const auto* ops = std::get_if<Operands<V>>(&ops_);
+    NMDT_CHECK_CONFIG(ops != nullptr,
+                      std::string("plan operands requested at precision ") +
+                          precision_name(VTraits<V>::kPrecision) + " but plan was built at " +
+                          precision_name(precision()));
+    return *ops;
+  }
+
   PlanOptions options_;
   MatrixFingerprint fingerprint_;
   MatrixProfile profile_;
   Strategy strategy_ = Strategy::kCStationary;
   KernelKind kernel_ = KernelKind::kDcsrCStationary;
-  std::variant<PlanOperandsT<float>, PlanOperandsT<double>, PlanOperandsT<bf16_t>> ops_;
-  i64 bytes_ = 0;
+  std::variant<Operands<float>, Operands<double>, Operands<bf16_t>> ops_;
+  mutable std::atomic<i64> bytes_{0};
   double build_ms_ = 0.0;
 };
-
-template <class V>
-const PlanOperandsT<V>& SpmmPlan::operands_at() const {
-  const auto* ops = std::get_if<PlanOperandsT<V>>(&ops_);
-  NMDT_CHECK_CONFIG(ops != nullptr,
-                    std::string("plan operands requested at precision ") +
-                        precision_name(VTraits<V>::kPrecision) + " but plan was built at " +
-                        precision_name(precision()));
-  return *ops;
-}
 
 /// One-shot planning without a cache.
 std::shared_ptr<const SpmmPlan> build_plan(const Csr& A, const PlanOptions& opts = {});
@@ -148,7 +172,7 @@ struct PlanCacheStats {
   /// conservation invariant stays hits + misses == completed lookups
   /// and misses == plan builds started.
   u64 single_flight_shares = 0;
-  i64 bytes = 0;       ///< current resident artifact bytes
+  i64 bytes = 0;       ///< resident plans' bytes() as of the last lookup
   i64 byte_budget = 0;
   usize entries = 0;
 };
@@ -168,6 +192,8 @@ struct PlanCacheStats {
 ///   * corrupt-entry evict-and-rebuild (fingerprint re-verification on
 ///     every hit) is preserved under contention: the rebuild after a
 ///     corrupt eviction is itself single-flighted.
+///   * growing plans: every lookup charges the resident plans' growth
+///     (artifacts built since) before evicting to the budget.
 class PlanCache {
  public:
   static constexpr i64 kDefaultByteBudget = i64{512} << 20;  // 512 MiB
@@ -181,7 +207,8 @@ class PlanCache {
                                                bool* was_hit = nullptr);
 
   PlanCacheStats stats() const;
-  void clear();
+  /// The resident plans, most recently used first.
+  std::vector<std::shared_ptr<const SpmmPlan>> resident() const;
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -197,6 +224,7 @@ class PlanCache {
   struct Entry {
     std::shared_ptr<const SpmmPlan> plan;
     Clock::time_point built_at;
+    i64 charged = 0;  ///< plan->bytes() as last added to stats_.bytes
   };
   /// Rendezvous for one in-flight build: the builder publishes the plan
   /// (or its exception) and notifies; latecomers wait on `cv`.
@@ -209,7 +237,9 @@ class PlanCache {
   };
   using LruList = std::list<std::pair<Key, Entry>>;
 
-  void evict_to_budget_locked();
+  /// Charge every resident plan's growth, then evict LRU entries until
+  /// the charged total fits the budget.
+  void charge_and_evict_locked();
 
   mutable std::mutex mu_;
   i64 budget_;

@@ -16,15 +16,13 @@ SpmmEngine::SpmmEngine(EngineOptions options) : options_(std::move(options)) {
   }
 }
 
-PlanOptions SpmmEngine::plan_options() const {
-  return {options_.spmm.tiling, options_.ssf_threshold, options_.profile_sample_fraction,
-          options_.spmm.precision};
-}
-
 std::shared_ptr<const SpmmPlan> SpmmEngine::plan_for(const Csr& A, bool* was_hit) const {
-  if (cache_) return cache_->get_or_build(A, plan_options(), was_hit);
+  PlanOptions opts = plan_options_for(options_.spmm);
+  opts.ssf_threshold = options_.ssf_threshold;
+  opts.profile_sample_fraction = options_.profile_sample_fraction;
+  if (cache_) return cache_->get_or_build(A, opts, was_hit);
   if (was_hit) *was_hit = false;
-  return build_plan(A, plan_options());
+  return build_plan(A, opts);
 }
 
 PlanCacheStats SpmmEngine::cache_stats() const {
@@ -58,7 +56,7 @@ SpmmReport SpmmEngine::run(const Csr& A, const DenseMatrix& B) const {
       // apply the fSPMV bound with per-row accumulation headroom.
       dispatch_precision(options_.spmm.precision, [&](auto tag) {
         using V = typename decltype(tag)::type;
-        const CsrT<V>& a = plan->operands_at<V>().csr;
+        const CsrT<V>& a = plan->csr_at<V>();
         const DenseMatrixT<V> b = retype<V>(B);
         const DenseMatrixT<double> ref = spmm_reference_f64(a, b);
         const DenseMatrixT<double> actual = options_.spmm.precision == Precision::kF64

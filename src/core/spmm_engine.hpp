@@ -60,10 +60,12 @@ struct SpmmReport {
   /// Tolerance verdict of the fSPMV-bound comparison; engaged only for
   /// non-f32 runs with verify = true (f32 keeps the exact check above).
   std::optional<ToleranceVerdict> tolerance;
-  /// True when the plan (profile + conversions) came from the cache —
-  /// i.e. this call performed no profiling or format conversion.
+  /// True when the plan came from the cache — i.e. this call performed
+  /// no profiling, and converted only artifacts no earlier call's kernel
+  /// had read.
   bool plan_cache_hit = false;
-  /// Host wall-clock spent planning for this call (0 on a cache hit).
+  /// Host wall-clock spent building the plan for this call (0 on a cache
+  /// hit); artifact conversions are paid inside the kernel execute.
   double plan_build_ms = 0.0;
 };
 
@@ -93,8 +95,6 @@ class SpmmEngine {
   PlanCacheStats cache_stats() const;
 
  private:
-  PlanOptions plan_options() const;
-
   EngineOptions options_;
   std::shared_ptr<PlanCache> cache_;  ///< null when plan_cache_bytes <= 0
 };

@@ -279,7 +279,7 @@ class VisitOrder {
 // Kernel implementations (one translation unit per family), templated
 // on the stored value type and explicitly instantiated for float,
 // double, and bf16_t in their defining translation units.  Each reads
-// the pre-converted artifacts it needs straight from the bundle: the
+// the planned artifacts it needs straight from the bundle: the
 // entry (run_spmm) has already checked that they are present and cut
 // under cfg.tiling, so no kernel converts.
 template <class V>

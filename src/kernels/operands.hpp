@@ -1,13 +1,15 @@
 // Pre-converted operand bundle consumed by the SpMM kernels.
 //
-// Every format conversion happens at plan time (core/plan.hpp).  A
-// kernel reads the artifacts it needs from this bundle and never
-// converts: the kernel entry (`run_spmm`, kernels/spmm.hpp) checks the
-// bundle once and throws ConfigError when it is incomplete or was cut
-// under another TilingSpec.
+// Every format conversion is a plan's (core/plan.hpp), made the first
+// time a kernel needs the artifact.  A kernel reads the artifacts it
+// needs (artifacts_of, kernels/spmm.hpp) from this bundle and never
+// converts: the kernel entry (`run_spmm`) checks the bundle once and
+// throws ConfigError when it is incomplete or was cut under another
+// TilingSpec.
 //
-// All pointers are non-owning views; the caller (an SpmmPlan's operand
-// set) guarantees they outlive the kernel call.
+// All pointers are non-owning views; the caller (SpmmPlan::operands_for)
+// guarantees they outlive the kernel call.  Pointers to artifacts the
+// kernel does not read may be null.
 //
 // The bundle is typed on the stored value precision V: every format in
 // one bundle carries the same scalar type, so a kernel can never mix

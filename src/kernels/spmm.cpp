@@ -52,28 +52,34 @@ SpmmConfig evaluation_config(index_t n, index_t K) {
   return cfg;
 }
 
-namespace {
-
-/// The kernel → required-artifacts table: the first artifact `kind`
-/// reads that the bundle lacks, or nullptr when it is complete.
-/// Hong-hybrid tiles its own threshold-dependent split, so it reads CSR
-/// alone.
-template <class V>
-const char* missing_artifact(KernelKind kind, const SpmmOperandsT<V>& A) {
-  if (A.csr == nullptr) return "csr";
+ArtifactSet artifacts_of(KernelKind kind) {
   switch (kind) {
     case KernelKind::kCsrCStationaryRowWarp:
     case KernelKind::kCsrCStationaryRowThread:
-    case KernelKind::kHongHybrid: return nullptr;
+    case KernelKind::kHongHybrid: return {};
     case KernelKind::kDcsrCStationary:
-    case KernelKind::kMergeCStationary: return A.dcsr ? nullptr : "dcsr";
-    case KernelKind::kTiledCsrBStationary:
-      return !A.tiled_csr ? "tiled_csr" : !A.strip_nnz ? "strip_nnz" : nullptr;
-    case KernelKind::kTiledDcsrBStationary:
-      return !A.tiled_dcsr ? "tiled_dcsr" : !A.strip_nnz ? "strip_nnz" : nullptr;
-    case KernelKind::kTiledDcsrOnline: return A.csc ? nullptr : "csc";
-    case KernelKind::kAStationary: return A.tiled_csr ? nullptr : "tiled_csr";
+    case KernelKind::kMergeCStationary: return {.dcsr = true};
+    case KernelKind::kTiledCsrBStationary: return {.tiled_csr = true, .strip_nnz = true};
+    case KernelKind::kTiledDcsrBStationary: return {.tiled_dcsr = true, .strip_nnz = true};
+    case KernelKind::kTiledDcsrOnline: return {.csc = true};
+    case KernelKind::kAStationary: return {.tiled_csr = true};
   }
+  return {};
+}
+
+namespace {
+
+/// The first artifact `kind` reads that the bundle lacks, or nullptr
+/// when it is complete.
+template <class V>
+const char* missing_artifact(KernelKind kind, const SpmmOperandsT<V>& A) {
+  const ArtifactSet need = artifacts_of(kind);
+  if (!A.csr) return "csr";
+  if (need.csc && !A.csc) return "csc";
+  if (need.dcsr && !A.dcsr) return "dcsr";
+  if (need.tiled_dcsr && !A.tiled_dcsr) return "tiled_dcsr";
+  if (need.tiled_csr && !A.tiled_csr) return "tiled_csr";
+  if (need.strip_nnz && !A.strip_nnz) return "strip_nnz";
   return nullptr;
 }
 

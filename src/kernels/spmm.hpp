@@ -63,6 +63,22 @@ enum class KernelKind {
 
 const char* kernel_name(KernelKind k);
 
+/// The planned artifacts a kernel reads besides the CSR matrix, which
+/// every kernel reads.
+struct ArtifactSet {
+  bool csc = false;
+  bool dcsr = false;
+  bool tiled_dcsr = false;
+  bool tiled_csr = false;
+  bool strip_nnz = false;
+};
+
+/// The one kernel → artifact table: the kernel entry rejects a bundle
+/// that lacks any of them, and SpmmPlan::operands_for (core/plan.hpp)
+/// builds exactly these.  Hong-hybrid cuts its own threshold-dependent
+/// split, so it reads CSR alone.
+ArtifactSet artifacts_of(KernelKind kind);
+
 /// B-tile traversal order (Sec. 3.1.3).  Column-major walks all strips
 /// for one 64-wide block of B columns before advancing (C partials stay
 /// hot in the LLC); row-major sweeps the B column blocks of one strip
@@ -143,8 +159,8 @@ struct SpmmResult {
   bool used_fallback = false;
 };
 
-/// The one kernel entry: run `kind` against a complete pre-converted
-/// operand bundle (SpmmExecutor, core/executor.hpp, is its caller).
+/// The one kernel entry: run `kind` against a bundle complete for it
+/// (artifacts_of(kind); SpmmExecutor, core/executor.hpp, is its caller).
 /// Operands and B are stored at precision V, arithmetic runs at
 /// VTraits<V>::compute_t; instantiated for float, double, and bf16_t.
 /// Kernels never convert.  ConfigError, before any work, when an

@@ -298,7 +298,7 @@ TEST(Chaos, CacheEntryCorruptionEvictsAndRebuilds) {
           const auto plan = cache.get_or_build(m, {});
           ASSERT_NE(plan, nullptr);
           // The returned plan is always the right one, corrupt or not.
-          const Csr& planned = plan->operands_at<value_t>().csr;
+          const Csr& planned = plan->csr_at<value_t>();
           EXPECT_EQ(planned.row_ptr, m.row_ptr);
           EXPECT_EQ(planned.col_idx, m.col_idx);
           EXPECT_EQ(planned.val, m.val);

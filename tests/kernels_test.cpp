@@ -271,12 +271,12 @@ TEST(KernelModel, IncompleteOperandsThrowConfigError) {
   cfg32.tiling = {32, 32};
   const auto plan = build_plan(A, plan_options_for(cfg));
   const auto plan32 = build_plan(A, plan_options_for(cfg32));
-  const Ops full = plan->operands_at<value_t>().bundle();
-  const PlanOperandsT<value_t>& at32 = plan32->operands_at<value_t>();
+  const Ops tiled_dcsr32 = plan32->operands_for<value_t>(KernelKind::kTiledDcsrBStationary);
+  const Ops tiled_csr32 = plan32->operands_for<value_t>(KernelKind::kTiledCsrBStationary);
 
   // Bundles each missing one artifact the kernel reads (CSR itself for
   // the kernels that read nothing else).
-  auto incomplete = [&](KernelKind kind) {
+  auto incomplete = [](KernelKind kind, const Ops& full) {
     std::vector<Ops> out;
     auto without = [&](auto member) {
       Ops ops = full;
@@ -305,18 +305,18 @@ TEST(KernelModel, IncompleteOperandsThrowConfigError) {
     }
     return out;
   };
-  // Bundles carrying one artifact cut under {32, 32} while cfg.tiling
-  // is {64, 64}.
-  std::vector<Ops> mistiled(3, full);
-  mistiled[0].tiled_dcsr = &at32.tiled_dcsr;
-  mistiled[1].tiled_csr = &at32.tiled_csr;
-  mistiled[2].strip_nnz = &at32.strip_nnz;
-
   for (KernelKind kind : kAllKernels) {
     SCOPED_TRACE(kernel_name(kind));
+    const Ops full = plan->operands_for<value_t>(kind);
+    // Bundles carrying one artifact cut under {32, 32} while cfg.tiling
+    // is {64, 64}.
+    std::vector<Ops> mistiled(3, full);
+    mistiled[0].tiled_dcsr = tiled_dcsr32.tiled_dcsr;
+    mistiled[1].tiled_csr = tiled_csr32.tiled_csr;
+    mistiled[2].strip_nnz = tiled_csr32.strip_nnz;
     // The complete bundle runs: each throw below comes from the defect.
     EXPECT_NO_THROW(run_spmm(kind, full, B, cfg));
-    const std::vector<Ops> missing = incomplete(kind);
+    const std::vector<Ops> missing = incomplete(kind, full);
     ASSERT_FALSE(missing.empty());
     for (const Ops& ops : missing) {
       EXPECT_THROW(run_spmm(kind, ops, B, cfg), ConfigError);

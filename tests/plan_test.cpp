@@ -1,21 +1,40 @@
 // Plan → Cache → Execute tests: matrix fingerprinting, PlanCache
-// hit/miss/eviction accounting, and the SpmmEngine regression that a
-// second run() against the same A is served entirely from the cache
-// (zero conversion work) yet reports bit-identical results.
+// hit/miss/eviction accounting, lazily built plan artifacts (LazyPlan),
+// and the SpmmEngine regression that a second run() against the same A
+// is served entirely from the cache (zero conversion work) yet reports
+// bit-identical results.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/spmm_engine.hpp"
+#include "formats/retype.hpp"
 #include "matgen/generators.hpp"
+#include "obs/trace.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace nmdt {
 namespace {
+
+constexpr KernelKind kAllKernels[] = {
+    KernelKind::kCsrCStationaryRowWarp,  KernelKind::kCsrCStationaryRowThread,
+    KernelKind::kDcsrCStationary,        KernelKind::kTiledCsrBStationary,
+    KernelKind::kTiledDcsrBStationary,   KernelKind::kTiledDcsrOnline,
+    KernelKind::kAStationary,            KernelKind::kMergeCStationary,
+    KernelKind::kHongHybrid,
+};
+
+/// How many spans named `name` `session` recorded.
+int span_count(const obs::TraceSession& session, const std::string& name) {
+  int n = 0;
+  for (const auto& ev : session.events()) n += ev.name == name ? 1 : 0;
+  return n;
+}
 
 /// Two matrices with identical dims, nnz, and values but different
 /// sparsity patterns — the case a naive (dims, nnz) cache key would
@@ -106,8 +125,7 @@ TEST(PlanCache, SameShapeDifferentPatternAreDifferentEntries) {
   EXPECT_FALSE(hit);  // must NOT alias despite equal dims/nnz/values
   EXPECT_NE(pa.get(), pb.get());
   EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_NE(pa->operands_at<value_t>().csr.col_idx,
-            pb->operands_at<value_t>().csr.col_idx);
+  EXPECT_NE(pa->csr_at<value_t>().col_idx, pb->csr_at<value_t>().col_idx);
 }
 
 TEST(PlanCache, LruEvictsOldestUnderByteBudget) {
@@ -289,15 +307,23 @@ TEST(PlanCache, RejectsNegativeTtl) {
 
 TEST(PlanCache, SingleFlightHammerConservesStatsUnderChurn) {
   // The service-tier composition: many threads, several keys, a tight
-  // budget (evictions), and single-flight rendezvous all racing.  The
-  // conservation invariant must hold exactly, and builds must equal
-  // misses.
+  // budget (evictions), and single-flight rendezvous all racing, while
+  // every thread executes a random kernel on the plan it got — so
+  // resident plans grow as their artifacts are built.  The conservation
+  // invariant must hold exactly, builds must equal misses, and the
+  // charged bytes must catch up with the plans' growth on the next
+  // lookup.
   constexpr int kThreads = 6;
   const PlanOptions opts;
+  const SpmmExecutor exec{SpmmConfig{}};
   std::vector<Csr> matrices;
   for (u64 s = 1; s <= 4; ++s) matrices.push_back(gen_uniform(160, 160, 0.05, s));
-  const i64 one = build_plan(matrices[0], opts)->bytes();
-  PlanCache cache(one * 2);  // room for ~2 of 4
+  DenseMatrix B(160, 4);
+  Rng b_rng(3);
+  B.randomize(b_rng);
+  const auto full = build_plan(matrices[0], opts);
+  for (KernelKind kind : kAllKernels) (void)full->operands_for<value_t>(kind);
+  PlanCache cache(full->bytes() * 2);  // room for ~2 fully built plans of 4
 
   std::atomic<u64> lookups{0};
   std::atomic<bool> stop{false};
@@ -306,35 +332,141 @@ TEST(PlanCache, SingleFlightHammerConservesStatsUnderChurn) {
     threads.emplace_back([&, t] {
       Rng rng(0x51f7 + static_cast<u64>(t));
       while (!stop.load(std::memory_order_relaxed)) {
-        cache.get_or_build(matrices[rng.below(matrices.size())], opts);
+        const auto plan = cache.get_or_build(matrices[rng.below(matrices.size())], opts);
         lookups.fetch_add(1, std::memory_order_relaxed);
+        (void)exec.execute(kAllKernels[rng.below(std::size(kAllKernels))], *plan, B);
       }
     });
   }
   while (lookups.load(std::memory_order_relaxed) < 300) std::this_thread::yield();
   stop.store(true, std::memory_order_relaxed);
   for (auto& th : threads) th.join();
+  cache.get_or_build(matrices[0], opts);
+  const u64 total_lookups = lookups.load() + 1;
 
   const PlanCacheStats s = cache.stats();
-  EXPECT_EQ(s.hits + s.misses, lookups.load());
+  EXPECT_EQ(s.hits + s.misses, total_lookups);
   EXPECT_GT(s.evictions, 0u);
+  i64 resident_bytes = 0;
+  const auto resident = cache.resident();
+  for (const auto& plan : resident) resident_bytes += plan->bytes();
+  EXPECT_EQ(s.entries, resident.size());
+  EXPECT_EQ(s.bytes, resident_bytes);
   EXPECT_LE(s.bytes, s.byte_budget);
 }
 
-TEST(Plan, ConvertsEveryOperandFormat) {
+TEST(LazyPlan, DcsrCStationaryPlanNeverBuildsTiledFormats) {
+  // A uniform matrix the SSF heuristic sends to dcsr_c_stationary: two
+  // executes through the cache convert DCSR once and nothing else.
+  const Csr A = gen_uniform(256, 256, 0.03, 4);
+  const SpmmConfig cfg = evaluation_config(A.rows, 8);
+  DenseMatrix B(A.cols, 8);
+  Rng rng(8);
+  B.randomize(rng);
+  PlanCache cache;
+
+  obs::TraceSession session;
+  session.install();
+  for (int call = 0; call < 2; ++call) {
+    const auto plan = cache.get_or_build(A, plan_options_for(cfg));
+    ASSERT_EQ(plan->kernel(), KernelKind::kDcsrCStationary);
+    (void)SpmmExecutor(cfg).execute(*plan, B);
+  }
+  session.uninstall();
+
+  EXPECT_EQ(span_count(session, "plan.build"), 1);
+  EXPECT_EQ(span_count(session, "plan.convert.dcsr"), 1);
+  for (const char* unread : {"plan.convert.tiled_dcsr", "plan.convert.tiled_csr",
+                             "plan.convert.csc", "plan.convert.strip_nnz"}) {
+    EXPECT_EQ(span_count(session, unread), 0) << unread;
+  }
+}
+
+template <class V>
+void expect_operands_match_table(const Csr& A) {
+  SCOPED_TRACE(precision_name(VTraits<V>::kPrecision));
+  SpmmConfig cfg;
+  cfg.precision = VTraits<V>::kPrecision;
+  const auto plan = build_plan(A, plan_options_for(cfg));
+  const i64 eager_bytes = plan->bytes();
+  EXPECT_GT(eager_bytes, 0);
+  DenseMatrix B(A.cols, 4);
+  Rng rng(4);
+  B.randomize(rng);
+  const DenseMatrixT<V> b = retype<V>(B);
+  for (KernelKind kind : kAllKernels) {
+    SCOPED_TRACE(kernel_name(kind));
+    const ArtifactSet need = artifacts_of(kind);
+    const SpmmOperandsT<V> ops = plan->operands_for<V>(kind);
+    EXPECT_EQ(ops.csr, &plan->template csr_at<V>());
+    EXPECT_EQ(ops.csc != nullptr, need.csc);
+    EXPECT_EQ(ops.dcsr != nullptr, need.dcsr);
+    EXPECT_EQ(ops.tiled_dcsr != nullptr, need.tiled_dcsr);
+    EXPECT_EQ(ops.tiled_csr != nullptr, need.tiled_csr);
+    EXPECT_EQ(ops.strip_nnz != nullptr, need.strip_nnz);
+    if (ops.dcsr) {
+      EXPECT_EQ(ops.dcsr->nnz(), A.nnz());
+    }
+    if (ops.tiled_dcsr) {
+      EXPECT_EQ(ops.tiled_dcsr->nnz(), A.nnz());
+    }
+    EXPECT_NO_THROW(run_spmm<V>(kind, ops, b, cfg));
+  }
+  EXPECT_GT(plan->bytes(), eager_bytes);  // the artifacts are charged
+}
+
+TEST(LazyPlan, OperandsForBuildsExactlyTheKernelsArtifacts) {
   const Csr A = gen_powerlaw_rows(300, 200, 0.02, 1.2, 5);
+  expect_operands_match_table<float>(A);
+  expect_operands_match_table<double>(A);
+  expect_operands_match_table<bf16_t>(A);
+}
+
+TEST(LazyPlan, ConcurrentFirstUsesShareOneConversion) {
+  // N threads released together against the unbuilt tiled DCSR of a
+  // fresh plan: one conversion runs, everyone gets its artifact.
+  constexpr int kThreads = 8;
+  const Csr A = gen_powerlaw_rows(512, 512, 0.02, 1.2, 9);
   const auto plan = build_plan(A);
-  const PlanOperandsT<value_t>& formats = plan->operands_at<value_t>();
-  EXPECT_EQ(formats.csr.nnz(), A.nnz());
-  EXPECT_EQ(formats.dcsr.nnz(), A.nnz());
-  EXPECT_EQ(formats.tiled_dcsr.nnz(), A.nnz());
-  EXPECT_GT(plan->bytes(), 0);
-  const SpmmOperandsT<value_t> ops = formats.bundle();
-  EXPECT_EQ(ops.csr, &formats.csr);
-  EXPECT_EQ(ops.csc, &formats.csc);
-  EXPECT_EQ(ops.dcsr, &formats.dcsr);
-  EXPECT_EQ(ops.tiled_dcsr, &formats.tiled_dcsr);
-  EXPECT_EQ(ops.tiled_csr, &formats.tiled_csr);
+
+  obs::TraceSession session;
+  session.install();
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<SpmmOperandsT<value_t>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      got[static_cast<usize>(t)] =
+          plan->operands_for<value_t>(KernelKind::kTiledDcsrBStationary);
+    });
+  }
+  while (ready.load() < kThreads) std::this_thread::yield();
+  go.store(true, std::memory_order_release);
+  for (auto& th : threads) th.join();
+  session.uninstall();
+
+  EXPECT_EQ(span_count(session, "plan.convert.tiled_dcsr"), 1);
+  EXPECT_EQ(span_count(session, "plan.convert.strip_nnz"), 1);
+  for (const auto& ops : got) {
+    EXPECT_EQ(ops.tiled_dcsr, got[0].tiled_dcsr);
+    EXPECT_EQ(ops.strip_nnz, got[0].strip_nnz);
+  }
+}
+
+TEST(LazyPlan, FailedBuildLeavesTheArtifactUnbuilt) {
+  LazyArtifact<int> slot;
+  int builds = 0;
+  EXPECT_THROW(slot.get([&]() -> int {
+    ++builds;
+    throw FormatError("conversion failed");
+  }),
+               FormatError);
+  EXPECT_EQ(slot.get([&] { return ++builds; }), 2);  // the next use retries
+  EXPECT_EQ(slot.get([&] { return ++builds; }), 2);  // and then never again
+  EXPECT_EQ(builds, 2);
 }
 
 TEST(Executor, RejectsPlanBuiltUnderDifferentTiling) {

@@ -174,7 +174,7 @@ TEST(Bf16, ResultStaysInsideToleranceOfF64Reference) {
   SpmmConfig cfg = evaluation_config(A.rows, 8);
   cfg.precision = Precision::kBf16;
   const auto plan = build_plan(A, plan_options_for(cfg));
-  const CsrT<bf16_t>& a = plan->operands_at<bf16_t>().csr;
+  const CsrT<bf16_t>& a = plan->csr_at<bf16_t>();
   const DenseMatrixT<bf16_t> b = retype<bf16_t>(B);
   const DenseMatrixT<double> ref = spmm_reference_f64(a, b);
   const SpmmResult r = SpmmExecutor(cfg).execute(KernelKind::kTiledDcsrOnline, *plan, B);
