@@ -333,17 +333,24 @@ void MemorySystem::engine_read(u64 addr, i64 bytes) {
 }
 
 void MemorySystem::engine_read_channel(int channel, i64 bytes, const char* tag) {
+  engine_read_channel(channel, bytes, 1, tag);
+}
+
+void MemorySystem::engine_read_channel(int channel, i64 bytes_each, i64 count,
+                                       const char* tag) {
   NMDT_REQUIRE(channel >= 0 && channel < static_cast<int>(stats_.channels.size()),
                "engine_read_channel: channel out of range");
+  if (count <= 0) return;
   ChannelStats& ch = stats_.channels[static_cast<usize>(channel)];
-  ++ch.requests;
-  ch.read_bytes += bytes;
-  stats_.operand_bytes[tag] += bytes;
+  ch.requests += count;
+  ch.read_bytes += bytes_each * count;
+  stats_.operand_bytes[tag] += bytes_each * count;
   if (!dram_.empty()) {
-    dram_[static_cast<usize>(channel)].stream(bytes);
-    ch.busy_ns = dram_[static_cast<usize>(channel)].busy_ns();
-    ch.row_hits = dram_[static_cast<usize>(channel)].row_hits();
-    ch.row_misses = dram_[static_cast<usize>(channel)].row_misses();
+    DramChannelSim& bank_model = dram_[static_cast<usize>(channel)];
+    for (i64 i = 0; i < count; ++i) bank_model.stream(bytes_each);
+    ch.busy_ns = bank_model.busy_ns();
+    ch.row_hits = bank_model.row_hits();
+    ch.row_misses = bank_model.row_misses();
   }
 }
 

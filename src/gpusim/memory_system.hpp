@@ -116,6 +116,11 @@ class MemorySystem {
   /// instead of globally interleaving it.  Attributed to operand
   /// `tag` (the engine always reads the sparse input).
   void engine_read_channel(int channel, i64 bytes, const char* tag = "A");
+  /// `count` pinned engine reads of `bytes_each` each, booked with one
+  /// channel and operand lookup.  The bank model still streams every
+  /// read in turn, so all stats are bit-identical to `count` single
+  /// calls (none at all when count is 0).
+  void engine_read_channel(int channel, i64 bytes_each, i64 count, const char* tag = "A");
   /// Engine output streamed to an SM across the crossbar (never touches
   /// DRAM).
   void xbar_transfer(i64 bytes);

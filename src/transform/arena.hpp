@@ -65,7 +65,7 @@ class ConversionArena {
   const Stats& stats() const { return stats_; }
 
   /// Per-tile mark/rewind (RAII).  Scopes nest (retry attempts inside a
-  /// checked conversion, DCSC relabelling over DCSR conversion).
+  /// checked conversion).
   class Scope {
    public:
     explicit Scope(ConversionArena& a)

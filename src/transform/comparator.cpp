@@ -1,6 +1,6 @@
 #include "transform/comparator.hpp"
 
-#include <bit>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -47,48 +47,29 @@ MinReduceResult comparator_tree_min(std::span<const index_t> coords,
   MinReduceResult res;
   if (coords.empty()) return res;
 
-  std::vector<Node> level(coords.size());
-  for (usize i = 0; i < coords.size(); ++i) {
+  // One fixed 64-node array holds every tree level: each level is
+  // written over the front of the one it reduces.
+  std::array<Node, 64> level;
+  usize width = coords.size();
+  for (usize i = 0; i < width; ++i) {
     level[i].coord = coords[i];
     level[i].mask = u64{1} << i;
     level[i].valid = valid[i] != 0;
   }
   // Pairwise tree reduction, exactly the Fig. 15b topology.
-  while (level.size() > 1) {
-    std::vector<Node> next;
-    next.reserve((level.size() + 1) / 2);
-    for (usize i = 0; i + 1 < level.size(); i += 2) {
-      next.push_back(combine(level[i], level[i + 1], res.comparator_ops));
+  while (width > 1) {
+    usize next = 0;
+    for (usize i = 0; i + 1 < width; i += 2) {
+      level[next++] = combine(level[i], level[i + 1], res.comparator_ops);
     }
-    if (level.size() % 2 == 1) next.push_back(level.back());  // odd lane bypasses
-    level = std::move(next);
+    if (width % 2 == 1) level[next++] = level[width - 1];  // odd lane bypasses
+    width = next;
   }
   res.any_valid = level[0].valid;
   if (res.any_valid) {
     res.min_coord = level[0].coord;
     res.lane_mask = level[0].mask;
   }
-  return res;
-}
-
-MinReduceResult linear_scan_min(std::span<const index_t> coords,
-                                std::span<const u8> valid) {
-  NMDT_REQUIRE(coords.size() == valid.size(), "coords/valid length mismatch");
-  NMDT_REQUIRE(coords.size() <= 64, "linear scan limited to 64 lanes");
-  MinReduceResult res;
-  index_t best = std::numeric_limits<index_t>::max();
-  for (usize i = 0; i < coords.size(); ++i) {
-    if (!valid[i]) continue;
-    ++res.comparator_ops;
-    if (!res.any_valid || coords[i] < best) {
-      best = coords[i];
-      res.lane_mask = u64{1} << i;
-      res.any_valid = true;
-    } else if (coords[i] == best) {
-      res.lane_mask |= u64{1} << i;
-    }
-  }
-  if (res.any_valid) res.min_coord = best;
   return res;
 }
 

@@ -30,13 +30,11 @@ struct MinReduceResult {
 
 /// Hierarchical reduction over up to 64 lanes. `valid[i]` false means
 /// lane i has exhausted its column (boundary reached) and must not win.
+/// Allocation-free.  The conversion engine computes the same answer
+/// from its row buckets; this tree is the Fig. 15b reference the engine
+/// oracle test and bench/micro_convert.cpp run.
 MinReduceResult comparator_tree_min(std::span<const index_t> coords,
                                     std::span<const u8> valid);
-
-/// Reference linear scan with identical semantics; the property tests
-/// assert tree == reference on random inputs.
-MinReduceResult linear_scan_min(std::span<const index_t> coords,
-                                std::span<const u8> valid);
 
 /// Number of tree stages for an N-input unit (log2 rounded up) — the
 /// pipeline depth contribution of the comparator in Sec. 5.3.

@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "transform/arena.hpp"
-#include "transform/comparator.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 
@@ -82,6 +81,20 @@ StripCursor::StripCursor(const CscT<V>& csc, index_t strip_id, const TilingSpec&
     frontier_.push_back(csc.col_ptr[c]);
     boundary_.push_back(csc.col_ptr[c + 1]);
   }
+}
+
+StripCursor::Snapshot StripCursor::save() const {
+  Snapshot s;
+  NMDT_REQUIRE(frontier_.size() <= s.frontier.size(),
+               "strip wider than the engine's lane count");
+  s.watermark = watermark_;
+  std::copy(frontier_.begin(), frontier_.end(), s.frontier.begin());
+  return s;
+}
+
+void StripCursor::restore(const Snapshot& s) {
+  watermark_ = s.watermark;
+  std::copy_n(s.frontier.begin(), frontier_.size(), frontier_.begin());
 }
 
 ConversionEngine::ConversionEngine(EngineHwModel hw) : hw_(hw) {
@@ -161,17 +174,35 @@ void ConversionEngine::convert_tile_into(DcsrTileT<V>& out, const CscT<V>& csc,
   }
 
   // Tile scratch from the thread-local arena (rewound on scope exit):
-  // lane registers plus staging arrays sized by cheap upper bounds —
+  // the row buckets plus staging arrays sized by cheap upper bounds —
   // emitted rows are distinct coordinates in [row_start, row_end), and
   // emitted elements cannot exceed what is left of the strip.
   ConversionArena& arena = ConversionArena::local();
   const ConversionArena::Scope tile_scope(arena);
-  const auto coords = arena.alloc<index_t>(static_cast<usize>(lanes));
-  const auto valid = arena.alloc<u8>(static_cast<usize>(lanes));
   const usize max_rows = static_cast<usize>(row_end - row_start);
+  // bucket[r]: lanes whose frontier sits on tile row r; occupied: bit r
+  // set ⇔ bucket[r] != 0.
+  const auto bucket = arena.alloc<u64>(max_rows);
+  const auto occupied = arena.alloc<u64>((max_rows + 63) / 64);
+  std::fill(bucket.begin(), bucket.end(), u64{0});
+  std::fill(occupied.begin(), occupied.end(), u64{0});
+  // Place lane l by its frontier coordinate, which must be >= floor.
+  const auto bucket_lane = [&](int l, index_t floor, const char* order_error) {
+    if (frontier[l] >= boundary[l]) return;  // column exhausted
+    const index_t row = csc.row_idx[frontier[l]];
+    NMDT_REQUIRE(row >= floor, order_error);
+    if (row >= row_end) return;  // belongs to a later tile
+    const usize r = static_cast<usize>(row - row_start);
+    bucket[r] |= u64{1} << l;
+    occupied[r / 64] |= u64{1} << (r % 64);
+  };
+
+  // (1): load each lane's frontier coordinate once per tile.
   usize max_elems = 0;
-  for (int l = 0; l < lanes; ++l)
+  for (int l = 0; l < lanes; ++l) {
     max_elems += static_cast<usize>(boundary[l] - frontier[l]);
+    bucket_lane(l, row_start, "strip cursor used out of order (element above tile)");
+  }
   const auto row_idx_s = arena.alloc<index_t>(max_rows);
   const auto row_ptr_s = arena.alloc<index_t>(max_rows + 1);
   const auto col_idx_s = arena.alloc<index_t>(max_elems);
@@ -180,48 +211,45 @@ void ConversionEngine::convert_tile_into(DcsrTileT<V>& out, const CscT<V>& csc,
   usize nelems = 0;
   row_ptr_s[0] = 0;
 
-  for (;;) {
-    // (1)+(2): load each lane's frontier coordinate; a lane is live if
-    // its column still has elements and the next one falls in this tile.
-    for (int l = 0; l < lanes; ++l) {
-      const bool has_element = frontier[l] < boundary[l];
-      const index_t row = has_element ? csc.row_idx[frontier[l]] : 0;
-      if (has_element) {
-        NMDT_REQUIRE(row >= row_start,
-                     "strip cursor used out of order (element above tile)");
+  // (2): the lowest occupied bucket is the comparator tree's minimum and
+  // its lane mask the tree's tie bitvector.  A re-bucketed lane always
+  // lands above the current row, so one ascending pass visits every row.
+  for (usize w = 0; w < occupied.size(); ++w) {
+    while (occupied[w] != 0) {
+      const usize r = w * 64 + static_cast<usize>(std::countr_zero(occupied[w]));
+      occupied[w] &= occupied[w] - 1;
+      // (3): emit one DCSR row from those lanes, in ascending lane order,
+      // and advance their frontiers.
+      row_idx_s[nrows] = static_cast<index_t>(r);
+      for (u64 mask = bucket[r]; mask != 0; mask &= mask - 1) {
+        const int l = std::countr_zero(mask);
+        const index_t src = frontier[l]++;
+        col_idx_s[nelems] = l;
+        val_s[nelems] = csc.val[src];
+        ++nelems;
+        if (mem != nullptr && pinned_channel < 0 && layout != nullptr) {
+          mem->engine_read(layout->row_idx_base + static_cast<u64>(src) * kIndexBytes,
+                           kIndexBytes);
+          mem->engine_read(layout->val_base + static_cast<u64>(src) * static_cast<u64>(kVB),
+                           kVB);
+        }
+        bucket_lane(l, row_start + static_cast<index_t>(r) + 1,
+                    "CSC row indices must be strictly ascending within a column");
       }
-      valid[l] = has_element && row < row_end ? 1 : 0;
-      coords[l] = valid[l] ? row : 0;
+      ++nrows;
+      row_ptr_s[nrows] = static_cast<index_t>(nelems);
     }
-    const MinReduceResult min = comparator_tree_min(coords, valid);
-    local.comparator_ops += min.comparator_ops;
-    if (!min.any_valid) break;
+  }
 
-    // (3): emit one DCSR row from every lane holding the minimum.
-    ++local.steps;
-    row_idx_s[nrows] = min.min_coord - row_start;
-    index_t row_elems = row_ptr_s[nrows];
-    ++nrows;
-    for (int l = 0; l < lanes; ++l) {
-      if ((min.lane_mask >> l & 1) == 0) continue;
-      const index_t src = frontier[l];
-      col_idx_s[nelems] = l;
-      val_s[nelems] = csc.val[src];
-      ++nelems;
-      ++row_elems;
-      ++frontier[l];
-      ++local.elements;
-      local.dram_bytes_in += kIndexBytes + kVB;
-      if (mem != nullptr && pinned_channel >= 0) {
-        mem->engine_read_channel(pinned_channel, kIndexBytes + kVB);
-      } else if (mem != nullptr && layout != nullptr) {
-        mem->engine_read(layout->row_idx_base + static_cast<u64>(src) * kIndexBytes,
-                         kIndexBytes);
-        mem->engine_read(layout->val_base + static_cast<u64>(src) * static_cast<u64>(kVB),
-                         kVB);
-      }
-    }
-    row_ptr_s[nrows] = row_elems;
+  // The Fig. 15b tree runs once per emitted row plus the final all-
+  // invalid reduction, and its `lanes − 1` comparator units each count
+  // one op per reduction whatever the lane validity.
+  local.steps = nrows;
+  local.elements = nelems;
+  local.comparator_ops = static_cast<u64>(nrows + 1) * static_cast<u64>(lanes - 1);
+  local.dram_bytes_in += static_cast<i64>(nelems) * (kIndexBytes + kVB);
+  if (mem != nullptr && pinned_channel >= 0) {
+    mem->engine_read_channel(pinned_channel, kIndexBytes + kVB, static_cast<i64>(nelems));
   }
 
   // Publish the staged rows into the caller's tile: clear-and-assign
@@ -329,32 +357,6 @@ std::vector<DcsrTileT<V>> ConversionEngine::convert_strip(const CscT<V>& csc,
   return tiles;
 }
 
-template <class V>
-std::vector<DcscTileT<V>> ConversionEngine::convert_strip_dcsc(const CsrT<V>& csr,
-                                                               index_t strip_id,
-                                                               const TilingSpec& spec) {
-  // The CSR matrix is the CSC of its transpose: run the strip through
-  // the normal datapath and relabel the output axes.
-  const CscT<V> transposed = transpose_view(csr);
-  const std::vector<DcsrTileT<V>> raw = convert_strip(transposed, strip_id, spec);
-  std::vector<DcscTileT<V>> tiles;
-  tiles.reserve(raw.size());
-  for (const DcsrTileT<V>& t : raw) {
-    DcscTileT<V> out;
-    out.strip_id = t.strip_id;
-    out.row_begin = t.col_begin;   // transpose: strip columns are A rows
-    out.col_begin = t.row_begin;   // tile advance direction is A columns
-    out.body.rows = t.body.cols;
-    out.body.cols = t.body.rows;
-    out.body.col_idx = t.body.row_idx;
-    out.body.col_ptr = t.body.row_ptr;
-    out.body.row_idx = t.body.col_idx;
-    out.body.val = t.body.val;
-    tiles.push_back(std::move(out));
-  }
-  return tiles;
-}
-
 #define NMDT_INSTANTIATE_ENGINE(V)                                                     \
   template CscDeviceLayout CscDeviceLayout::allocate(const CscT<V>&, MemorySystem&);   \
   template StripCursor::StripCursor(const CscT<V>&, index_t, const TilingSpec&);       \
@@ -372,9 +374,7 @@ std::vector<DcscTileT<V>> ConversionEngine::convert_strip_dcsc(const CsrT<V>& cs
       MemorySystem*, const CscDeviceLayout*, int);                                     \
   template std::vector<DcsrTileT<V>> ConversionEngine::convert_strip(                  \
       const CscT<V>&, index_t, const TilingSpec&, MemorySystem*,                       \
-      const CscDeviceLayout*);                                                         \
-  template std::vector<DcscTileT<V>> ConversionEngine::convert_strip_dcsc(             \
-      const CsrT<V>&, index_t, const TilingSpec&)
+      const CscDeviceLayout*)
 
 NMDT_INSTANTIATE_ENGINE(float);
 NMDT_INSTANTIATE_ENGINE(double);

@@ -1,14 +1,27 @@
 // The near-memory CSC→DCSR conversion engine (paper Sec. 4.2).
 //
-// Functional model of the walk-through in Fig. 13 / datapath in Fig. 14:
-//  (1) per-lane frontier_ptr initialized from CSC col_ptr (boundary_ptr
-//      holds col_ptr of the next column),
-//  (2) the comparator tree finds the minimum row coordinate across lane
-//      frontiers and the bitvector of lanes holding it,
+// Functional model of the walk-through in Fig. 13 / datapath in Fig. 14.
+// The hardware steps map onto convert_tile_into as follows:
+//  (1) frontier_ptr/boundary_ptr come from CSC col_ptr when the strip is
+//      opened (StripCursor); each tile request loads every lane's
+//      frontier coordinate once and drops the live lanes into a
+//      per-row bucket — an array of tile_height u64 lane masks plus a
+//      row-occupancy bitset,
+//  (2) the comparator tree's minimum coordinate and tie bitvector are
+//      the lowest occupied bucket (countr_zero over the bitset) and its
+//      lane mask — the same answer comparator_tree_min (Fig. 15b) gives
+//      over the 64 lane registers,
 //  (3) those lanes' elements are emitted as one DCSR row (row_idx = min
-//      coordinate, row_ptr incremented by popcount, col_idx = lane ids),
-//      and their frontiers advance,
-//  (4) repeat until every lane passes the tile's row range.
+//      coordinate, row_ptr incremented by popcount, col_idx = lane ids
+//      in ascending order); only the advanced lanes reload their
+//      frontier and are re-bucketed,
+//  (4) repeat until no bucket is left, i.e. every lane has passed the
+//      tile's row range; the tile streams to the SM over the crossbar.
+//
+// A tile costs O(lanes + elements + rows) host work.  The simulated
+// accounting is the hardware's: the tree books `lanes − 1` comparator
+// ops per reduction (one per emitted row plus the final all-invalid
+// one), and every element is one DRAM read.
 //
 // One engine step ⇔ one emitted DCSR row ⇔ one pipeline beat of
 // cycle_ns (0.588 ns single precision, Sec. 5.3), which is the paper's
@@ -21,10 +34,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <span>
 
 #include "formats/csc.hpp"
-#include "formats/dcsc.hpp"
 #include "formats/tiling.hpp"
 #include "gpusim/memory_system.hpp"
 #include "transform/hw_model.hpp"
@@ -87,16 +100,15 @@ class StripCursor {
   /// Resumable cursor state (boundary_ is immutable, so frontier and
   /// watermark are the whole story).  Recovery paths snapshot before a
   /// tile conversion and restore to re-run it after an integrity
-  /// failure.
+  /// failure.  Fixed-size, so a checked tile conversion takes its
+  /// snapshot without touching the heap; save() throws for a strip
+  /// wider than the 64 lanes an engine can have.
   struct Snapshot {
     index_t watermark = 0;
-    std::vector<index_t> frontier;
+    std::array<index_t, 64> frontier{};
   };
-  Snapshot save() const { return {watermark_, frontier_}; }
-  void restore(const Snapshot& s) {
-    watermark_ = s.watermark;
-    frontier_ = s.frontier;
-  }
+  Snapshot save() const;
+  void restore(const Snapshot& s);
 
  private:
   index_t strip_id_;
@@ -183,14 +195,6 @@ class ConversionEngine {
                                           const TilingSpec& spec,
                                           MemorySystem* mem = nullptr,
                                           const CscDeviceLayout* layout = nullptr);
-
-  /// Sec. 4.1 wide-matrix path: convert one *horizontal* strip of a CSR
-  /// matrix into DCSC tiles.  The CSR matrix is the CSC of its
-  /// transpose, so the identical datapath serves both directions; only
-  /// the output labelling differs.
-  template <class V>
-  std::vector<DcscTileT<V>> convert_strip_dcsc(const CsrT<V>& csr, index_t strip_id,
-                                               const TilingSpec& spec);
 
  private:
   EngineHwModel hw_;

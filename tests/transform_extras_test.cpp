@@ -1,10 +1,9 @@
 // Tests for the transform-module extensions: the Sec. 4.1 CSR-baseline
-// strawmen (stateless/stateful converters), the DCSC wide-matrix path,
-// and the dynamic prefetch-buffer model.
+// strawmen (stateless/stateful converters) and the dynamic
+// prefetch-buffer model.
 #include <gtest/gtest.h>
 
 #include "formats/convert.hpp"
-#include "formats/dcsc.hpp"
 #include "matgen/generators.hpp"
 #include "transform/buffer_model.hpp"
 #include "transform/csr_baseline.hpp"
@@ -96,84 +95,6 @@ TEST(CsrBaseline, EngineDoesFarLessProbing) {
     engine.convert_strip(csc, s, spec);
   }
   EXPECT_LT(engine.stats().steps * 10, stateless.rows_scanned);
-}
-
-// ---------------------------------------------------------------------
-// DCSC (Sec. 4.1 wide-matrix path).
-// ---------------------------------------------------------------------
-
-TEST(Dcsc, RoundTripThroughCsc) {
-  const Csr csr = gen_uniform(100, 150, 0.03, 5);
-  const Csc csc = csc_from_csr(csr);
-  const Dcsc d = dcsc_from_csc(csc);
-  d.validate();
-  const Csc back = csc_from_dcsc(d);
-  EXPECT_EQ(back.col_ptr, csc.col_ptr);
-  EXPECT_EQ(back.row_idx, csc.row_idx);
-  EXPECT_EQ(back.val, csc.val);
-}
-
-TEST(Dcsc, DropsEmptyColumns) {
-  Coo coo;
-  coo.rows = 4;
-  coo.cols = 5;
-  coo.push(1, 0, 1.0f);
-  coo.push(2, 3, 2.0f);
-  const Dcsc d = dcsc_from_csc(csc_from_coo(coo));
-  EXPECT_EQ(d.nnz_cols(), 2);
-  EXPECT_EQ(d.col_idx, (std::vector<index_t>{0, 3}));
-}
-
-TEST(Dcsc, ValidateRejectsEmptyDenseColumn) {
-  Coo coo;
-  coo.rows = 3;
-  coo.cols = 3;
-  coo.push(0, 0, 1.0f);
-  Dcsc d = dcsc_from_csc(csc_from_coo(coo));
-  d.col_idx.push_back(2);
-  d.col_ptr.push_back(d.col_ptr.back());
-  EXPECT_THROW(d.validate(), FormatError);
-}
-
-TEST(Dcsc, TransposeViewIsInvolutive) {
-  const Csr csr = gen_uniform(80, 120, 0.05, 6);
-  const Csr back = transpose_view(transpose_view(csr));
-  EXPECT_EQ(back.rows, csr.rows);
-  EXPECT_EQ(back.cols, csr.cols);
-  EXPECT_EQ(back.row_ptr, csr.row_ptr);
-  EXPECT_EQ(back.col_idx, csr.col_idx);
-}
-
-TEST(Dcsc, EngineDcscStripMatchesTransposedDcsrPath) {
-  // Converting a horizontal strip of A to DCSC must equal converting
-  // the corresponding vertical strip of Aᵀ to DCSR, relabeled.
-  const Csr csr = gen_uniform(200, 300, 0.02, 7);
-  const TilingSpec spec{64, 64};
-  ConversionEngine engine;
-  const index_t row_strips = spec.num_strips(csr.rows);
-  i64 total = 0;
-  for (index_t s = 0; s < row_strips; ++s) {
-    const std::vector<DcscTile> tiles = engine.convert_strip_dcsc(csr, s, spec);
-    for (const auto& tile : tiles) {
-      tile.body.validate();
-      total += tile.nnz();
-      // Every element's global coordinates must exist in the source.
-      for (i64 k = 0; k < tile.body.nnz_cols(); ++k) {
-        const index_t gcol = tile.col_begin + tile.body.dense_col(k);
-        const auto rows = tile.body.dense_col_rows(k);
-        const auto vals = tile.body.dense_col_vals(k);
-        for (usize j = 0; j < rows.size(); ++j) {
-          const index_t grow = tile.row_begin + rows[j];
-          bool found = false;
-          for (index_t p = csr.row_ptr[grow]; p < csr.row_ptr[grow + 1]; ++p) {
-            if (csr.col_idx[p] == gcol && csr.val[p] == vals[j]) found = true;
-          }
-          EXPECT_TRUE(found) << "element (" << grow << ", " << gcol << ") mismatched";
-        }
-      }
-    }
-  }
-  EXPECT_EQ(total, csr.nnz());
 }
 
 // ---------------------------------------------------------------------

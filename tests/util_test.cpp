@@ -228,6 +228,36 @@ TEST(Crc32, ChainingEqualsTheDigestOfTheConcatenation) {
   EXPECT_EQ(crc32(s.data() + 6, 3, crc32(s.data() + 2, 4, crc32(s.data(), 2))), whole);
 }
 
+/// The bytewise table loop crc32 used before slice-by-8.
+u32 bytewise_crc32(const u8* p, usize len, u32 seed) {
+  u32 table[256];
+  for (u32 i = 0; i < 256; ++i) {
+    u32 c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    table[i] = c;
+  }
+  u32 c = seed ^ 0xFFFFFFFFu;
+  for (usize i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SliceBy8MatchesBytewise) {
+  // Every length 0..257 from every start offset 0..7 (so the 8-byte
+  // loads see each alignment and the byte tail every length), chained
+  // from random seeds.
+  Rng rng(32);
+  std::vector<u8> buf(8 + 257);
+  for (u8& b : buf) b = static_cast<u8>(rng.below(256));
+  for (usize offset = 0; offset < 8; ++offset) {
+    for (usize len = 0; len <= 257; ++len) {
+      const u32 seed = static_cast<u32>(rng());
+      ASSERT_EQ(crc32(buf.data() + offset, len, seed),
+                bytewise_crc32(buf.data() + offset, len, seed))
+          << "offset " << offset << " len " << len << " seed " << seed;
+    }
+  }
+}
+
 TEST(Cli, ParsesBothSyntaxes) {
   const char* argv[] = {"prog", "--n", "128", "--density=0.01", "--flag"};
   CliParser cli(5, argv);
