@@ -69,6 +69,6 @@ int main(int argc, char** argv) {
   summary.print(std::cout);
   summary.write_csv(env.name + "_summary.csv");
   std::cout << "\nShipped default threshold (EngineOptions): "
-            << format_sci(EngineOptions::default_ssf_threshold()) << "\n";
+            << format_sci(default_ssf_threshold()) << "\n";
   return 0;
 }

@@ -73,17 +73,6 @@
 namespace nmdt {
 namespace {
 
-constexpr KernelKind kAllKernels[] = {
-    KernelKind::kCsrCStationaryRowWarp,  KernelKind::kCsrCStationaryRowThread,
-    KernelKind::kDcsrCStationary,        KernelKind::kTiledCsrBStationary,
-    KernelKind::kTiledDcsrBStationary,   KernelKind::kTiledDcsrOnline,
-    KernelKind::kAStationary,            KernelKind::kMergeCStationary,
-    KernelKind::kHongHybrid,
-};
-
-constexpr Precision kAllPrecisions[] = {Precision::kF32, Precision::kF64,
-                                        Precision::kBf16};
-
 struct ArmTiming {
   double best_ms = 0.0;
   double mean_ms = 0.0;
@@ -172,17 +161,6 @@ void append_history(const std::string& history_path, const std::string& matrix,
   }
   hist << "]}\n";
   std::cout << "history +1 -> " << history_path << " (" << matrix << ")\n";
-}
-
-template <class T>
-bool bitwise_equal(const DenseMatrixT<T>& x, const DenseMatrixT<T>& y) {
-  const auto xs = x.data();
-  const auto ys = y.data();
-  if (xs.size() != ys.size()) return false;
-  for (usize i = 0; i < xs.size(); ++i) {
-    if (xs[i] != ys[i]) return false;
-  }
-  return true;
 }
 
 int run(int argc, char** argv) {
@@ -320,10 +298,9 @@ int run(int argc, char** argv) {
 
     const SpmmResult serial_res = serial_exec.execute(kind, *plan, B);
     const SpmmResult parallel_res = parallel_exec.execute(kind, *plan, B);
-    const bool identical = bitwise_equal(serial_res.C, parallel_res.C) &&
-                           bitwise_equal(serial_res.C64, parallel_res.C64) &&
-                           serial_res.counters == parallel_res.counters &&
-                           serial_res.mem == parallel_res.mem;
+    const bool identical =
+        std::ranges::equal(result_bits(serial_res), result_bits(parallel_res)) &&
+        serial_res.counters == parallel_res.counters && serial_res.mem == parallel_res.mem;
 
     const ArmTiming serial = time_kernel(kind, serial_exec, *plan, B, warmup, iters);
     const ArmTiming parallel = time_kernel(kind, parallel_exec, *plan, B, warmup, iters);

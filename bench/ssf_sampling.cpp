@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   bench::banner(env.name, "sampled vs full SSF profiling (paper future work)");
 
   const TilingSpec spec{64, 64};
-  const double threshold = EngineOptions::default_ssf_threshold();
+  const double threshold = default_ssf_threshold();
   const auto specs = env.suite();
 
   Table table({"sample_fraction", "classification_agreement_%",

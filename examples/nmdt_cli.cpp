@@ -117,38 +117,17 @@ int cmd_profile(const CliParser& cli) {
   t.begin_row().cell("H_norm").cell(p.h_norm, 4);
   t.begin_row().cell("SSF").cell(format_sci(p.ssf));
   t.begin_row().cell("recommended strategy").cell(
-      strategy_name(select_strategy(p.ssf, EngineOptions::default_ssf_threshold())));
+      strategy_name(select_strategy(p.ssf, default_ssf_threshold())));
   t.print(std::cout);
   return 0;
 }
 
-constexpr KernelKind kAllKernels[] = {
-    KernelKind::kCsrCStationaryRowWarp,  KernelKind::kCsrCStationaryRowThread,
-    KernelKind::kDcsrCStationary,        KernelKind::kTiledCsrBStationary,
-    KernelKind::kTiledDcsrBStationary,   KernelKind::kTiledDcsrOnline,
-    KernelKind::kAStationary,            KernelKind::kMergeCStationary,
-    KernelKind::kHongHybrid,
-};
-
 std::vector<KernelKind> parse_kernel_selection(const std::string& sel) {
   if (sel == "all") return {std::begin(kAllKernels), std::end(kAllKernels)};
-  for (KernelKind k : kAllKernels) {
-    if (sel == kernel_name(k)) return {k};
-  }
+  if (const auto kind = parse_kernel_kind(sel)) return {*kind};
   std::string names = "all";
   for (KernelKind k : kAllKernels) names += std::string(" | ") + kernel_name(k);
   throw ParseError("unknown --kernel '" + sel + "' (expected " + names + ")");
-}
-
-template <class T>
-bool bitwise_equal(const DenseMatrixT<T>& x, const DenseMatrixT<T>& y) {
-  const auto xs = x.data();
-  const auto ys = y.data();
-  if (xs.size() != ys.size()) return false;
-  for (usize i = 0; i < xs.size(); ++i) {
-    if (xs[i] != ys[i]) return false;
-  }
-  return true;
 }
 
 /// --kernel sweep: run the selected kernel(s) directly (no heuristic),
@@ -179,11 +158,9 @@ int run_kernel_sweep(const Csr& A, const DenseMatrix& B, const SpmmConfig& cfg,
     c4.jobs = 4;
     const SpmmResult r1 = SpmmExecutor(c1).execute(kind, *plan, B);
     const SpmmResult r4 = SpmmExecutor(c4).execute(kind, *plan, B);
-    const bool identical = bitwise_equal(r1.C, r4.C) && bitwise_equal(r1.C64, r4.C64) &&
+    const bool identical = std::ranges::equal(result_bits(r1), result_bits(r4)) &&
                            r1.counters == r4.counters && r1.mem == r4.mem;
-    const DenseMatrixT<double> actual =
-        cfg.precision == Precision::kF64 ? r1.C64 : retype<double>(r1.C);
-    const ToleranceVerdict v = cmp.compare(ref, actual, scales);
+    const ToleranceVerdict v = cmp.compare(ref, result_f64(r1), scales);
     all_ok = all_ok && identical && v.pass;
     t.begin_row()
         .cell(kernel_name(kind))

@@ -149,7 +149,8 @@ int main(int argc, char** argv) {
   cli.declare("plan-cache-mb", with_default("PlanCache byte budget in MiB",
                                             d.plan_cache_bytes >> 20));
   cli.declare("plan-ttl-ms",
-              with_default("evict cached plans older than this; 0 = no TTL",
+              with_default("evict cached plans and re-read resolved matrices older "
+                           "than this; 0 = no TTL",
                            d.plan_ttl_ms));
   cli.declare("coalesce-max",
               with_default("max concurrent same-key requests batched into one "

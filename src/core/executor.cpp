@@ -35,10 +35,6 @@ SuiteErrorPolicy parse_error_policy(const std::string& name) {
                     "' (expected fail_fast or continue)");
 }
 
-const char* error_policy_name(SuiteErrorPolicy policy) {
-  return policy == SuiteErrorPolicy::kFailFast ? "fail_fast" : "continue";
-}
-
 SpmmExecutor::SpmmExecutor(SpmmConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.arch.validate();
   cfg_.tiling.validate();

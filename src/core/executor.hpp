@@ -116,7 +116,6 @@ enum class SuiteErrorPolicy {
 
 /// Parse "fail_fast" / "continue"; throws ConfigError on anything else.
 SuiteErrorPolicy parse_error_policy(const std::string& name);
-const char* error_policy_name(SuiteErrorPolicy policy);
 
 /// Called once per completed (non-degenerate) matrix, from the thread
 /// that called run_suite, with `done` strictly increasing from 1.

@@ -59,14 +59,10 @@ SpmmReport SpmmEngine::run(const Csr& A, const DenseMatrix& B) const {
         const CsrT<V>& a = plan->csr_at<V>();
         const DenseMatrixT<V> b = retype<V>(B);
         const DenseMatrixT<double> ref = spmm_reference_f64(a, b);
-        const DenseMatrixT<double> actual = options_.spmm.precision == Precision::kF64
-                                                ? report.result.C64
-                                                : retype<double>(report.result.C);
+        const DenseMatrixT<double> actual = result_f64(report.result);
         report.max_abs_error = actual.max_abs_diff(ref);
-        const double eps = options_.verify_eps > 0.0
-                               ? options_.verify_eps
-                               : default_tolerance(options_.spmm.precision);
-        report.tolerance = ToleranceComparator(eps).compare(ref, actual, a, b);
+        report.tolerance = ToleranceComparator(default_tolerance(options_.spmm.precision))
+                               .compare(ref, actual, a, b);
       });
     }
   }

@@ -30,12 +30,9 @@ struct EngineOptions {
   /// verifies against cuSPARSE output, Sec. 5.1).  At the canonical f32
   /// precision the comparison is the historical exact max-abs-diff
   /// check; at other precisions the binary64 reference is compared
-  /// under the fSPMV tolerance bound (transform/comparator.hpp) with
-  /// `verify_eps`.
+  /// under the fSPMV tolerance bound (transform/comparator.hpp) at the
+  /// precision's default_tolerance().
   bool verify = true;
-  /// Tolerance for non-f32 verification; <= 0 uses the precision's
-  /// default_tolerance().
-  double verify_eps = 0.0;
   /// Also run the baseline kernel and report speedup.
   bool run_baseline = true;
   /// Row fraction used to profile A; 1.0 scans the full matrix, smaller
@@ -45,8 +42,6 @@ struct EngineOptions {
   /// Byte budget of the per-engine plan cache; <= 0 disables caching
   /// (every run() builds a one-shot plan).
   i64 plan_cache_bytes = PlanCache::kDefaultByteBudget;
-
-  static double default_ssf_threshold() { return ::nmdt::default_ssf_threshold(); }
 };
 
 struct SpmmReport {

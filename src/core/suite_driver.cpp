@@ -41,15 +41,6 @@ void store_arm(SuiteRow& row, int arm, double t_ms, double prep_ms) {
   }
 }
 
-u32 c_crc_of(const SpmmResult& r) {
-  if (r.precision == Precision::kF64) {
-    const auto d = r.C64.data();
-    return crc32(d.data(), d.size() * sizeof(double));
-  }
-  const auto d = r.C.data();
-  return crc32(d.data(), d.size() * sizeof(float));
-}
-
 CancelToken::Clock::time_point deadline_in(double ms) {
   return CancelToken::Clock::now() +
          std::chrono::duration_cast<CancelToken::Clock::duration>(
@@ -124,7 +115,10 @@ Completion RowWork::arm(usize row, int arm, const RowInputs& in) const {
     const SpmmResult res = SpmmExecutor(cfg).execute(kind, *in.plan, in.B);
     c.t_ms = res.timing.total_ms();
     c.prep_ms = arm == SuiteRow::kArmOfflineB ? res.offline_prep_ns * 1e-6 : 0.0;
-    if (want_crc) c.c_crc = c_crc_of(res);
+    if (want_crc) {
+      const auto bits = result_bits(res);
+      c.c_crc = crc32(bits.data(), bits.size());
+    }
     sp.arg("jobs", cfg.jobs).arg("modelled_ms", c.t_ms);
   } catch (const CancelledError&) {
     c.abandoned = true;

@@ -8,7 +8,6 @@
 // aliases the default-precision instantiation.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "util/precision.hpp"
@@ -30,13 +29,6 @@ struct CscT {
   double density() const;
 
   i64 col_nnz(index_t c) const { return col_ptr[c + 1] - col_ptr[c]; }
-
-  std::span<const index_t> col_rows(index_t c) const {
-    return {row_idx.data() + col_ptr[c], static_cast<usize>(col_nnz(c))};
-  }
-  std::span<const V> col_vals(index_t c) const {
-    return {val.data() + col_ptr[c], static_cast<usize>(col_nnz(c))};
-  }
 
   void validate() const;
 };

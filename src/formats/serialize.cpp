@@ -269,28 +269,13 @@ CsrT<V> load_csr_file(const std::string& path) {
   return load_csr<V>(is);
 }
 
-template <class V>
-void save_dense_file(const std::string& path, const DenseMatrixT<V>& m) {
-  save_to_file(path, m, [](std::ostream& os, const DenseMatrixT<V>& x) {
-    save_dense(os, x);
-  });
-}
-
-template <class V>
-DenseMatrixT<V> load_dense_file(const std::string& path) {
-  std::istringstream is(read_file_bytes(path), std::ios::binary);
-  return load_dense<V>(is);
-}
-
-#define NMDT_INSTANTIATE_SERIALIZE(V)                                        \
-  template void save_csr(std::ostream&, const CsrT<V>&);                     \
-  template void save_csr_file(const std::string&, const CsrT<V>&);           \
-  template CsrT<V> load_csr(std::istream&);                                  \
-  template CsrT<V> load_csr_file(const std::string&);                        \
-  template void save_dense(std::ostream&, const DenseMatrixT<V>&);           \
-  template void save_dense_file(const std::string&, const DenseMatrixT<V>&); \
-  template DenseMatrixT<V> load_dense(std::istream&);                        \
-  template DenseMatrixT<V> load_dense_file(const std::string&)
+#define NMDT_INSTANTIATE_SERIALIZE(V)                              \
+  template void save_csr(std::ostream&, const CsrT<V>&);           \
+  template void save_csr_file(const std::string&, const CsrT<V>&); \
+  template CsrT<V> load_csr(std::istream&);                        \
+  template CsrT<V> load_csr_file(const std::string&);              \
+  template void save_dense(std::ostream&, const DenseMatrixT<V>&); \
+  template DenseMatrixT<V> load_dense(std::istream&)
 
 NMDT_INSTANTIATE_SERIALIZE(float);
 NMDT_INSTANTIATE_SERIALIZE(double);

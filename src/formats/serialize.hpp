@@ -37,11 +37,7 @@ CsrT<V> load_csr_file(const std::string& path);
 
 template <class V>
 void save_dense(std::ostream& os, const DenseMatrixT<V>& m);
-template <class V>
-void save_dense_file(const std::string& path, const DenseMatrixT<V>& m);
 template <class V = value_t>
 DenseMatrixT<V> load_dense(std::istream& is);
-template <class V = value_t>
-DenseMatrixT<V> load_dense_file(const std::string& path);
 
 }  // namespace nmdt

@@ -46,7 +46,6 @@ class L2Cache {
   void reset();
 
   int num_sets() const { return num_sets_; }
-  int sectors_per_line() const { return sectors_per_line_; }
 
  private:
   struct Line {

@@ -25,8 +25,6 @@ class Interleaver {
     return static_cast<int>((g >> 40) % static_cast<u64>(channels_));
   }
 
-  int partition_of(u64 addr) const { return channel_of(addr) / channels_per_partition_; }
-
   int partition_of_channel(int channel) const { return channel / channels_per_partition_; }
 
   i64 granule_bytes() const { return i64{1} << granule_shift_; }

@@ -97,16 +97,6 @@ u64 MemorySystem::allocate(i64 bytes, const std::string& name) {
   return base;
 }
 
-const std::string& MemorySystem::operand_of(u64 addr) const {
-  static const std::string kUnknown = "?";
-  // Regions are appended in ascending base order: binary search.
-  auto it = std::upper_bound(regions_.begin(), regions_.end(), addr,
-                             [](u64 a, const Region& r) { return a < r.begin; });
-  if (it == regions_.begin()) return kUnknown;
-  --it;
-  return addr < it->end ? it->tag : kUnknown;
-}
-
 i64& MemorySystem::operand_slot(u64 addr) {
   if (addr < cached_begin_ || addr >= cached_end_) {
     auto it = std::upper_bound(regions_.begin(), regions_.end(), addr,

@@ -148,11 +148,6 @@ class MemorySystem {
   /// map is constant within a granule and allocations never share one.
   void counting_access(u64 addr, i64 bytes, int kind);
 
-  /// Operand tag of the allocation containing `addr` ("?" when outside
-  /// any allocation — e.g. a writeback of an evicted line is attributed
-  /// to its own address).
-  const std::string& operand_of(u64 addr) const;
-
   /// Cached accumulator for the operand-attribution map entry of the
   /// allocation containing `addr`.  Consecutive accesses within one
   /// allocation (the common case, and every run-API entry) skip both

@@ -105,9 +105,9 @@ struct Ctx {
 };
 
 /// Store a compute-precision accumulator into the result at storage
-/// precision V: f32 moves it, f64 keeps the double matrix as `C64` and
-/// narrows a convenience view, bf16 rounds each element to the nearest
-/// bf16 (round-to-nearest-even, still held as f32 bits).
+/// precision V: f32 moves it into `C`, f64 into `C64`, bf16 rounds each
+/// element to the nearest bf16 (round-to-nearest-even, still held as f32
+/// bits in `C`).
 template <class V>
 void store_result_c(SpmmResult& res, DenseMatrixT<typename VTraits<V>::compute_t>&& C);
 

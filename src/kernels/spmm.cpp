@@ -4,6 +4,7 @@
 #include <optional>
 #include <type_traits>
 
+#include "formats/retype.hpp"
 #include "kernels/detail.hpp"
 #include "obs/profiler.hpp"
 #include "obs/scoped_timer.hpp"
@@ -25,6 +26,23 @@ const char* kernel_name(KernelKind k) {
     case KernelKind::kHongHybrid: return "hong_hybrid";
   }
   return "unknown";
+}
+
+std::optional<KernelKind> parse_kernel_kind(std::string_view name) {
+  for (KernelKind k : kAllKernels) {
+    if (name == kernel_name(k)) return k;
+  }
+  return std::nullopt;
+}
+
+std::span<const u8> result_bits(const SpmmResult& r) {
+  const auto bytes = r.precision == Precision::kF64 ? std::as_bytes(r.C64.data())
+                                                    : std::as_bytes(r.C.data());
+  return {reinterpret_cast<const u8*>(bytes.data()), bytes.size()};
+}
+
+DenseMatrixT<double> result_f64(const SpmmResult& r) {
+  return r.precision == Precision::kF64 ? r.C64 : retype<double>(r.C);
 }
 
 const char* traversal_name(TraversalOrder t) {
@@ -227,10 +245,6 @@ template <class V>
 void store_result_c(SpmmResult& res, DenseMatrixT<typename VTraits<V>::compute_t>&& C) {
   res.precision = VTraits<V>::kPrecision;
   if constexpr (std::is_same_v<V, double>) {
-    res.C = DenseMatrix(C.rows(), C.cols());
-    auto dst = res.C.data();
-    const auto src = C.data();
-    for (usize i = 0; i < dst.size(); ++i) dst[i] = static_cast<float>(src[i]);
     res.C64 = std::move(C);
   } else if constexpr (std::is_same_v<V, bf16_t>) {
     // Store rounding: the accumulator ran in f32; C is *stored* at bf16,

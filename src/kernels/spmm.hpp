@@ -34,7 +34,10 @@
 //                             online engine avoids
 #pragma once
 
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "analysis/traffic_model.hpp"
 #include "fault/fault.hpp"
@@ -61,7 +64,20 @@ enum class KernelKind {
   kHongHybrid,
 };
 
+/// Every kernel, in enum order.
+inline constexpr KernelKind kAllKernels[] = {
+    KernelKind::kCsrCStationaryRowWarp,  KernelKind::kCsrCStationaryRowThread,
+    KernelKind::kDcsrCStationary,        KernelKind::kTiledCsrBStationary,
+    KernelKind::kTiledDcsrBStationary,   KernelKind::kTiledDcsrOnline,
+    KernelKind::kAStationary,            KernelKind::kMergeCStationary,
+    KernelKind::kHongHybrid,
+};
+
 const char* kernel_name(KernelKind k);
+
+/// The kernel whose kernel_name is `name`; nullopt for any other string
+/// (callers word their own error).
+std::optional<KernelKind> parse_kernel_kind(std::string_view name);
 
 /// The planned artifacts a kernel reads besides the CSR matrix, which
 /// every kernel reads.
@@ -133,14 +149,16 @@ struct SpmmConfig {
 /// Launch overhead scales with the grid the same way.
 SpmmConfig evaluation_config(index_t n = 4096, index_t K = 64);
 
+/// The result of one kernel run.  C is stored once, at the run's
+/// precision: exactly one of `C` and `C64` is non-empty.  Read it
+/// through result_bits() or result_f64(), the only functions that
+/// choose between the two.
 struct SpmmResult {
-  /// C stored at the run's precision, held in f32 bits: an f32 run's
-  /// exact output; a bf16 run's output after the round-to-nearest-even
-  /// store (every element is bf16-representable, so bitwise comparison
-  /// across job counts remains exact).  For f64 runs this is a narrowed
-  /// convenience view — `C64` is the authoritative result.
+  /// C of an f32 or bf16 run, held in f32 bits: an f32 run's exact
+  /// output; a bf16 run's output after the round-to-nearest-even store
+  /// (every element is bf16-representable).  Empty for f64 runs.
   DenseMatrix C;
-  /// Full-precision result of an f64 run (empty at other precisions).
+  /// C of an f64 run (empty at other precisions).
   DenseMatrixT<double> C64;
   /// Stored value precision this result was computed at.
   Precision precision = Precision::kF32;
@@ -158,6 +176,14 @@ struct SpmmResult {
   /// the reference CSR kernel (see SpmmConfig::fault_fallback).
   bool used_fallback = false;
 };
+
+/// The stored result bits: C64's bytes for an f64 run, C's f32 bytes
+/// otherwise.  Every bit-identity check compares these bytes, and they
+/// are what the service's c_crc32 / c_hex and the suite's c_crc digest.
+std::span<const u8> result_bits(const SpmmResult& r);
+
+/// The result widened exactly to binary64, for the tolerance checks.
+DenseMatrixT<double> result_f64(const SpmmResult& r);
 
 /// The one kernel entry: run `kind` against a bundle complete for it
 /// (artifacts_of(kind); SpmmExecutor, core/executor.hpp, is its caller).

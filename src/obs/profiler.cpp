@@ -292,11 +292,6 @@ double HwCounters::llc_miss_per_kinstr() const {
   return 1e3 * static_cast<double>(llc_misses) / static_cast<double>(instructions);
 }
 
-double HwCounters::branch_miss_per_kinstr() const {
-  if (instructions <= 0 || branch_misses < 0) return 0.0;
-  return 1e3 * static_cast<double>(branch_misses) / static_cast<double>(instructions);
-}
-
 std::string HwCounters::json() const {
   std::string out = "{\"source\": \"";
   out += backend_name(source);

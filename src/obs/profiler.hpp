@@ -97,8 +97,6 @@ struct HwCounters {
   double ipc() const;
   /// LLC misses per thousand instructions; 0 when unavailable.
   double llc_miss_per_kinstr() const;
-  /// Branch misses per thousand instructions; 0 when unavailable.
-  double branch_miss_per_kinstr() const;
   /// JSON object literal ({"source": ..., "cycles": N | null, ...}).
   std::string json() const;
 };

@@ -18,11 +18,12 @@
 //
 // Failure semantics: a worker crash (SIGSEGV / SIGKILL / abort /
 // RLIMIT_AS breach / missed heartbeat) re-dispatches the in-flight
-// task with capped backoff; a task whose worker died max_retries times
-// is quarantined as a typed WorkerError row/arm failure (exit code 8
-// under fail_fast) — one poison arm degrades one table cell, never the
-// sweep.  Handler-level typed errors (TimeoutError, FaultError …)
-// behave exactly as in-process: journaled, ranked, never retried.
+// task with capped backoff; a task whose worker died kMaxWorkerRetries
+// times (proc/supervisor.hpp) is quarantined as a typed WorkerError
+// row/arm failure (exit code 8 under fail_fast) — one poison arm
+// degrades one table cell, never the sweep.  Handler-level typed errors
+// (TimeoutError, FaultError …) behave exactly as in-process: journaled,
+// ranked, never retried.
 #pragma once
 
 #include <vector>

@@ -270,7 +270,7 @@ struct Supervisor::Impl {
   double backoff_ms(int crashes) const {
     double d = opts.backoff_base_ms;
     for (int i = 1; i < crashes; ++i) d *= 2.0;
-    return std::min(d, opts.backoff_cap_ms);
+    return std::min(d, kBackoffCapMs);
   }
 
   void complete(const TaskPtr& t, TaskOutcome outcome) {
@@ -370,7 +370,7 @@ struct Supervisor::Impl {
     if (TaskPtr t = std::move(w.inflight)) {
       w.inflight = nullptr;
       ++t->crashes;
-      if (t->crashes >= opts.max_retries) {
+      if (t->crashes >= kMaxWorkerRetries) {
         m_quarantines->add(1);
         {
           std::lock_guard<std::mutex> lock(mu);
@@ -596,7 +596,6 @@ struct Supervisor::Impl {
 Supervisor::Supervisor(ProcOptions opts, TaskHandler handler)
     : impl_(std::make_unique<Impl>()) {
   NMDT_CHECK_CONFIG(opts.workers >= 1, "supervisor needs at least one worker");
-  NMDT_CHECK_CONFIG(opts.max_retries >= 1, "worker retry budget must be >= 1");
   NMDT_CHECK_CONFIG(opts.heartbeat_interval_ms > 0.0 && opts.heartbeat_timeout_ms > 0.0,
                     "heartbeat interval and timeout must be positive");
   NMDT_CHECK_CONFIG(handler != nullptr, "supervisor needs a task handler");

@@ -54,6 +54,8 @@ namespace nmdt::proc {
 /// quarantined as WorkerError (mirrors fault::kMaxRetries in spirit —
 /// bounded recovery, then a typed surfaced failure).
 inline constexpr int kMaxWorkerRetries = 3;
+/// Ceiling of the re-dispatch backoff after a crash.
+inline constexpr double kBackoffCapMs = 250.0;
 
 struct ProcOptions {
   int workers = 2;
@@ -63,10 +65,9 @@ struct ProcOptions {
   double heartbeat_interval_ms = 20.0;
   /// A worker silent for this long is killed and its task re-dispatched.
   double heartbeat_timeout_ms = 2000.0;
-  int max_retries = kMaxWorkerRetries;
-  /// Re-dispatch backoff after the n-th crash: base * 2^(n-1), capped.
+  /// Re-dispatch backoff after the n-th crash: base * 2^(n-1), capped
+  /// at kBackoffCapMs.
   double backoff_base_ms = 5.0;
-  double backoff_cap_ms = 250.0;
 };
 
 /// Runs in the *worker process*: one task in, one result payload out.

@@ -1,10 +1,10 @@
 #include "service/protocol.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "obs/json_check.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace nmdt::service {
@@ -27,16 +27,7 @@ const obs::JsonValue* find_typed(const obs::JsonValue& obj, const std::string& k
 std::optional<KernelKind> parse_kernel_field(const std::string& name,
                                              const std::string& id) {
   if (name.empty() || name == "auto") return std::nullopt;
-  static constexpr KernelKind kAll[] = {
-      KernelKind::kCsrCStationaryRowWarp,  KernelKind::kCsrCStationaryRowThread,
-      KernelKind::kDcsrCStationary,        KernelKind::kTiledCsrBStationary,
-      KernelKind::kTiledDcsrBStationary,   KernelKind::kTiledDcsrOnline,
-      KernelKind::kAStationary,            KernelKind::kMergeCStationary,
-      KernelKind::kHongHybrid,
-  };
-  for (KernelKind k : kAll) {
-    if (name == kernel_name(k)) return k;
-  }
+  if (const auto kind = parse_kernel_kind(name)) return kind;
   fail(id, "unknown kernel '" + name + "' (expected 'auto' or a kernel name)");
 }
 
@@ -135,30 +126,8 @@ Request parse_request(std::string_view line, u64 line_no) {
   return req;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string to_json_line(const Response& r) {
+  using obs::json_escape;
   std::ostringstream os;
   os << "{\"id\":\"" << json_escape(r.id) << "\",\"tenant\":\""
      << json_escape(r.tenant) << "\",\"status\":\"" << (r.ok ? "ok" : "error")
@@ -224,15 +193,6 @@ std::vector<u8> hex_decode(std::string_view hex) {
     out[i] = static_cast<u8>((nibble(hex[2 * i]) << 4) | nibble(hex[2 * i + 1]));
   }
   return out;
-}
-
-std::span<const u8> result_bits(const SpmmResult& r) {
-  if (r.precision == Precision::kF64) {
-    const auto d = r.C64.data();
-    return {reinterpret_cast<const u8*>(d.data()), d.size() * sizeof(double)};
-  }
-  const auto d = r.C.data();
-  return {reinterpret_cast<const u8*>(d.data()), d.size() * sizeof(float)};
 }
 
 }  // namespace nmdt::service

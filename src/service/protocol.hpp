@@ -26,7 +26,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -95,18 +94,13 @@ std::string to_json_line(const Response& r);
 Response error_response(const Request& req, const std::exception& e);
 Response error_response(std::string id, std::string tenant, const std::exception& e);
 
-/// JSON string escaping for the writer ('"', '\\', control chars).
-std::string json_escape(std::string_view s);
-
 /// Little-endian hex of a byte span (2 chars per byte) and its inverse.
 /// decode throws ParseError on odd length or non-hex digits.
 std::string hex_encode(const void* data, usize bytes);
 std::vector<u8> hex_decode(std::string_view hex);
 
-/// The stored-precision result bits of an SpmmResult: C64's bytes for
-/// f64 runs, C's f32 bytes otherwise (bf16 values are held rounded in
-/// f32 bits — see SpmmResult::C).  This is the byte string c_crc32 and
-/// c_hex are computed over, on both the service and batch sides.
-std::span<const u8> result_bits(const SpmmResult& r);
+/// c_crc32 and c_hex digest these bytes (kernels/spmm.hpp), on both
+/// the service and batch sides.
+using nmdt::result_bits;
 
 }  // namespace nmdt::service

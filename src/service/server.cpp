@@ -22,35 +22,59 @@ namespace nmdt::service {
 
 using Clock = std::chrono::steady_clock;
 
+namespace {
+
+double ms_between(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
+}
+
+}  // namespace
+
+/// Resolved matrices kept resident, keyed by spec string.
+constexpr usize kMatrixCacheEntries = 16;
+
 /// Small LRU of resolved matrices keyed by spec string, safe to share
-/// across worker threads.
+/// across worker threads.  Each entry carries its load time; with a TTL
+/// (> 0) a lookup past it reloads the spec, so a matrix file rewritten
+/// on disk is re-read once the TTL has passed, as the plans built from
+/// it expire.
 class MatrixLru {
  public:
-  explicit MatrixLru(usize capacity) : capacity_(capacity) {}
+  explicit MatrixLru(double ttl_ms) : ttl_ms_(ttl_ms) {}
 
   std::shared_ptr<const Csr> get(const std::string& spec) {
+    const auto now = Clock::now();
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-        if (it->first == spec) {
-          lru_.splice(lru_.begin(), lru_, it);
-          return lru_.front().second;
+        if (it->spec != spec) continue;
+        if (ttl_ms_ > 0.0 && ms_between(it->loaded, now) > ttl_ms_) {
+          lru_.erase(it);
+          break;
         }
+        lru_.splice(lru_.begin(), lru_, it);
+        return lru_.front().matrix;
       }
     }
     // Load outside the lock; a racing duplicate load is wasted work, not
     // a correctness problem (the LRU adopts whichever lands last).
     auto loaded = std::make_shared<const Csr>(load_matrix_spec(spec));
     std::lock_guard<std::mutex> lock(mu_);
-    lru_.emplace_front(spec, loaded);
-    while (lru_.size() > capacity_) lru_.pop_back();
+    lru_.push_front({spec, loaded, now});
+    while (lru_.size() > kMatrixCacheEntries) lru_.pop_back();
     return loaded;
   }
 
  private:
-  usize capacity_;
+  struct Entry {
+    std::string spec;
+    std::shared_ptr<const Csr> matrix;
+    Clock::time_point loaded;  ///< when its load began
+  };
+
+  double ttl_ms_;
   std::mutex mu_;
-  std::list<std::pair<std::string, std::shared_ptr<const Csr>>> lru_;
+  std::list<Entry> lru_;
 };
 
 namespace {
@@ -135,10 +159,6 @@ SpmmConfig exec_config(const ServerOptions& opts, index_t rows, index_t k,
   return cfg;
 }
 
-double ms_between(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
 /// Effective per-request deadline in ms (0 = none).
 double effective_deadline_ms(const Request& req, const ServerOptions& opts) {
   return req.deadline_ms > 0.0 ? req.deadline_ms : opts.default_deadline_ms;
@@ -216,7 +236,7 @@ constexpr u8 kTaskExec = 1;
 /// parent's PlanCache / matrix LRU are never touched across the fork —
 /// their mutexes and shared_ptr control blocks stay parent-owned).
 proc::TaskHandler make_exec_handler(ServerOptions opts) {
-  auto matrices = std::make_shared<MatrixLru>(opts.matrix_cache_entries);
+  auto matrices = std::make_shared<MatrixLru>(opts.plan_ttl_ms);
   auto plans = std::make_shared<PlanCache>(opts.plan_cache_bytes, opts.plan_ttl_ms);
   return [opts = std::move(opts), matrices, plans](
              u8 kind, u64 /*key*/, const std::string& payload) -> std::string {
@@ -352,11 +372,9 @@ SpmmServer::SpmmServer(ServerOptions opts, ResponseSink sink)
       queue_(opts.queue_capacity, opts.queue_hint_ms),
       quotas_(opts.tenant_rate, opts.tenant_burst),
       plan_cache_(opts.plan_cache_bytes, opts.plan_ttl_ms),
-      matrices_(std::make_unique<MatrixLru>(opts.matrix_cache_entries)) {
+      matrices_(std::make_unique<MatrixLru>(opts.plan_ttl_ms)) {
   NMDT_CHECK_CONFIG(opts_.workers >= 1, "server needs at least one worker");
   NMDT_CHECK_CONFIG(opts_.jobs >= 0, "server jobs must be >= 0");
-  NMDT_CHECK_CONFIG(opts_.matrix_cache_entries >= 1,
-                    "matrix cache needs at least one entry");
   NMDT_CHECK_CONFIG(sink_ != nullptr, "server needs a response sink");
   // One supervised task per ticket: coalescing would batch tickets into
   // a shared child execution, coupling their failure domains — exactly

@@ -63,8 +63,8 @@ struct ServerOptions {
   /// means no default deadline.
   double default_deadline_ms = 0.0;
   i64 plan_cache_bytes = PlanCache::kDefaultByteBudget;
-  /// PlanCache TTL (0 disables) — bounds how long a daemon serves a
-  /// plan whose backing matrix file may have changed on disk.
+  /// TTL of cached plans and of resolved matrices (0 disables) — bounds
+  /// how long a daemon serves a matrix file that changed on disk.
   double plan_ttl_ms = 0.0;
   /// Coalescing bounds: max requests per batch and max combined B
   /// columns.  coalesce_max <= 1 disables coalescing.
@@ -72,8 +72,6 @@ struct ServerOptions {
   index_t coalesce_max_k = 256;
   /// Intra-kernel shard threads per execution (SpmmConfig::jobs).
   int jobs = 1;
-  /// Loaded/generated matrices kept resident, keyed by spec string.
-  usize matrix_cache_entries = 16;
   /// Degrade unrecovered conversion faults to the reference CSR kernel
   /// (typed FaultError response when false).
   bool fault_fallback = true;

@@ -62,12 +62,6 @@ struct bf16_t {
 
   constexpr explicit bf16_t(float f) : bits(round_to_nearest_even(f)) {}
 
-  static constexpr bf16_t from_bits(u16 b) {
-    bf16_t v;
-    v.bits = b;
-    return v;
-  }
-
   /// Exact widening: every bf16 is representable in binary32.
   constexpr float to_float() const {
     return std::bit_cast<float>(static_cast<u32>(bits) << 16);

@@ -12,6 +12,7 @@
 //    span tree, and fault counters identical to injection disabled.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -81,13 +82,10 @@ DenseMatrix chaos_b(index_t rows, u64 seed) {
 }
 
 void expect_identical(const SpmmResult& a, const SpmmResult& b) {
-  ASSERT_EQ(a.C.rows(), b.C.rows());
-  ASSERT_EQ(a.C.cols(), b.C.cols());
-  const auto xs = a.C.data();
-  const auto ys = b.C.data();
-  i64 mismatches = 0;
-  for (usize i = 0; i < xs.size(); ++i) mismatches += xs[i] != ys[i] ? 1 : 0;
-  EXPECT_EQ(mismatches, 0);
+  const auto x = result_bits(a);
+  const auto y = result_bits(b);
+  ASSERT_EQ(x.size(), y.size());
+  EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size()), 0);
   EXPECT_EQ(a.counters, b.counters);
   EXPECT_EQ(a.mem, b.mem);
   EXPECT_EQ(a.engine, b.engine);

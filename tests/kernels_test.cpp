@@ -17,14 +17,6 @@
 namespace nmdt {
 namespace {
 
-constexpr KernelKind kAllKernels[] = {
-    KernelKind::kCsrCStationaryRowWarp,  KernelKind::kCsrCStationaryRowThread,
-    KernelKind::kDcsrCStationary,        KernelKind::kTiledCsrBStationary,
-    KernelKind::kTiledDcsrBStationary,   KernelKind::kTiledDcsrOnline,
-    KernelKind::kAStationary,            KernelKind::kMergeCStationary,
-    KernelKind::kHongHybrid,
-};
-
 SpmmConfig small_config() {
   SpmmConfig cfg;
   cfg.tiling = {64, 64};
@@ -334,8 +326,12 @@ TEST(KernelModel, IncompleteOperandsThrowConfigError) {
 
 TEST(KernelModel, KernelNamesAreDistinct) {
   std::set<std::string> names;
-  for (KernelKind k : kAllKernels) names.insert(kernel_name(k));
+  for (KernelKind k : kAllKernels) {
+    names.insert(kernel_name(k));
+    EXPECT_EQ(parse_kernel_kind(kernel_name(k)), k);
+  }
   EXPECT_EQ(names.size(), std::size(kAllKernels));
+  EXPECT_EQ(parse_kernel_kind("auto"), std::nullopt);
 }
 
 TEST(KernelModel, MergeBasedBoundsCriticalChain) {

@@ -1,12 +1,13 @@
 // Mixed-precision value pipeline tests: ToleranceComparator edge cases
-// (NaN/Inf, empty rows, the eps boundary), bf16 determinism across the
-// jobs axis for every kernel, PlanCache precision keying, and the
-// serialized value-width contract.
+// (NaN/Inf, empty rows, the eps boundary), determinism across the jobs
+// axis for every kernel at every precision, PlanCache precision keying,
+// and the serialized value-width contract.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <vector>
@@ -24,14 +25,6 @@
 
 namespace nmdt {
 namespace {
-
-constexpr KernelKind kAllKernels[] = {
-    KernelKind::kCsrCStationaryRowWarp,  KernelKind::kCsrCStationaryRowThread,
-    KernelKind::kDcsrCStationary,        KernelKind::kTiledCsrBStationary,
-    KernelKind::kTiledDcsrBStationary,   KernelKind::kTiledDcsrOnline,
-    KernelKind::kAStationary,            KernelKind::kMergeCStationary,
-    KernelKind::kHongHybrid,
-};
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -109,7 +102,7 @@ TEST(ToleranceComparator, CrossPrecisionF32PassesToleranceButFailsBitwise) {
   const SpmmConfig cfg = evaluation_config(A.rows, 8);
   const SpmmResult r = run_one_shot(KernelKind::kCsrCStationaryRowWarp, A, B, cfg);
   const DenseMatrixT<double> ref = spmm_reference_f64(A, B);
-  const DenseMatrixT<double> actual = retype<double>(r.C);
+  const DenseMatrixT<double> actual = result_f64(r);
 
   EXPECT_GT(actual.max_abs_diff(ref), 0.0);  // fails bitwise
   const ToleranceVerdict v =
@@ -137,31 +130,42 @@ TEST(ToleranceComparator, RowScalesMatchHandComputedBound) {
   EXPECT_DOUBLE_EQ(s[1], 0.0);
 }
 
-TEST(Bf16, EveryKernelIsBitIdenticalAcrossJobs) {
-  // The determinism contract extends to the narrow precision: shard
-  // decomposition is jobs-invariant, so bf16 (which re-rounds C on
-  // store) must produce identical bits and metrics at jobs 1 and 4.
+TEST(Precision, EveryKernelIsBitIdenticalAcrossJobs) {
+  // The determinism contract holds at every stored precision: shard
+  // decomposition is jobs-invariant, so each kernel's result bytes and
+  // metrics are identical at jobs 1 and 4 — the full f64 bits, and the
+  // bf16 bits after the store re-rounds C.
   const Csr A = gen_powerlaw_rows(256, 256, 0.03, 1.2, 17);
   const index_t K = 16;
   Rng rng(5);
   DenseMatrix B(A.cols, K);
   B.randomize(rng);
-  SpmmConfig cfg = evaluation_config(A.rows, K);
-  cfg.precision = Precision::kBf16;
-  const auto plan = build_plan(A, plan_options_for(cfg));
-  for (KernelKind kind : kAllKernels) {
-    SpmmConfig c1 = cfg, c4 = cfg;
-    c1.jobs = 1;
-    c4.jobs = 4;
-    const SpmmResult r1 = SpmmExecutor(c1).execute(kind, *plan, B);
-    const SpmmResult r4 = SpmmExecutor(c4).execute(kind, *plan, B);
-    EXPECT_EQ(r1.C.max_abs_diff(r4.C), 0.0) << kernel_name(kind);
-    EXPECT_TRUE(r1.counters == r4.counters) << kernel_name(kind);
-    EXPECT_TRUE(r1.mem == r4.mem) << kernel_name(kind);
-    // Every stored element must carry bf16-rounded bits: the low 16
-    // mantissa bits of the f32 representation are zero.
-    for (const float x : r1.C.data()) {
-      EXPECT_EQ(std::bit_cast<std::uint32_t>(x) & 0xFFFFu, 0u) << kernel_name(kind);
+  for (const Precision p : kAllPrecisions) {
+    SpmmConfig cfg = evaluation_config(A.rows, K);
+    cfg.precision = p;
+    const auto plan = build_plan(A, plan_options_for(cfg));
+    for (KernelKind kind : kAllKernels) {
+      SCOPED_TRACE(std::string(kernel_name(kind)) + " at " + precision_name(p));
+      SpmmConfig c1 = cfg, c4 = cfg;
+      c1.jobs = 1;
+      c4.jobs = 4;
+      const SpmmResult r1 = SpmmExecutor(c1).execute(kind, *plan, B);
+      const SpmmResult r4 = SpmmExecutor(c4).execute(kind, *plan, B);
+      const auto bits1 = result_bits(r1);
+      const auto bits4 = result_bits(r4);
+      // Full-width bits: f64 keeps 8 bytes, bf16 is held in f32 bits.
+      const usize width = p == Precision::kF64 ? sizeof(double) : sizeof(float);
+      ASSERT_EQ(bits1.size(), static_cast<usize>(A.rows * K) * width);
+      ASSERT_EQ(bits4.size(), bits1.size());
+      EXPECT_EQ(std::memcmp(bits1.data(), bits4.data(), bits1.size()), 0);
+      EXPECT_TRUE(r1.counters == r4.counters);
+      EXPECT_TRUE(r1.mem == r4.mem);
+      if (p != Precision::kBf16) continue;
+      // Every stored bf16 element carries bf16-rounded bits: the low 16
+      // mantissa bits of the f32 representation are zero.
+      for (const float x : r1.C.data()) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(x) & 0xFFFFu, 0u);
+      }
     }
   }
 }
@@ -179,7 +183,7 @@ TEST(Bf16, ResultStaysInsideToleranceOfF64Reference) {
   const DenseMatrixT<double> ref = spmm_reference_f64(a, b);
   const SpmmResult r = SpmmExecutor(cfg).execute(KernelKind::kTiledDcsrOnline, *plan, B);
   const ToleranceVerdict v = ToleranceComparator(default_tolerance(Precision::kBf16))
-                                 .compare(ref, retype<double>(r.C), a, b);
+                                 .compare(ref, result_f64(r), a, b);
   EXPECT_TRUE(v.pass) << v.mismatched << " of " << v.compared;
 }
 

@@ -10,12 +10,19 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/executor.hpp"
+#include "core/suite_driver.hpp"
 #include "fault/fault.hpp"
+#include "formats/serialize.hpp"
+#include "matgen/generators.hpp"
+#include "matgen/suite.hpp"
 #include "obs/json_check.hpp"
 #include "service/server.hpp"
 #include "util/crc32.hpp"
@@ -617,6 +624,107 @@ TEST(Service, IsolatedWorkersAnswerBitIdenticalToInProcess) {
   EXPECT_EQ(failures["iso-bad-spec"].error_type, "ParseError");
   EXPECT_FALSE(failures["iso-late"].ok);
   EXPECT_EQ(failures["iso-late"].error_type, "TimeoutError");
+}
+
+TEST(Service, F64ResultIsStoredOnceAndDigestedAlikeByServiceAndSuite) {
+  // One f64 run, three readers.  The result holds C once, at f64; the
+  // service's c_crc32 and the suite's c_crc both digest result_bits.
+  // The suite draws row 0's B from Rng(0xb0b0), so a request with that
+  // b_seed on the same generator spec is the same run.
+  const index_t K = 8;
+  suite::RowWork work;
+  work.specs = {MatrixSpec{.name = "uniform_128", .family = MatrixFamily::kUniform,
+                           .rows = 128, .cols = 128, .density = 0.05, .seed = 1}};
+  work.cfg = evaluation_config(128, K);
+  work.cfg.precision = Precision::kF64;
+  work.K = K;
+  work.want_crc = true;
+  const suite::Completion planned = work.plan(0);
+  ASSERT_NE(planned.inputs, nullptr);
+  const suite::Completion arm = work.arm(0, SuiteRow::kArmOnlineB, *planned.inputs);
+  ASSERT_EQ(arm.error, nullptr) << arm.error_desc;
+
+  const SpmmResult r = SpmmExecutor(work.cfg).execute(
+      KernelKind::kTiledDcsrOnline, *planned.inputs->plan, planned.inputs->B);
+  EXPECT_TRUE(r.C.data().empty());
+  const auto bits = result_bits(r);
+  ASSERT_EQ(bits.size(), usize{128} * K * sizeof(double));
+  const u32 crc = crc32(bits.data(), bits.size());
+  EXPECT_EQ(arm.c_crc, crc);
+
+  Request req = make_request("f64", kSpecA, K);
+  req.kernel = KernelKind::kTiledDcsrOnline;
+  req.precision = Precision::kF64;
+  req.b_seed = 0xb0b0;
+  Collector out;
+  SpmmServer server(ServerOptions{}, out.sink());
+  ASSERT_TRUE(server.submit(req));
+  server.start();
+  server.drain();
+  const Response resp = out.only("f64");
+  ASSERT_TRUE(resp.ok) << resp.error_type << ": " << resp.message;
+  EXPECT_EQ(resp.c_crc32, crc);
+}
+
+TEST(Service, PlanTtlPicksUpARewrittenMatrixFile) {
+  // A .bin served, rewritten on disk, and served again after the TTL:
+  // the second answer must be a fresh daemon's answer for the new file,
+  // in process and from an isolated worker's own caches alike.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("nmdt_ttl_" + std::to_string(::getpid()) + ".bin"))
+          .string();
+  const Csr before = gen_uniform(128, 128, 0.05, 1);
+  const Csr after = gen_uniform(128, 128, 0.05, 2);
+  const Request req = make_request("r", path.c_str(), 8);
+
+  save_csr_file(path, after);
+  u32 fresh_crc = 0;
+  {
+    Collector out;
+    SpmmServer fresh(ServerOptions{}, out.sink());
+    ASSERT_TRUE(fresh.submit(req));
+    fresh.start();
+    fresh.drain();
+    const Response r = out.only("r");
+    ASSERT_TRUE(r.ok) << r.error_type << ": " << r.message;
+    fresh_crc = r.c_crc32;
+  }
+
+  for (const int isolate_workers : {0, 1}) {
+    SCOPED_TRACE("isolate_workers " + std::to_string(isolate_workers));
+    save_csr_file(path, before);
+    Collector out;
+    ServerOptions opts;
+    opts.workers = 1;
+    opts.plan_ttl_ms = 5.0;
+    opts.isolate_workers = isolate_workers;
+    SpmmServer server(opts, out.sink());
+    server.start();
+    Request first = req;
+    first.id = "first";
+    ASSERT_TRUE(server.submit(first));
+    const auto give_up = Clock::now() + std::chrono::seconds(60);
+    while (out.count() < 1 && Clock::now() < give_up) {
+      std::this_thread::sleep_for(milliseconds(2));
+    }
+    ASSERT_EQ(out.count(), 1u);
+
+    save_csr_file(path, after);
+    std::this_thread::sleep_for(milliseconds(50));
+    Request second = req;
+    second.id = "second";
+    ASSERT_TRUE(server.submit(second));
+    server.drain();
+
+    const Response a = out.only("first");
+    const Response b = out.only("second");
+    ASSERT_TRUE(a.ok) << a.error_type << ": " << a.message;
+    ASSERT_TRUE(b.ok) << b.error_type << ": " << b.message;
+    EXPECT_NE(a.c_crc32, fresh_crc);
+    EXPECT_EQ(b.c_crc32, fresh_crc);
+  }
+  std::filesystem::remove(path);
 }
 
 // ------------------------------------------------------------------- chaos

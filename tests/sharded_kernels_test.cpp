@@ -10,6 +10,7 @@
 // matrix that every family actually splits into multiple shards.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <initializer_list>
 
 #include "core/executor.hpp"
@@ -21,27 +22,16 @@
 namespace nmdt {
 namespace {
 
-constexpr KernelKind kAllKernels[] = {
-    KernelKind::kCsrCStationaryRowWarp,  KernelKind::kCsrCStationaryRowThread,
-    KernelKind::kDcsrCStationary,        KernelKind::kTiledCsrBStationary,
-    KernelKind::kTiledDcsrBStationary,   KernelKind::kTiledDcsrOnline,
-    KernelKind::kAStationary,            KernelKind::kMergeCStationary,
-    KernelKind::kHongHybrid,
-};
-
-void expect_bitwise_equal(const DenseMatrix& x, const DenseMatrix& y) {
-  ASSERT_EQ(x.rows(), y.rows());
-  ASSERT_EQ(x.cols(), y.cols());
-  const auto xs = x.data();
-  const auto ys = y.data();
-  i64 mismatches = 0;
-  for (usize i = 0; i < xs.size(); ++i) mismatches += xs[i] != ys[i] ? 1 : 0;
-  EXPECT_EQ(mismatches, 0);
+void expect_same_bits(const SpmmResult& a, const SpmmResult& b) {
+  const auto x = result_bits(a);
+  const auto y = result_bits(b);
+  ASSERT_EQ(x.size(), y.size());
+  EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size()), 0);
 }
 
 /// Every observable of an SpMM run, compared exactly.
 void expect_identical(const SpmmResult& a, const SpmmResult& b) {
-  expect_bitwise_equal(a.C, b.C);
+  expect_same_bits(a, b);
   EXPECT_EQ(a.counters, b.counters);
   EXPECT_EQ(a.mem, b.mem);
   EXPECT_EQ(a.engine, b.engine);
@@ -158,7 +148,7 @@ TEST_P(KernelShardingSweep, TraversalOrderDoesNotChangeC) {
   const SpmmResult col = run_one_shot(GetParam(), sweep_matrix(), sweep_b(), cfg);
   cfg.traversal = TraversalOrder::kRowMajor;
   const SpmmResult row = run_one_shot(GetParam(), sweep_matrix(), sweep_b(), cfg);
-  expect_bitwise_equal(col.C, row.C);
+  expect_same_bits(col, row);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, KernelShardingSweep, ::testing::ValuesIn(kAllKernels),

@@ -29,14 +29,6 @@
 namespace nmdt {
 namespace {
 
-constexpr KernelKind kAllKernels[] = {
-    KernelKind::kCsrCStationaryRowWarp,  KernelKind::kCsrCStationaryRowThread,
-    KernelKind::kDcsrCStationary,        KernelKind::kTiledCsrBStationary,
-    KernelKind::kTiledDcsrBStationary,   KernelKind::kTiledDcsrOnline,
-    KernelKind::kAStationary,            KernelKind::kMergeCStationary,
-    KernelKind::kHongHybrid,
-};
-
 // The K values the micro-kernel must handle exactly: below one vector,
 // one short of a vector, one full vector, a blocked row, and a blocked
 // row plus a scalar tail.
@@ -130,17 +122,11 @@ TEST(SimdAxpy, EveryTierMatchesScalarReferenceBitwise) {
 // indistinguishable from the event-emission walk it replaces.
 // ---------------------------------------------------------------------
 
-template <class T>
-void expect_bitwise_dense(const DenseMatrixT<T>& x, const DenseMatrixT<T>& y) {
-  const auto xs = x.data();
-  const auto ys = y.data();
-  ASSERT_EQ(xs.size(), ys.size());
-  EXPECT_EQ(std::memcmp(xs.data(), ys.data(), xs.size() * sizeof(T)), 0);
-}
-
 void expect_same_run(const SpmmResult& fast, const SpmmResult& slow) {
-  expect_bitwise_dense(fast.C, slow.C);
-  expect_bitwise_dense(fast.C64, slow.C64);
+  const auto x = result_bits(fast);
+  const auto y = result_bits(slow);
+  ASSERT_EQ(x.size(), y.size());
+  EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size()), 0);
   EXPECT_EQ(fast.counters, slow.counters);
   EXPECT_EQ(fast.mem, slow.mem);
   EXPECT_EQ(fast.engine, slow.engine);

@@ -11,6 +11,7 @@
 //    bit-identical to a traced run (spans only observe).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
@@ -29,14 +30,6 @@
 namespace nmdt {
 namespace {
 
-constexpr KernelKind kAllKernels[] = {
-    KernelKind::kCsrCStationaryRowWarp,  KernelKind::kCsrCStationaryRowThread,
-    KernelKind::kDcsrCStationary,        KernelKind::kTiledCsrBStationary,
-    KernelKind::kTiledDcsrBStationary,   KernelKind::kTiledDcsrOnline,
-    KernelKind::kAStationary,            KernelKind::kMergeCStationary,
-    KernelKind::kHongHybrid,
-};
-
 DenseMatrix random_b(index_t rows, index_t cols, u64 seed) {
   Rng rng(seed);
   DenseMatrix B(rows, cols);
@@ -50,13 +43,10 @@ DenseMatrix random_b(index_t rows, index_t cols, u64 seed) {
 Csr test_matrix() { return gen_powerlaw_rows(512, 4096, 0.01, 1.2, 7); }
 
 void expect_identical(const SpmmResult& a, const SpmmResult& b) {
-  ASSERT_EQ(a.C.rows(), b.C.rows());
-  ASSERT_EQ(a.C.cols(), b.C.cols());
-  const auto xs = a.C.data();
-  const auto ys = b.C.data();
-  i64 mismatches = 0;
-  for (usize i = 0; i < xs.size(); ++i) mismatches += xs[i] != ys[i] ? 1 : 0;
-  EXPECT_EQ(mismatches, 0);
+  const auto x = result_bits(a);
+  const auto y = result_bits(b);
+  ASSERT_EQ(x.size(), y.size());
+  EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size()), 0);
   EXPECT_EQ(a.counters, b.counters);
   EXPECT_EQ(a.mem, b.mem);
   EXPECT_EQ(a.engine, b.engine);
