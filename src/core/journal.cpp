@@ -9,7 +9,7 @@
 #include "formats/fingerprint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"  // json_escape
-#include "util/crc32.hpp"
+#include "util/codec.hpp"
 #include "util/error.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -34,59 +34,14 @@ enum Kind : u8 {
 };
 
 // Strings inside entries are bounded (typed-error descriptions); a
-// larger length is corruption that slipped past the CRC framing.
+// larger length is corruption that slipped past the CRC framing.  An
+// entry frame is a profile (~200 B) or one such string plus a few
+// fixed fields.
 constexpr u32 kMaxStringBytes = 1 << 20;
+constexpr CodecRules kJournalRules{"checkpoint-journal entry", kMaxStringBytes,
+                                   kMaxStringBytes + 256, codec_throw<FormatError>};
 
-struct ByteWriter {
-  std::string out;
-
-  void bytes(const void* p, usize n) { out.append(static_cast<const char*>(p), n); }
-  void put_u8(u8 v) { bytes(&v, sizeof(v)); }
-  void put_u32(u32 v) { bytes(&v, sizeof(v)); }
-  void put_u64(u64 v) { bytes(&v, sizeof(v)); }
-  void put_i64(i64 v) { bytes(&v, sizeof(v)); }
-  void put_f64(double v) { bytes(&v, sizeof(v)); }
-  void put_str(const std::string& s) {
-    put_u32(static_cast<u32>(s.size()));
-    bytes(s.data(), s.size());
-  }
-};
-
-/// Bounds-checked reader over one CRC-verified entry payload.  Running
-/// out of bytes here means writer/reader layout disagreement or a
-/// corrupted length that still passed the CRC — typed, never UB.
-struct ByteReader {
-  const char* p;
-  usize left;
-
-  void bytes(void* dst, usize n, const char* what) {
-    if (n > left) {
-      throw FormatError(std::string("malformed checkpoint-journal entry: truncated ") +
-                        what);
-    }
-    if (n > 0) std::memcpy(dst, p, n);
-    p += n;
-    left -= n;
-  }
-  u8 get_u8(const char* what) { u8 v = 0; bytes(&v, sizeof(v), what); return v; }
-  u32 get_u32(const char* what) { u32 v = 0; bytes(&v, sizeof(v), what); return v; }
-  u64 get_u64(const char* what) { u64 v = 0; bytes(&v, sizeof(v), what); return v; }
-  i64 get_i64(const char* what) { i64 v = 0; bytes(&v, sizeof(v), what); return v; }
-  double get_f64(const char* what) { double v = 0; bytes(&v, sizeof(v), what); return v; }
-  std::string get_str(const char* what) {
-    const u32 n = get_u32(what);
-    if (n > kMaxStringBytes) {
-      throw FormatError(std::string("malformed checkpoint-journal entry: implausible "
-                                    "string length for ") +
-                        what);
-    }
-    std::string s(static_cast<usize>(n), '\0');
-    bytes(s.data(), s.size(), what);
-    return s;
-  }
-};
-
-void put_profile(ByteWriter& w, const MatrixProfile& p) {
+void put_profile(FieldWriter& w, const MatrixProfile& p) {
   w.put_i64(p.stats.rows);
   w.put_i64(p.stats.cols);
   w.put_i64(p.stats.nnz);
@@ -108,7 +63,7 @@ void put_profile(ByteWriter& w, const MatrixProfile& p) {
   w.put_f64(p.ssf);
 }
 
-MatrixProfile get_profile(ByteReader& r) {
+MatrixProfile get_profile(FieldReader& r) {
   MatrixProfile p;
   p.stats.rows = static_cast<index_t>(r.get_i64("profile.rows"));
   p.stats.cols = static_cast<index_t>(r.get_i64("profile.cols"));
@@ -135,7 +90,7 @@ MatrixProfile get_profile(ByteReader& r) {
 /// Fold an entry payload into the replay map.  Entries may repeat after
 /// crash/resume cycles; the last occurrence wins (they carry identical
 /// deterministic values anyway).
-void apply_entry(JournalReplay& replay, ByteReader& r) {
+void apply_entry(JournalReplay& replay, FieldReader& r) {
   const u8 kind = r.get_u8("kind");
   if (kind == kHeader) {
     replay.fingerprint = r.get_u64("header.fingerprint");
@@ -179,21 +134,11 @@ void apply_entry(JournalReplay& replay, ByteReader& r) {
       throw FormatError("malformed checkpoint-journal entry: unknown kind " +
                         std::to_string(int{kind}));
   }
-  if (r.left != 0) {
-    throw FormatError("malformed checkpoint-journal entry: trailing bytes");
-  }
-}
-
-std::string frame(const std::string& payload) {
-  ByteWriter w;
-  w.put_u32(static_cast<u32>(payload.size()));
-  w.bytes(payload.data(), payload.size());
-  w.put_u32(crc32(payload.data(), payload.size()));
-  return w.out;
+  r.expect_done("entry");
 }
 
 std::string header_payload(u64 fingerprint, usize total, index_t K, int arm_count) {
-  ByteWriter w;
+  FieldWriter w(kJournalRules);
   w.put_u8(kHeader);
   w.put_u64(fingerprint);
   w.put_i64(static_cast<i64>(total));
@@ -202,24 +147,18 @@ std::string header_payload(u64 fingerprint, usize total, index_t K, int arm_coun
   return w.out;
 }
 
-// An entry frame larger than this is corruption (profiles are ~200 B,
-// error strings bounded by kMaxStringBytes).
-constexpr u32 kMaxFrameBytes = kMaxStringBytes + 256;
-
 }  // namespace
 
 std::string encode_profile(const MatrixProfile& profile) {
-  ByteWriter w;
+  FieldWriter w(kJournalRules);
   put_profile(w, profile);
-  return w.out;
+  return std::move(w.out);
 }
 
 MatrixProfile decode_profile(std::string_view bytes) {
-  ByteReader r{bytes.data(), bytes.size()};
+  FieldReader r(bytes, kJournalRules);
   MatrixProfile p = get_profile(r);
-  if (r.left != 0) {
-    throw FormatError("malformed encoded MatrixProfile: trailing bytes");
-  }
+  r.expect_done("encoded MatrixProfile");
   return p;
 }
 
@@ -288,38 +227,31 @@ JournalReplay read_journal(std::istream& is) {
     throw ParseError("unsupported checkpoint-journal version " +
                      std::to_string(version));
   }
-  usize off = sizeof(kMagic) + sizeof(u32);
-  replay.valid_bytes = static_cast<i64>(off);
-  while (off < bytes.size()) {
-    if (bytes.size() - off < sizeof(u32)) {
-      replay.torn_tail = true;  // torn mid-length
-      break;
+  std::string_view rest = std::string_view(bytes).substr(sizeof(kMagic) + sizeof(u32));
+  replay.valid_bytes = static_cast<i64>(bytes.size() - rest.size());
+  while (!rest.empty()) {
+    const FrameScan f = scan_frame(rest, kJournalRules);
+    switch (f.status) {
+      case FrameScan::kPartial:
+        replay.torn_tail = true;  // torn mid-length, mid-payload or mid-trailer
+        return replay;
+      case FrameScan::kOversized:
+        throw FormatError("checkpoint journal corrupted: implausible frame length " +
+                          std::to_string(f.len));
+      case FrameScan::kCorrupt:
+        throw FormatError(
+            "checkpoint journal corrupted: entry checksum mismatch (bit flip or "
+            "overwrite); delete the journal to restart the sweep from scratch");
+      case FrameScan::kComplete:
+        break;
     }
-    u32 len = 0;
-    std::memcpy(&len, bytes.data() + off, sizeof(len));
-    if (len > kMaxFrameBytes) {
-      throw FormatError("checkpoint journal corrupted: implausible frame length " +
-                        std::to_string(len));
-    }
-    if (bytes.size() - off - sizeof(u32) < static_cast<usize>(len) + sizeof(u32)) {
-      replay.torn_tail = true;  // torn mid-payload or mid-trailer
-      break;
-    }
-    const char* payload = bytes.data() + off + sizeof(u32);
-    u32 stored = 0;
-    std::memcpy(&stored, payload + len, sizeof(stored));
-    if (crc32(payload, len) != stored) {
-      throw FormatError(
-          "checkpoint journal corrupted: entry checksum mismatch (bit flip or "
-          "overwrite); delete the journal to restart the sweep from scratch");
-    }
-    ByteReader r{payload, len};
+    FieldReader r(f.payload, kJournalRules);
     apply_entry(replay, r);
     // `entries` mirrors JournalWriter::entries(): work records only,
     // not the header frame.
-    if (len > 0 && static_cast<u8>(payload[0]) != kHeader) ++replay.entries;
-    off += sizeof(u32) + len + sizeof(u32);
-    replay.valid_bytes = static_cast<i64>(off);
+    if (f.len > 0 && static_cast<u8>(f.payload[0]) != kHeader) ++replay.entries;
+    rest.remove_prefix(f.size());
+    replay.valid_bytes = static_cast<i64>(bytes.size() - rest.size());
   }
   return replay;
 }
@@ -392,16 +324,20 @@ JournalWriter::JournalWriter(const std::string& path, u64 fingerprint, usize tot
     throw ParseError("cannot open checkpoint journal for writing: " + path);
   }
   if (!append) {
-    std::string head(kMagic, sizeof(kMagic));
-    const u32 version = kVersion;
-    head.append(reinterpret_cast<const char*>(&version), sizeof(version));
-    head += frame(header_payload(fingerprint, total, K, arm_count));
-    if (std::fwrite(head.data(), 1, head.size(), file_) != head.size()) {
+    FieldWriter head(kJournalRules);
+    head.bytes(kMagic, sizeof(kMagic));
+    head.put_u32(kVersion);
+    head.put_frame(header_payload(fingerprint, total, K, arm_count));
+    try {
+      if (std::fwrite(head.out.data(), 1, head.out.size(), file_) != head.out.size()) {
+        throw ParseError("write failed on checkpoint journal: " + path);
+      }
+      flush();
+    } catch (...) {
+      // No destructor runs for a constructor that throws.
       std::fclose(file_);
-      file_ = nullptr;
-      throw ParseError("write failed on checkpoint journal: " + path);
+      throw;
     }
-    flush();
   }
 }
 
@@ -416,14 +352,15 @@ JournalWriter::~JournalWriter() {
 }
 
 void JournalWriter::append(const std::string& payload) {
-  const std::string framed = frame(payload);
-  if (std::fwrite(framed.data(), 1, framed.size(), file_) != framed.size()) {
+  FieldWriter framed(kJournalRules);
+  framed.put_frame(payload);
+  if (std::fwrite(framed.out.data(), 1, framed.out.size(), file_) != framed.out.size()) {
     throw ParseError("write failed on checkpoint journal: " + path_);
   }
   ++entries_;
   obs::MetricsRegistry::global().counter("checkpoint.written").add(1);
   obs::MetricsRegistry::global().counter("checkpoint.bytes").add(
-      static_cast<i64>(framed.size()));
+      static_cast<i64>(framed.out.size()));
   if (++unsynced_ >= static_cast<usize>(interval_)) {
     unsynced_ = 0;
     flush();
@@ -435,12 +372,15 @@ void JournalWriter::flush() {
     throw ParseError("flush failed on checkpoint journal: " + path_);
   }
 #ifdef NMDT_HAVE_FSYNC
-  ::fsync(::fileno(file_));
+  // A checkpoint is durable only once fsync says so.
+  if (::fsync(::fileno(file_)) != 0) {
+    throw ParseError("fsync failed on checkpoint journal: " + path_);
+  }
 #endif
 }
 
 void JournalWriter::row_planned(usize row, const MatrixProfile& profile) {
-  ByteWriter w;
+  FieldWriter w(kJournalRules);
   w.put_u8(kRowPlanned);
   w.put_u32(static_cast<u32>(row));
   put_profile(w, profile);
@@ -448,14 +388,14 @@ void JournalWriter::row_planned(usize row, const MatrixProfile& profile) {
 }
 
 void JournalWriter::row_degenerate(usize row) {
-  ByteWriter w;
+  FieldWriter w(kJournalRules);
   w.put_u8(kRowDegenerate);
   w.put_u32(static_cast<u32>(row));
   append(w.out);
 }
 
 void JournalWriter::row_error(usize row, const std::string& description) {
-  ByteWriter w;
+  FieldWriter w(kJournalRules);
   w.put_u8(kRowError);
   w.put_u32(static_cast<u32>(row));
   w.put_str(description);
@@ -463,7 +403,7 @@ void JournalWriter::row_error(usize row, const std::string& description) {
 }
 
 void JournalWriter::arm_done(usize row, int arm, double t_ms, double prep_ms) {
-  ByteWriter w;
+  FieldWriter w(kJournalRules);
   w.put_u8(kArmDone);
   w.put_u32(static_cast<u32>(row));
   w.put_u8(static_cast<u8>(arm));
@@ -473,7 +413,7 @@ void JournalWriter::arm_done(usize row, int arm, double t_ms, double prep_ms) {
 }
 
 void JournalWriter::arm_error(usize row, int arm, const std::string& description) {
-  ByteWriter w;
+  FieldWriter w(kJournalRules);
   w.put_u8(kArmError);
   w.put_u32(static_cast<u32>(row));
   w.put_u8(static_cast<u8>(arm));

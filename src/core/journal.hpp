@@ -12,7 +12,9 @@
 // unit is a pure function of (spec, cfg, K) that re-executes
 // identically.
 //
-// On-disk format (serialize-v2 conventions, formats/serialize.cpp):
+// On-disk format, written and read with the one binary codec
+// (util/codec.hpp) under the journal's rules (FormatError, 1 MiB
+// strings):
 //   magic "NMDJ" | u32 version | frame*
 //   frame := u32 payload_len | payload | u32 crc32(payload)
 // The first frame is the header (suite fingerprint, spec count, K); each
@@ -101,7 +103,8 @@ struct JournalReplay {
 /// field layout journal row_planned entries use.  Shared with the
 /// worker-process pipe protocol (src/proc) so a profile that crossed a
 /// process boundary journals bit-identically to one produced in
-/// process.  decode throws FormatError on a truncated buffer.
+/// process.  decode throws FormatError on a truncated buffer or
+/// trailing bytes.
 std::string encode_profile(const MatrixProfile& profile);
 MatrixProfile decode_profile(std::string_view bytes);
 
@@ -154,7 +157,8 @@ class JournalWriter {
   usize entries() const { return entries_; }
 
   /// fflush + fsync; called automatically every checkpoint_interval
-  /// entries and from the destructor.
+  /// entries and from the destructor.  Throws ParseError when either
+  /// fails: a checkpoint is never reported durable on a failed fsync.
   void flush();
 
  private:

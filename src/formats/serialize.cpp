@@ -10,6 +10,7 @@
 #include <type_traits>
 
 #include "fault/fault.hpp"
+#include "util/codec.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 
@@ -27,72 +28,36 @@ constexpr char kMagic[4] = {'N', 'M', 'D', 'T'};
 constexpr u32 kVersionF32 = 2;
 constexpr u32 kVersionTyped = 3;
 constexpr u32 kKindCsr = 1;
-constexpr u32 kKindDense = 2;
+constexpr usize kHeaderBytes = sizeof(kMagic) + sizeof(u32);
+// A .bin holds no strings and no frames: its trailer is a bare CRC over
+// the payload.  A payload that ends early is a FormatError.
+constexpr CodecRules kBinRules{"NMDT payload", 0, 0, codec_throw<FormatError>};
+// 2^31 entries of 4 bytes = 8 GiB per vector: anything above is either
+// corruption or far outside this library's scale.
+constexpr i64 kSanityMax = i64{1} << 31;
 
 template <class V>
 constexpr u32 stream_version() {
   return std::is_same_v<V, float> ? kVersionF32 : kVersionTyped;
 }
 
-void write_u32(std::ostream& os, u32 v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void write_i64(std::ostream& os, i64 v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+template <typename T>
+void put_vector(FieldWriter& w, const std::vector<T>& v) {
+  w.put_i64(static_cast<i64>(v.size()));
+  w.bytes(v.data(), v.size() * sizeof(T));
 }
 
 template <typename T>
-void write_vector(std::ostream& os, const std::vector<T>& v) {
-  write_i64(os, static_cast<i64>(v.size()));
-  os.write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.size() * sizeof(T)));
+std::vector<T> get_vector(FieldReader& r, const char* what) {
+  const i64 n = r.get_i64(what);
+  if (n < 0 || n > kSanityMax) {
+    throw ParseError(std::string("implausible vector length for ") + what + ": " +
+                     std::to_string(n));
+  }
+  std::vector<T> v(static_cast<usize>(n));
+  r.bytes(v.data(), v.size() * sizeof(T), what);
+  return v;
 }
-
-/// magic + version + payload + CRC32(payload) trailer.
-void write_stream(std::ostream& os, u32 version, const std::string& payload) {
-  os.write(kMagic, sizeof(kMagic));
-  write_u32(os, version);
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  write_u32(os, crc32(payload.data(), payload.size()));
-}
-
-/// Sequential reader over the checksum-verified payload.  Running out of
-/// bytes here means the writer and reader disagree about the layout —
-/// the payload itself is already known intact.
-struct PayloadReader {
-  const char* p = nullptr;
-  usize left = 0;
-
-  void read(void* dst, usize n, const char* what) {
-    if (n > left) {
-      throw FormatError(std::string("truncated NMDT payload reading ") + what);
-    }
-    if (n > 0) std::memcpy(dst, p, n);  // empty vectors have no storage
-    p += n;
-    left -= n;
-  }
-  u32 read_u32(const char* what) {
-    u32 v = 0;
-    read(&v, sizeof(v), what);
-    return v;
-  }
-  i64 read_i64(const char* what) {
-    i64 v = 0;
-    read(&v, sizeof(v), what);
-    return v;
-  }
-  template <typename T>
-  std::vector<T> read_vector(const char* what, i64 sanity_max) {
-    const i64 n = read_i64(what);
-    if (n < 0 || n > sanity_max) {
-      throw ParseError(std::string("implausible vector length for ") + what + ": " +
-                       std::to_string(n));
-    }
-    std::vector<T> v(static_cast<usize>(n));
-    read(v.data(), v.size() * sizeof(T), what);
-    return v;
-  }
-};
 
 /// Read magic + version, slurp the rest, verify the CRC32 trailer, and
 /// return the verified payload bytes (and the stream version via
@@ -135,20 +100,13 @@ std::string read_verified_payload(std::istream& is, u32* version_out) {
   return rest;
 }
 
-void check_kind(u32 kind, u32 expected_kind) {
-  if (kind != expected_kind) {
-    throw ParseError("NMDT binary holds a different matrix kind (" +
-                     std::to_string(kind) + ")");
-  }
-}
-
 /// Version-2 streams imply 4-byte FP32 values; version-3 streams carry
 /// the width after the kind word.  Either way the stored width must
 /// match the requested value type — no silent reinterpretation.
 template <class V>
-void check_value_width(u32 version, PayloadReader& r) {
+void check_value_width(u32 version, FieldReader& r) {
   const u32 stored = version == kVersionF32 ? static_cast<u32>(sizeof(float))
-                                            : r.read_u32("value width");
+                                            : r.get_u32("value width");
   if (stored != sizeof(V)) {
     throw ParseError("NMDT binary holds " + std::to_string(stored) +
                      "-byte values; requested value type " +
@@ -156,83 +114,6 @@ void check_value_width(u32 version, PayloadReader& r) {
                      std::to_string(sizeof(V)) +
                      "-byte — load at the stored precision and retype");
   }
-}
-
-// 2^31 entries of 4 bytes = 8 GiB per vector: anything above is either
-// corruption or far outside this library's scale.
-constexpr i64 kSanityMax = i64{1} << 31;
-
-}  // namespace
-
-template <class V>
-void save_csr(std::ostream& os, const CsrT<V>& m) {
-  m.validate();
-  std::ostringstream buf(std::ios::binary);
-  write_u32(buf, kKindCsr);
-  if (stream_version<V>() == kVersionTyped) write_u32(buf, sizeof(V));
-  write_i64(buf, m.rows);
-  write_i64(buf, m.cols);
-  write_vector(buf, m.row_ptr);
-  write_vector(buf, m.col_idx);
-  write_vector(buf, m.val);
-  write_stream(os, stream_version<V>(), buf.str());
-  NMDT_REQUIRE(os.good(), "write failed while saving CSR");
-}
-
-template <class V>
-CsrT<V> load_csr(std::istream& is) {
-  u32 version = 0;
-  const std::string payload = read_verified_payload(is, &version);
-  PayloadReader r{payload.data(), payload.size()};
-  check_kind(r.read_u32("kind"), kKindCsr);
-  check_value_width<V>(version, r);
-  CsrT<V> m;
-  m.rows = static_cast<index_t>(r.read_i64("rows"));
-  m.cols = static_cast<index_t>(r.read_i64("cols"));
-  m.row_ptr = r.read_vector<index_t>("row_ptr", kSanityMax);
-  m.col_idx = r.read_vector<index_t>("col_idx", kSanityMax);
-  m.val = r.read_vector<V>("val", kSanityMax);
-  m.validate();  // corruption that survives the checksum dies here
-  return m;
-}
-
-template <class V>
-void save_dense(std::ostream& os, const DenseMatrixT<V>& m) {
-  std::ostringstream buf(std::ios::binary);
-  write_u32(buf, kKindDense);
-  if (stream_version<V>() == kVersionTyped) write_u32(buf, sizeof(V));
-  write_i64(buf, m.rows());
-  write_i64(buf, m.cols());
-  buf.write(reinterpret_cast<const char*>(m.data().data()),
-            static_cast<std::streamsize>(m.data().size() * sizeof(V)));
-  write_stream(os, stream_version<V>(), buf.str());
-  NMDT_REQUIRE(os.good(), "write failed while saving dense matrix");
-}
-
-template <class V>
-DenseMatrixT<V> load_dense(std::istream& is) {
-  u32 version = 0;
-  const std::string payload = read_verified_payload(is, &version);
-  PayloadReader r{payload.data(), payload.size()};
-  check_kind(r.read_u32("kind"), kKindDense);
-  check_value_width<V>(version, r);
-  const i64 rows = r.read_i64("rows");
-  const i64 cols = r.read_i64("cols");
-  if (rows < 0 || cols < 0 || (rows > 0 && cols > kSanityMax / rows)) {
-    throw ParseError("implausible dense dimensions");
-  }
-  DenseMatrixT<V> m(static_cast<index_t>(rows), static_cast<index_t>(cols));
-  r.read(m.data().data(), m.data().size() * sizeof(V), "dense payload");
-  return m;
-}
-
-namespace {
-
-template <typename SaveFn, typename T>
-void save_to_file(const std::string& path, const T& m, SaveFn&& fn) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os.good()) throw ParseError("cannot open for writing: " + path);
-  fn(os, m);
 }
 
 /// Load the whole file image, giving the kSerializedStream injection
@@ -258,9 +139,48 @@ std::string read_file_bytes(const std::string& path) {
 }  // namespace
 
 template <class V>
+void save_csr(std::ostream& os, const CsrT<V>& m) {
+  m.validate();
+  FieldWriter w(kBinRules);
+  w.bytes(kMagic, sizeof(kMagic));
+  w.put_u32(stream_version<V>());
+  w.put_u32(kKindCsr);
+  if (stream_version<V>() == kVersionTyped) w.put_u32(sizeof(V));
+  w.put_i64(m.rows);
+  w.put_i64(m.cols);
+  put_vector(w, m.row_ptr);
+  put_vector(w, m.col_idx);
+  put_vector(w, m.val);
+  w.put_u32(crc32(w.out.data() + kHeaderBytes, w.out.size() - kHeaderBytes));
+  os.write(w.out.data(), static_cast<std::streamsize>(w.out.size()));
+  NMDT_REQUIRE(os.good(), "write failed while saving CSR");
+}
+
+template <class V>
+CsrT<V> load_csr(std::istream& is) {
+  u32 version = 0;
+  const std::string payload = read_verified_payload(is, &version);
+  FieldReader r(payload, kBinRules);
+  if (const u32 kind = r.get_u32("kind"); kind != kKindCsr) {
+    throw ParseError("NMDT binary holds a different matrix kind (" +
+                     std::to_string(kind) + ")");
+  }
+  check_value_width<V>(version, r);
+  CsrT<V> m;
+  m.rows = static_cast<index_t>(r.get_i64("rows"));
+  m.cols = static_cast<index_t>(r.get_i64("cols"));
+  m.row_ptr = get_vector<index_t>(r, "row_ptr");
+  m.col_idx = get_vector<index_t>(r, "col_idx");
+  m.val = get_vector<V>(r, "val");
+  m.validate();  // corruption that survives the checksum dies here
+  return m;
+}
+
+template <class V>
 void save_csr_file(const std::string& path, const CsrT<V>& m) {
-  save_to_file(path, m,
-               [](std::ostream& os, const CsrT<V>& x) { save_csr(os, x); });
+  std::ofstream os(path, std::ios::binary);
+  if (!os.good()) throw ParseError("cannot open for writing: " + path);
+  save_csr(os, m);
 }
 
 template <class V>
@@ -273,9 +193,7 @@ CsrT<V> load_csr_file(const std::string& path) {
   template void save_csr(std::ostream&, const CsrT<V>&);           \
   template void save_csr_file(const std::string&, const CsrT<V>&); \
   template CsrT<V> load_csr(std::istream&);                        \
-  template CsrT<V> load_csr_file(const std::string&);              \
-  template void save_dense(std::ostream&, const DenseMatrixT<V>&); \
-  template DenseMatrixT<V> load_dense(std::istream&)
+  template CsrT<V> load_csr_file(const std::string&)
 
 NMDT_INSTANTIATE_SERIALIZE(float);
 NMDT_INSTANTIATE_SERIALIZE(double);

@@ -1,10 +1,13 @@
-// Binary serialization of sparse/dense matrices.
+// Binary serialization of CSR matrices (.bin).
 //
 // Matrix Market is the interchange format (human-readable, slow); this
 // is the fast path for caching generated suites or shipping matrices
 // between tools: a small header (magic, version) followed by the kind,
 // dims, and raw little-endian vectors, closed by a CRC32 trailer over
-// everything after the version word.  Loads verify the checksum before
+// everything after the version word.  Fields are written and read with
+// the one binary codec (util/codec.hpp); the .bin layout keeps its own
+// magic | version | payload | crc trailer rather than the codec's CRC
+// frame.  Loads verify the checksum before
 // parsing a single payload byte and validate the reconstructed
 // structure afterwards: truncation or bit corruption surfaces as
 // FormatError, unparsable headers (bad magic, the pre-checksum
@@ -22,7 +25,6 @@
 #include <string>
 
 #include "formats/csr.hpp"
-#include "formats/dense.hpp"
 
 namespace nmdt {
 
@@ -34,10 +36,5 @@ template <class V = value_t>
 CsrT<V> load_csr(std::istream& is);
 template <class V = value_t>
 CsrT<V> load_csr_file(const std::string& path);
-
-template <class V>
-void save_dense(std::ostream& os, const DenseMatrixT<V>& m);
-template <class V = value_t>
-DenseMatrixT<V> load_dense(std::istream& is);
 
 }  // namespace nmdt

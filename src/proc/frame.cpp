@@ -1,10 +1,5 @@
 #include "proc/frame.hpp"
 
-#include <cstring>
-
-#include "util/crc32.hpp"
-#include "util/error.hpp"
-
 namespace nmdt::proc {
 
 std::string encode_frame(FrameType type, std::string_view payload) {
@@ -12,14 +7,9 @@ std::string encode_frame(FrameType type, std::string_view payload) {
   tagged.reserve(payload.size() + 1);
   tagged.push_back(static_cast<char>(type));
   tagged.append(payload);
-  std::string out;
-  out.reserve(tagged.size() + 2 * sizeof(u32));
-  const u32 len = static_cast<u32>(tagged.size());
-  out.append(reinterpret_cast<const char*>(&len), sizeof(len));
-  out.append(tagged);
-  const u32 crc = crc32(tagged.data(), tagged.size());
-  out.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  return out;
+  FieldWriter w(kPipeRules);
+  w.put_frame(tagged);
+  return std::move(w.out);
 }
 
 void FrameDecoder::feed(const void* data, usize n) {
@@ -27,75 +17,36 @@ void FrameDecoder::feed(const void* data, usize n) {
 }
 
 std::optional<Frame> FrameDecoder::next() {
-  const usize avail = buf_.size() - off_;
-  if (avail < sizeof(u32)) return std::nullopt;
-  u32 len = 0;
-  std::memcpy(&len, buf_.data() + off_, sizeof(len));
-  if (len == 0) {
+  const FrameScan f = scan_frame(std::string_view(buf_).substr(off_), kPipeRules);
+  switch (f.status) {
+    case FrameScan::kPartial:
+      return std::nullopt;
+    case FrameScan::kOversized:
+      throw ParseError("worker pipe frame: implausible length " + std::to_string(f.len));
+    case FrameScan::kCorrupt:
+      throw ParseError("worker pipe frame: checksum mismatch (torn or bit-flipped)");
+    case FrameScan::kComplete:
+      break;
+  }
+  if (f.payload.empty()) {
     throw ParseError("worker pipe frame: empty payload (missing type tag)");
   }
-  if (len > kMaxFramePayloadBytes + 1) {
-    throw ParseError("worker pipe frame: implausible length " + std::to_string(len));
-  }
-  if (avail < sizeof(u32) + static_cast<usize>(len) + sizeof(u32)) return std::nullopt;
-  const char* payload = buf_.data() + off_ + sizeof(u32);
-  u32 stored = 0;
-  std::memcpy(&stored, payload + len, sizeof(stored));
-  if (crc32(payload, len) != stored) {
-    throw ParseError("worker pipe frame: checksum mismatch (torn or bit-flipped)");
-  }
-  const u8 tag = static_cast<u8>(payload[0]);
+  const u8 tag = static_cast<u8>(f.payload[0]);
   if (tag < static_cast<u8>(FrameType::kHello) ||
       tag > static_cast<u8>(FrameType::kShutdown)) {
     throw ParseError("worker pipe frame: unknown type tag " + std::to_string(int{tag}));
   }
-  Frame f;
-  f.type = static_cast<FrameType>(tag);
-  f.payload.assign(payload + 1, static_cast<usize>(len) - 1);
-  off_ += sizeof(u32) + static_cast<usize>(len) + sizeof(u32);
+  Frame frame;
+  frame.type = static_cast<FrameType>(tag);
+  frame.payload.assign(f.payload.substr(1));
+  off_ += f.size();
   // Compact once the consumed prefix dominates, keeping feed() O(1)
   // amortized without unbounded buffer growth across a long sweep.
   if (off_ > 4096 && off_ * 2 > buf_.size()) {
     buf_.erase(0, off_);
     off_ = 0;
   }
-  return f;
-}
-
-void WireReader::bytes(void* dst, usize n, const char* what) {
-  if (n > left_) {
-    throw ParseError(std::string("worker pipe payload: truncated ") + what);
-  }
-  if (n > 0) std::memcpy(dst, p_, n);
-  p_ += n;
-  left_ -= n;
-}
-
-u8 WireReader::get_u8(const char* what) { u8 v = 0; bytes(&v, sizeof(v), what); return v; }
-u32 WireReader::get_u32(const char* what) { u32 v = 0; bytes(&v, sizeof(v), what); return v; }
-u64 WireReader::get_u64(const char* what) { u64 v = 0; bytes(&v, sizeof(v), what); return v; }
-i64 WireReader::get_i64(const char* what) { i64 v = 0; bytes(&v, sizeof(v), what); return v; }
-double WireReader::get_f64(const char* what) {
-  double v = 0;
-  bytes(&v, sizeof(v), what);
-  return v;
-}
-
-std::string WireReader::get_str(const char* what) {
-  const u32 n = get_u32(what);
-  if (n > kMaxFramePayloadBytes) {
-    throw ParseError(std::string("worker pipe payload: implausible string length for ") +
-                     what);
-  }
-  std::string s(static_cast<usize>(n), '\0');
-  bytes(s.data(), s.size(), what);
-  return s;
-}
-
-void WireReader::expect_done(const char* what) const {
-  if (left_ != 0) {
-    throw ParseError(std::string("worker pipe payload: trailing bytes after ") + what);
-  }
+  return frame;
 }
 
 }  // namespace nmdt::proc

@@ -1,7 +1,8 @@
 // CRC-framed pipe protocol between the Supervisor and its worker
 // processes (src/proc/supervisor.hpp).
 //
-// Framing follows the checkpoint journal's convention (core/journal):
+// Frames and payload fields use the one binary codec (util/codec.hpp)
+// under kPipeRules:
 //   frame := u32 payload_len | payload | u32 crc32(payload)
 // with payload[0] a FrameType tag and the rest type-specific fields.
 // The decoder is incremental — a pipe read() delivers arbitrary byte
@@ -10,19 +11,17 @@
 // UB and never a hang.  A *partial* trailing frame is simply "not yet"
 // (next() returns nullopt); on a pipe it only becomes an error when
 // the writer dies mid-frame, which the supervisor detects as EOF with
-// a non-idle decoder.
-//
-// Field-level encoding inside payloads uses WireWriter/WireReader:
-// little-endian fixed-width integers and u32-length-prefixed strings,
-// bounds-checked on the way out (ParseError, not FormatError — a torn
-// or flipped frame is a *protocol* failure of an untrusted byte
-// stream, like a malformed request line).
+// a non-idle decoder.  Every codec failure on the pipe is a ParseError,
+// not a FormatError: a torn or flipped frame is a *protocol* failure of
+// an untrusted byte stream, like a malformed request line.
 #pragma once
 
 #include <optional>
 #include <string>
 #include <string_view>
 
+#include "util/codec.hpp"
+#include "util/error.hpp"
 #include "util/types.hpp"
 
 namespace nmdt::proc {
@@ -40,12 +39,18 @@ enum class FrameType : u8 {
 /// corrupt length prefix can never drive an allocation by itself.
 inline constexpr u32 kMaxFramePayloadBytes = u32{1} << 28;
 
+/// The pipe's codec rules: a string may fill a payload, and a frame is
+/// a payload plus its type tag.
+inline constexpr CodecRules kPipeRules{"worker pipe payload", kMaxFramePayloadBytes,
+                                       kMaxFramePayloadBytes + 1, codec_throw<ParseError>};
+
 struct Frame {
   FrameType type = FrameType::kHello;
   std::string payload;  ///< type-specific fields (tag stripped)
 };
 
 /// One on-the-wire frame: length prefix, type tag, payload, CRC32.
+/// Throws ParseError when the frame would be over the pipe cap.
 std::string encode_frame(FrameType type, std::string_view payload);
 
 /// Incremental frame parser over an untrusted byte stream.
@@ -67,44 +72,6 @@ class FrameDecoder {
  private:
   std::string buf_;
   usize off_ = 0;  ///< consumed prefix of buf_
-};
-
-/// Payload field writer (journal ByteWriter conventions).
-struct WireWriter {
-  std::string out;
-
-  void bytes(const void* p, usize n) { out.append(static_cast<const char*>(p), n); }
-  void put_u8(u8 v) { bytes(&v, sizeof(v)); }
-  void put_u32(u32 v) { bytes(&v, sizeof(v)); }
-  void put_u64(u64 v) { bytes(&v, sizeof(v)); }
-  void put_i64(i64 v) { bytes(&v, sizeof(v)); }
-  void put_f64(double v) { bytes(&v, sizeof(v)); }
-  void put_str(std::string_view s) {
-    put_u32(static_cast<u32>(s.size()));
-    bytes(s.data(), s.size());
-  }
-};
-
-/// Bounds-checked payload reader; running out of bytes (layout
-/// disagreement, corruption that passed CRC) throws ParseError.
-class WireReader {
- public:
-  explicit WireReader(std::string_view bytes) : p_(bytes.data()), left_(bytes.size()) {}
-
-  void bytes(void* dst, usize n, const char* what);
-  u8 get_u8(const char* what);
-  u32 get_u32(const char* what);
-  u64 get_u64(const char* what);
-  i64 get_i64(const char* what);
-  double get_f64(const char* what);
-  std::string get_str(const char* what);
-  usize left() const { return left_; }
-  /// Throws ParseError unless every byte was consumed.
-  void expect_done(const char* what) const;
-
- private:
-  const char* p_;
-  usize left_;
 };
 
 }  // namespace nmdt::proc

@@ -38,9 +38,9 @@ TaskHandler make_suite_handler(suite::RowWork work) {
       cache->inputs = c.inputs;
       return c;
     };
-    WireReader r(payload);
+    FieldReader r(payload, kPipeRules);
     const usize row = r.get_u32("task row");
-    WireWriter w;
+    FieldWriter w(kPipeRules);
     if (kind == kTaskPlanRow) {
       r.expect_done("plan task");
       const suite::Completion c = plan(row);
@@ -77,7 +77,7 @@ class ProcBackend final : public suite::Backend {
   int concurrency() const override { return workers_; }
 
   void submit(usize row, int arm, std::shared_ptr<const suite::RowInputs> /*inputs*/) override {
-    WireWriter w;
+    FieldWriter w(kPipeRules);
     w.put_u32(static_cast<u32>(row));
     if (arm >= 0) w.put_u8(static_cast<u8>(arm));
     const u64 r = static_cast<u64>(row);
@@ -102,7 +102,7 @@ class ProcBackend final : public suite::Backend {
       c.error_desc = out.error;
       return c;
     }
-    WireReader r(out.payload);
+    FieldReader r(out.payload, kPipeRules);
     if (c.arm < 0) {
       c.degenerate = r.get_u8("plan result status") == 0;
       if (!c.degenerate) c.profile = decode_profile(r.get_str("plan result profile"));

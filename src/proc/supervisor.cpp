@@ -96,20 +96,14 @@ std::string describe_wait_status(int status) {
   // PIPE_BUF are not atomic, so every write holds the mutex for the
   // full frame.
   std::mutex write_mu;
-  std::atomic<bool> send_failed{false};
-  auto send = [&](FrameType type, const std::string& payload) {
-    const std::string framed = encode_frame(type, payload);
+  auto send = [&](const std::string& framed) {
     std::lock_guard<std::mutex> lock(write_mu);
-    if (!write_full(result_fd, framed.data(), framed.size())) {
-      send_failed.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    return true;
+    return write_full(result_fd, framed.data(), framed.size());
   };
   {
-    WireWriter hello;
+    FieldWriter hello(kPipeRules);
     hello.put_u64(static_cast<u64>(::getpid()));
-    send(FrameType::kHello, hello.out);
+    send(encode_frame(FrameType::kHello, hello.out));
   }
 
   // Heartbeat thread: proves the *process* is alive even while the main
@@ -123,7 +117,7 @@ std::string describe_wait_status(int status) {
         std::max(1.0, opts.heartbeat_interval_ms));
     while (!hb_stop.load(std::memory_order_relaxed)) {
       if (!wedged.load(std::memory_order_relaxed)) {
-        if (!send(FrameType::kHeartbeat, std::string())) break;
+        if (!send(encode_frame(FrameType::kHeartbeat, {}))) break;
       }
       std::this_thread::sleep_for(interval);
     }
@@ -149,7 +143,7 @@ std::string describe_wait_status(int status) {
           break;
         }
         if (frame->type != FrameType::kTask) continue;
-        WireReader r(frame->payload);
+        FieldReader r(frame->payload, kPipeRules);
         const u64 id = r.get_u64("task id");
         const u8 kind = r.get_u8("task kind");
         const u64 key = r.get_u64("task key");
@@ -168,20 +162,26 @@ std::string describe_wait_status(int status) {
           wedged.store(true, std::memory_order_relaxed);
           for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
         }
-        WireWriter out;
-        out.put_u64(id);
+        // Each outcome is encoded whole in its own writer: a result
+        // over the pipe cap throws before any byte of its frame exists,
+        // and comes back as a failed outcome on this first attempt
+        // instead of a frame the supervisor would reject as corrupt.
+        const auto result_frame = [id](u8 ok, std::string_view text) {
+          FieldWriter out(kPipeRules);
+          out.put_u64(id);
+          out.put_u8(ok);
+          out.put_str(text);
+          return encode_frame(FrameType::kResult, out.out);
+        };
+        std::string framed;
         try {
-          const std::string result = handler(kind, key, body);
-          out.put_u8(1);
-          out.put_str(result);
+          framed = result_frame(1, handler(kind, key, body));
         } catch (const std::exception& e) {
-          out.put_u8(0);
-          out.put_str(describe_exception(e));
+          framed = result_frame(0, describe_exception(e));
         } catch (...) {
-          out.put_u8(0);
-          out.put_str("unknown exception");
+          framed = result_frame(0, "unknown exception");
         }
-        if (!send(FrameType::kResult, out.out)) {
+        if (!send(framed)) {
           exit_code = 1;
           done = true;
           break;
@@ -416,13 +416,24 @@ struct Supervisor::Impl {
       t->span = std::make_unique<obs::TraceSpan>("proc.task");
       t->span->arg("kind", i64{t->kind}).arg("key", static_cast<i64>(t->key));
     }
-    WireWriter body;
-    body.put_u64(t->id);
-    body.put_u8(t->kind);
-    body.put_u64(t->key);
-    body.put_u32(static_cast<u32>(t->crashes));
-    body.put_str(t->payload);
-    const std::string framed = encode_frame(FrameType::kTask, body.out);
+    std::string framed;
+    try {
+      FieldWriter body(kPipeRules);
+      body.put_u64(t->id);
+      body.put_u8(t->kind);
+      body.put_u64(t->key);
+      body.put_u32(static_cast<u32>(t->crashes));
+      body.put_str(t->payload);
+      framed = encode_frame(FrameType::kTask, body.out);
+    } catch (const std::exception& e) {
+      // A task over the pipe cap can never reach a worker: it fails
+      // typed, once, and the worker stays idle.
+      TaskOutcome out;
+      out.crashes = t->crashes;
+      out.error = describe_exception(e);
+      complete(t, std::move(out));
+      return;
+    }
     w.inflight = t;
     w.has_affinity = true;
     w.last_affinity = t->affinity;
@@ -477,7 +488,7 @@ struct Supervisor::Impl {
         break;
       case FrameType::kResult: {
         w.last_hb = now;
-        WireReader r(frame.payload);
+        FieldReader r(frame.payload, kPipeRules);
         const u64 id = r.get_u64("result task id");
         const u8 ok = r.get_u8("result status");
         std::string body = r.get_str("result body");

@@ -243,7 +243,7 @@ proc::TaskHandler make_exec_handler(ServerOptions opts) {
     if (kind != kTaskExec) {
       throw ParseError("service worker: unknown task kind " + std::to_string(int{kind}));
     }
-    proc::WireReader r(payload);
+    FieldReader r(payload, proc::kPipeRules);
     Request req;
     req.matrix = r.get_str("exec matrix spec");
     req.k = static_cast<index_t>(r.get_u64("exec k"));
@@ -263,7 +263,7 @@ proc::TaskHandler make_exec_handler(ServerOptions opts) {
       token.set_deadline(Clock::time_point{Clock::duration{deadline}}, CancelReason::kDeadline);
     }
     const Request* group[] = {&req};
-    proc::WireWriter w;
+    FieldWriter w(proc::kPipeRules);
     execute_group(*matrices, *plans, opts, group, token,
                   [&w](usize, Response& res, Clock::time_point exec_start) {
                     w.put_str(res.kernel);
@@ -276,7 +276,7 @@ proc::TaskHandler make_exec_handler(ServerOptions opts) {
                     w.put_str(res.c_hex);
                     w.put_i64(static_cast<i64>(exec_start.time_since_epoch().count()));
                   });
-    return w.out;
+    return std::move(w.out);
   };
 }
 
@@ -284,7 +284,7 @@ proc::TaskHandler make_exec_handler(ServerOptions opts) {
 /// request goes down the pipe, the result half comes back to `done`.  Worker
 /// crashes surface as a typed WorkerError after the retry budget.
 void execute_isolated(proc::Supervisor& supervisor, const Ticket& t, const MemberDone& done) {
-  proc::WireWriter w;
+  FieldWriter w(proc::kPipeRules);
   w.put_str(t.req.matrix);
   w.put_u64(static_cast<u64>(t.req.k));
   w.put_u64(t.req.b_seed);
@@ -305,7 +305,7 @@ void execute_isolated(proc::Supervisor& supervisor, const Ticket& t, const Membe
     // in-process serving.
     std::rethrow_exception(exception_from_description(out.error));
   }
-  proc::WireReader r(out.payload);
+  FieldReader r(out.payload, proc::kPipeRules);
   Response res;
   res.ok = true;
   res.kernel = r.get_str("exec result kernel");

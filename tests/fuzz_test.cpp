@@ -382,13 +382,13 @@ TEST(Fuzz, MatrixMarketOverlongLineIsATypedParseError) {
 std::string golden_frame_stream() {
   std::string stream;
   {
-    proc::WireWriter w;
+    FieldWriter w(proc::kPipeRules);
     w.put_u64(4242);  // pid
     stream += proc::encode_frame(proc::FrameType::kHello, w.out);
   }
   stream += proc::encode_frame(proc::FrameType::kHeartbeat, "");
   {
-    proc::WireWriter w;
+    FieldWriter w(proc::kPipeRules);
     w.put_u64(7);            // task id
     w.put_u8(2);             // kind
     w.put_u64(0xabcdef);     // key
@@ -397,7 +397,7 @@ std::string golden_frame_stream() {
     stream += proc::encode_frame(proc::FrameType::kTask, w.out);
   }
   {
-    proc::WireWriter w;
+    FieldWriter w(proc::kPipeRules);
     w.put_u64(7);  // task id
     w.put_u8(1);   // ok
     w.put_str("t_ms=1.25 prep_ms=0.0 crc=deadbeef");
@@ -438,7 +438,7 @@ TEST(Fuzz, FrameDecoderRoundTripsTheGoldenStreamAtAnyChunking) {
   const auto task = dec.next();
   ASSERT_TRUE(task.has_value());
   EXPECT_EQ(task->type, proc::FrameType::kTask);
-  proc::WireReader r(task->payload);
+  FieldReader r(task->payload, proc::kPipeRules);
   EXPECT_EQ(r.get_u64("id"), 7u);
   EXPECT_EQ(r.get_u8("kind"), 2);
   EXPECT_EQ(r.get_u64("key"), 0xabcdefu);
@@ -505,7 +505,7 @@ TEST(Fuzz, ImplausibleFrameLengthIsATypedErrorNotAnAllocation) {
   // length counts the tag byte, so the largest legal value is
   // kMaxFramePayloadBytes + 1.
   for (u32 len : {proc::kMaxFramePayloadBytes + 2, u32{0xffffffff}}) {
-    proc::WireWriter w;
+    FieldWriter w(proc::kPipeRules);
     w.put_u32(len);
     proc::FrameDecoder dec;
     dec.feed(w.out.data(), w.out.size());
@@ -517,7 +517,7 @@ TEST(Fuzz, ImplausibleFrameLengthIsATypedErrorNotAnAllocation) {
     }
   }
   // At the cap exactly, the decoder just waits for the payload bytes.
-  proc::WireWriter w;
+  FieldWriter w(proc::kPipeRules);
   w.put_u32(proc::kMaxFramePayloadBytes + 1);
   proc::FrameDecoder dec;
   dec.feed(w.out.data(), w.out.size());
@@ -569,13 +569,13 @@ TEST(Fuzz, RandomGarbageFrameStreamsNeverCrashOrHang) {
 TEST(Fuzz, WireReaderTruncationIsAlwaysATypedError) {
   // Layout disagreement (e.g. version skew) surfaces as truncated-field
   // ParseErrors at every possible cut, never an over-read.
-  proc::WireWriter w;
+  FieldWriter w(proc::kPipeRules);
   w.put_u64(123);
   w.put_u8(7);
   w.put_str("hello");
   w.put_f64(2.5);
   for (usize cut = 0; cut + 1 < w.out.size(); ++cut) {
-    proc::WireReader r(std::string_view(w.out).substr(0, cut));
+    FieldReader r(std::string_view(w.out).substr(0, cut), proc::kPipeRules);
     try {
       (void)r.get_u64("a");
       (void)r.get_u8("b");
@@ -587,9 +587,120 @@ TEST(Fuzz, WireReaderTruncationIsAlwaysATypedError) {
     }
   }
   // Extra trailing bytes are equally typed.
-  proc::WireReader r(w.out);
+  FieldReader r(w.out, proc::kPipeRules);
   (void)r.get_u64("a");
   EXPECT_THROW(r.expect_done("short read"), ParseError);
+}
+
+// The journal and pipe-frame bytes, pinned as literals.  Each test checks
+// both directions: the writer reproduces the bytes exactly, and the reader
+// decodes the literal to the values that were written.  A codec change that
+// moves one byte on disk or on the pipe fails here.
+constexpr std::string_view kGoldenJournalHex =
+    "4e4d444a010000001a00000000edfe0000000000000400000000000000080000"
+    "0000000000045eb2ad3c9d000000010000000060000000000000000000000000"
+    "0000007b00000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000d03fa740283216000000040000000000000000000000f8"
+    "3f00000000000000008ee19b0616000000040000000001000000000000044000"
+    "00000000000000de4a57a4160000000400000000020000000000000c40000000"
+    "0000000000ae511ae41600000004000000000300000000000012400000000000"
+    "00c03fc5d1472705000000020100000018c35e042d0000000302000000240000"
+    "004661756c744572726f723a20696e6a6563746564207472616e7369656e7420"
+    "6661756c749c5794469d00000001030000006000000000000000000000000000"
+    "00007b0000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000d03f6b12ce15370000000503000000022d00000054696d65"
+    "6f75744572726f723a20776f726b20756e697420657863656564656420697473"
+    "20646561646c696e65bd20a6b1";
+
+constexpr std::string_view kGoldenFrameHex =
+    "09000000019210000000000000af2f09fb0100000004942b6fd5250000000207"
+    "0000000000000002efcdab0000000000010000000b000000726f773d33206172"
+    "6d3d31f7bd29be300000000307000000000000000122000000745f6d733d312e"
+    "323520707265705f6d733d302e30206372633d6465616462656566ed5cb557";
+
+std::string from_hex(std::string_view hex) {
+  const std::vector<u8> bytes = service::hex_decode(hex);
+  return std::string(bytes.begin(), bytes.end());
+}
+
+TEST(Fuzz, JournalGoldenBytesArePinned) {
+  const std::string golden = golden_journal(0xfeed);
+  EXPECT_EQ(service::hex_encode(golden.data(), golden.size()), kGoldenJournalHex);
+
+  const std::string pinned = from_hex(kGoldenJournalHex);
+  std::istringstream is(pinned);
+  const JournalReplay replay = read_journal(is);
+  EXPECT_TRUE(replay.has_header);
+  EXPECT_FALSE(replay.torn_tail);
+  EXPECT_EQ(replay.fingerprint, 0xfeedu);
+  EXPECT_EQ(replay.total, 4);
+  EXPECT_EQ(replay.k, 8);
+  EXPECT_EQ(replay.arm_count, 4);
+  EXPECT_EQ(replay.entries, 9u);
+  EXPECT_EQ(replay.valid_bytes, static_cast<i64>(pinned.size()));
+  ASSERT_EQ(replay.rows.size(), 4u);
+  const JournalRow& r0 = replay.rows.at(0);
+  EXPECT_TRUE(r0.planned);
+  EXPECT_EQ(r0.profile.stats.rows, 96);
+  EXPECT_EQ(r0.profile.stats.nnz, 123);
+  EXPECT_EQ(r0.profile.ssf, 0.25);
+  for (usize a = 0; a < 4; ++a) {
+    ASSERT_TRUE(r0.arms[a].has_value());
+    EXPECT_EQ(r0.arms[a]->t_ms, 1.5 + static_cast<double>(a));
+    EXPECT_EQ(r0.arms[a]->prep_ms, a == 3 ? 0.125 : 0.0);
+  }
+  EXPECT_TRUE(replay.rows.at(1).degenerate);
+  EXPECT_EQ(replay.rows.at(2).error, "FaultError: injected transient fault");
+  const JournalRow& r3 = replay.rows.at(3);
+  EXPECT_TRUE(r3.planned);
+  ASSERT_TRUE(r3.arms[2].has_value());
+  EXPECT_EQ(r3.arms[2]->error, "TimeoutError: work unit exceeded its deadline");
+  EXPECT_FALSE(r3.arms[0].has_value());
+}
+
+TEST(Fuzz, FrameGoldenBytesArePinned) {
+  const std::string golden = golden_frame_stream();
+  EXPECT_EQ(service::hex_encode(golden.data(), golden.size()), kGoldenFrameHex);
+
+  const std::string pinned = from_hex(kGoldenFrameHex);
+  proc::FrameDecoder dec;
+  dec.feed(pinned.data(), pinned.size());
+  const auto hello = dec.next();
+  ASSERT_TRUE(hello.has_value());
+  EXPECT_EQ(hello->type, proc::FrameType::kHello);
+  FieldReader h(hello->payload, proc::kPipeRules);
+  EXPECT_EQ(h.get_u64("pid"), 4242u);
+  h.expect_done("hello frame");
+  const auto beat = dec.next();
+  ASSERT_TRUE(beat.has_value());
+  EXPECT_EQ(beat->type, proc::FrameType::kHeartbeat);
+  EXPECT_TRUE(beat->payload.empty());
+  const auto task = dec.next();
+  ASSERT_TRUE(task.has_value());
+  EXPECT_EQ(task->type, proc::FrameType::kTask);
+  FieldReader t(task->payload, proc::kPipeRules);
+  EXPECT_EQ(t.get_u64("id"), 7u);
+  EXPECT_EQ(t.get_u8("kind"), 2);
+  EXPECT_EQ(t.get_u64("key"), 0xabcdefu);
+  EXPECT_EQ(t.get_u32("attempt"), 1u);
+  EXPECT_EQ(t.get_str("body"), "row=3 arm=1");
+  t.expect_done("task frame");
+  const auto result = dec.next();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->type, proc::FrameType::kResult);
+  FieldReader r(result->payload, proc::kPipeRules);
+  EXPECT_EQ(r.get_u64("id"), 7u);
+  EXPECT_EQ(r.get_u8("ok"), 1);
+  EXPECT_EQ(r.get_str("body"), "t_ms=1.25 prep_ms=0.0 crc=deadbeef");
+  r.expect_done("result frame");
+  EXPECT_FALSE(dec.next().has_value());
+  EXPECT_TRUE(dec.idle());
 }
 
 TEST(Fuzz, EngineHandlesArbitraryValidInputs) {

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/executor.hpp"
 #include "core/journal.hpp"
 #include "obs/json_check.hpp"
@@ -347,6 +349,17 @@ TEST(ResumeTimeouts, ReplayedTimeoutRethrowsAsTimeoutUnderFailFast) {
   again.journal_path = path;
   again.resume = true;
   EXPECT_THROW(run_suite(specs, cfg, K, {}, again), TimeoutError);
+}
+
+TEST(Journal, FailedFsyncIsATypedErrorNotADurableCheckpoint) {
+  // fsync on /dev/null fails (EINVAL on Linux), so the header
+  // checkpoint the constructor flushes cannot be durable.
+  std::FILE* probe = std::fopen("/dev/null", "wb");
+  ASSERT_NE(probe, nullptr);
+  const bool fsync_fails = ::fsync(::fileno(probe)) != 0;
+  std::fclose(probe);
+  if (!fsync_fails) GTEST_SKIP() << "fsync on /dev/null succeeds on this host";
+  EXPECT_THROW(JournalWriter("/dev/null", 1, 1, 8, 4, 1, /*append=*/false), ParseError);
 }
 
 TEST(JournalSummary, SummaryJsonCountsMatchTheReplay) {

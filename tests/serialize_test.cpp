@@ -2,10 +2,13 @@
 // corruption/truncation failure injection.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
+#include "formats/retype.hpp"
 #include "formats/serialize.hpp"
 #include "matgen/generators.hpp"
+#include "service/protocol.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 
@@ -36,16 +39,6 @@ TEST(Serialize, EmptyCsrRoundTrip) {
   EXPECT_EQ(back.cols, 7);
 }
 
-TEST(Serialize, DenseRoundTrip) {
-  Rng rng(2);
-  DenseMatrix m(33, 17);
-  m.randomize(rng);
-  std::stringstream ss;
-  save_dense(ss, m);
-  const DenseMatrix back = load_dense(ss);
-  EXPECT_DOUBLE_EQ(m.max_abs_diff(back), 0.0);
-}
-
 TEST(Serialize, FileRoundTrip) {
   const std::string path = testing::TempDir() + "/nmdt_serialize_test.bin";
   const Csr m = gen_banded(100, 4, 0.5, 3);
@@ -57,15 +50,6 @@ TEST(Serialize, FileRoundTrip) {
 TEST(Serialize, RejectsBadMagic) {
   std::stringstream ss;
   ss << "JUNKJUNKJUNKJUNKJUNK";
-  EXPECT_THROW(load_csr(ss), ParseError);
-}
-
-TEST(Serialize, RejectsWrongKind) {
-  Rng rng(4);
-  DenseMatrix m(4, 4);
-  m.randomize(rng);
-  std::stringstream ss;
-  save_dense(ss, m);
   EXPECT_THROW(load_csr(ss), ParseError);
 }
 
@@ -148,6 +132,71 @@ TEST(Serialize, ChecksumCatchesEveryPayloadByteFlip) {
     std::stringstream corrupted(bytes);
     EXPECT_THROW(load_csr(corrupted), FormatError) << "flip at byte " << i;
   }
+}
+
+/// A small fixed CSR whose values are exact at f32, f64 and bf16.
+template <class V>
+CsrT<V> golden_csr() {
+  Csr m;
+  m.rows = 2;
+  m.cols = 3;
+  m.row_ptr = {0, 2, 3};
+  m.col_idx = {0, 2, 1};
+  m.val = {1.5f, -2.0f, 0.25f};
+  return retype<V>(m);
+}
+
+/// The writer reproduces `hex` exactly, and the reader decodes `hex` to
+/// golden_csr<V>() — both directions of the .bin codec, pinned.
+template <class V>
+void expect_golden_bin(std::string_view hex) {
+  const CsrT<V> m = golden_csr<V>();
+  std::stringstream out;
+  save_csr(out, m);
+  const std::string bytes = out.str();
+  EXPECT_EQ(service::hex_encode(bytes.data(), bytes.size()), hex);
+
+  const std::vector<u8> pinned = service::hex_decode(hex);
+  std::stringstream in(std::string(pinned.begin(), pinned.end()));
+  const CsrT<V> back = load_csr<V>(in);
+  EXPECT_EQ(back.rows, m.rows);
+  EXPECT_EQ(back.cols, m.cols);
+  EXPECT_EQ(back.row_ptr, m.row_ptr);
+  EXPECT_EQ(back.col_idx, m.col_idx);
+  EXPECT_EQ(back.val, m.val);
+}
+
+// Format version 2 (f32) and version 3 (f64, bf16: value width word).
+constexpr std::string_view kGoldenF32Hex =
+    "4e4d445402000000010000000200000000000000030000000000000003000000"
+    "0000000000000000020000000300000003000000000000000000000002000000"
+    "0100000003000000000000000000c03f000000c00000803ea04633e6";
+constexpr std::string_view kGoldenF64Hex =
+    "4e4d445403000000010000000800000002000000000000000300000000000000"
+    "0300000000000000000000000200000003000000030000000000000000000000"
+    "02000000010000000300000000000000000000000000f83f00000000000000c0"
+    "000000000000d03f3d41bd4c";
+constexpr std::string_view kGoldenBf16Hex =
+    "4e4d445403000000010000000200000002000000000000000300000000000000"
+    "0300000000000000000000000200000003000000030000000000000000000000"
+    "02000000010000000300000000000000c03f00c0803ebcaa6244";
+
+TEST(Serialize, GoldenF32BytesArePinned) { expect_golden_bin<float>(kGoldenF32Hex); }
+TEST(Serialize, GoldenF64BytesArePinned) { expect_golden_bin<double>(kGoldenF64Hex); }
+TEST(Serialize, GoldenBf16BytesArePinned) { expect_golden_bin<bf16_t>(kGoldenBf16Hex); }
+
+TEST(Serialize, RejectsWrongKind) {
+  // The v2 golden bytes with the kind word set to 2 (a dense matrix)
+  // and the CRC recomputed, so the kind check — not the checksum —
+  // must reject the stream.
+  const std::vector<u8> pinned = service::hex_decode(kGoldenF32Hex);
+  std::string bytes(pinned.begin(), pinned.end());
+  const u32 kind = 2;
+  std::memcpy(bytes.data() + 8, &kind, sizeof(kind));
+  const u32 crc = crc32(bytes.data() + 8, bytes.size() - 12);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+  std::stringstream ss(bytes);
+  EXPECT_THROW(load_csr(ss), ParseError);
 }
 
 TEST(Serialize, RejectsMissingFile) {

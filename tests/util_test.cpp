@@ -1,6 +1,6 @@
 // Unit and property tests for the util module: RNG determinism and
 // distribution sanity, statistics helpers, histogram edge handling,
-// table/CSV emission, CLI parsing, CRC-32 chaining.
+// table/CSV emission, CLI parsing, CRC-32 chaining, the binary codec.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "util/cli.hpp"
+#include "util/codec.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -255,6 +256,109 @@ TEST(Crc32, SliceBy8MatchesBytewise) {
                 bytewise_crc32(buf.data() + offset, len, seed))
           << "offset " << offset << " len " << len << " seed " << seed;
     }
+  }
+}
+
+/// Small caps, so each test can reach them.
+constexpr CodecRules kTinyRules{"tiny", 8, 16, codec_throw<FormatError>};
+
+TEST(Codec, FieldsRoundTripAndTheReaderInsistsOnEveryByte) {
+  FieldWriter w(kTinyRules);
+  w.put_u8(7);
+  w.put_u32(0xdeadbeef);
+  w.put_u64(u64{1} << 40);
+  w.put_i64(-3);
+  w.put_f64(2.5);
+  w.put_str("12345678");  // exactly at the string cap
+  const u8 raw[3] = {1, 2, 3};
+  w.bytes(raw, sizeof(raw));
+  EXPECT_EQ(w.out.size(), 1u + 4 + 8 + 8 + 8 + 4 + 8 + 3);
+
+  FieldReader r(w.out, kTinyRules);
+  EXPECT_EQ(r.get_u8("u8"), 7);
+  EXPECT_EQ(r.get_u32("u32"), 0xdeadbeefu);
+  EXPECT_EQ(r.get_u64("u64"), u64{1} << 40);
+  EXPECT_EQ(r.get_i64("i64"), -3);
+  EXPECT_EQ(r.get_f64("f64"), 2.5);
+  EXPECT_EQ(r.get_str("str"), "12345678");
+  EXPECT_THROW(r.expect_done("fields"), FormatError);  // raw bytes left
+  u8 back[3] = {};
+  r.bytes(back, sizeof(back), "raw");
+  EXPECT_EQ(back[2], 3);
+  r.expect_done("fields");
+  EXPECT_THROW(r.get_u8("past the end"), FormatError);
+}
+
+TEST(Codec, WriterRefusesTheStringItsReaderRefuses) {
+  FieldWriter w(kTinyRules);
+  w.put_u8(1);
+  try {
+    w.put_str("123456789");
+    FAIL() << "a string over the cap must not be written";
+  } catch (const FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("9 bytes is over the 8-byte cap"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(w.out.size(), 1u);  // nothing of the refused string was written
+  // The reader refuses the same length with the same typed error.
+  w.put_u32(9);
+  w.bytes("123456789", 9);
+  FieldReader r(w.out, kTinyRules);
+  (void)r.get_u8("head");
+  EXPECT_THROW(r.get_str("str"), FormatError);
+}
+
+TEST(Codec, WriterRefusesTheFrameItsScannerRefuses) {
+  const std::string at_cap(16, 'x');
+  FieldWriter w(kTinyRules);
+  w.put_frame(at_cap);
+  const FrameScan ok = scan_frame(w.out, kTinyRules);
+  ASSERT_EQ(ok.status, FrameScan::kComplete);
+  EXPECT_EQ(ok.payload, at_cap);
+  EXPECT_EQ(ok.size(), w.out.size());
+
+  FieldWriter over(kTinyRules);
+  try {
+    over.put_frame(at_cap + "x");
+    FAIL() << "a frame over the cap must not be written";
+  } catch (const FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("17 bytes is over the 16-byte cap"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(over.out.empty());
+  // The scanner reports the same length as over the cap from the
+  // length word alone, without waiting for the payload.
+  over.put_u32(17);
+  const FrameScan big = scan_frame(over.out, kTinyRules);
+  EXPECT_EQ(big.status, FrameScan::kOversized);
+  EXPECT_EQ(big.len, 17u);
+}
+
+TEST(Codec, ScanFrameReportsPartialCorruptAndComplete) {
+  FieldWriter w(kTinyRules);
+  w.put_frame("hello");
+  w.put_frame("");
+  // Every strict prefix of the first frame is partial.
+  for (usize cut = 0; cut < 4 + 5 + 4; ++cut) {
+    EXPECT_EQ(scan_frame(std::string_view(w.out).substr(0, cut), kTinyRules).status,
+              FrameScan::kPartial)
+        << "cut at " << cut;
+  }
+  const FrameScan first = scan_frame(w.out, kTinyRules);
+  ASSERT_EQ(first.status, FrameScan::kComplete);
+  EXPECT_EQ(first.payload, "hello");
+  const FrameScan second =
+      scan_frame(std::string_view(w.out).substr(first.size()), kTinyRules);
+  ASSERT_EQ(second.status, FrameScan::kComplete);
+  EXPECT_TRUE(second.payload.empty());
+  EXPECT_EQ(first.size() + second.size(), w.out.size());
+  // A flipped payload or CRC byte is a mismatch, never a frame.
+  for (usize i = 4; i < first.size(); ++i) {
+    std::string bytes = w.out;
+    bytes[i] = static_cast<char>(bytes[i] ^ 0x01);
+    EXPECT_EQ(scan_frame(bytes, kTinyRules).status, FrameScan::kCorrupt) << "flip at " << i;
   }
 }
 
