@@ -83,8 +83,9 @@ ArmTiming time_kernel(KernelKind kind, const SpmmExecutor& exec, const SpmmPlan&
   for (int i = 0; i < warmup; ++i) (void)exec.execute(kind, plan, B);
   ArmTiming t;
   t.best_ms = 1e300;
+  obs::Histogram execute_ms;
   for (int i = 0; i < iters; ++i) {
-    obs::ScopedTimer sw("bench.execute_ms");
+    obs::ScopedTimer sw(execute_ms);
     (void)exec.execute(kind, plan, B);
     const double ms = sw.stop();
     t.best_ms = std::min(t.best_ms, ms);
@@ -230,17 +231,16 @@ int run(int argc, char** argv) {
   // metrics snapshot describes exactly this run.
   obs::MetricsRegistry::global().reset();
   double plan_ms = 0.0;
+  obs::Histogram plan_hist;
   const auto plan = [&] {
-    obs::ScopedTimer t("bench.plan_ms");
+    obs::ScopedTimer t(plan_hist);
     auto p = build_plan(A, plan_options_for(cfg));
     build_all_operands(*p, precision);
     plan_ms = t.stop();
     return p;
   }();
-  const double profile_ms =
-      obs::MetricsRegistry::global().histogram("plan.profile_ms").snapshot().sum;
-  const double convert_ms =
-      obs::MetricsRegistry::global().histogram("plan.convert_ms").snapshot().sum;
+  const double profile_ms = obs::metrics().plan_profile_ms.snapshot().sum;
+  const double convert_ms = obs::metrics().plan_convert_ms.snapshot().sum;
 
   std::cout << "matrix " << pick->name << " (" << A.rows << " x " << A.cols << ", nnz "
             << A.nnz() << "), K " << K << ", mode " << mode_name << ", precision "

@@ -1,8 +1,7 @@
 // nmdt_serve: SpMM-as-a-service over JSON lines on stdin/stdout.
 //
-//   ./example_nmdt_serve --workers 2 --queue-capacity 64 &
-//   echo '{"id":"r1","matrix":"gen:uniform:256x256:0.02:1","k":16}' \
-//     | ./example_nmdt_serve
+//   ./example_nmdt_serve --workers 2 --queue-capacity 64 < requests.jsonl
+//   echo '{"id":"r1","matrix":"gen:uniform:256x256:0.02:1","k":16}' | ./example_nmdt_serve
 //
 // One request per input line, one JSON response line per request (see
 // src/service/protocol.hpp for the schema).  Admission control sheds

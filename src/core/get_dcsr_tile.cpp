@@ -12,9 +12,7 @@ DcsrTileHandle GetDCSRTile(const Csc& csc, index_t strip_id, index_t row_start,
                            std::span<index_t> col_frontier, const TilingSpec& spec,
                            ConversionEngine& engine) {
   spec.validate();
-  static obs::Counter& requests =
-      obs::MetricsRegistry::global().counter("engine.get_dcsr_tile");
-  requests.add(1);
+  obs::metrics().engine_get_dcsr_tile.add(1);
   obs::TraceSpan span("GetDCSRTile");
   const index_t col_begin = strip_id * spec.strip_width;
   NMDT_REQUIRE(col_begin >= 0 && col_begin < csc.cols, "strip_id out of range");

@@ -358,9 +358,8 @@ void JournalWriter::append(const std::string& payload) {
     throw ParseError("write failed on checkpoint journal: " + path_);
   }
   ++entries_;
-  obs::MetricsRegistry::global().counter("checkpoint.written").add(1);
-  obs::MetricsRegistry::global().counter("checkpoint.bytes").add(
-      static_cast<i64>(framed.out.size()));
+  obs::metrics().checkpoint_written.add(1);
+  obs::metrics().checkpoint_bytes.add(static_cast<i64>(framed.out.size()));
   if (++unsynced_ >= static_cast<usize>(interval_)) {
     unsynced_ = 0;
     flush();

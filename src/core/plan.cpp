@@ -39,7 +39,7 @@ const T& artifact(const LazyArtifact<T>& slot, const char* span_name, std::atomi
                   Convert&& convert) {
   return slot.get([&] {
     obs::TraceSpan s(span_name);
-    obs::ScopedTimer t("plan.convert_ms");
+    obs::ScopedTimer t(obs::metrics().plan_convert_ms);
     T built = convert();
     bytes.fetch_add(artifact_bytes(built), std::memory_order_relaxed);
     return built;
@@ -56,8 +56,8 @@ SpmmPlan::SpmmPlan(const Csr& A, const PlanOptions& opts, const MatrixFingerprin
       "profile_sample_fraction must be in (0, 1]");
   obs::TraceSpan span("plan.build");
   obs::ProfScope prof(span);  // hw.* args when profiling is enabled
-  obs::ScopedTimer timer("plan.build_ms");
-  obs::MetricsRegistry::global().counter("plan.builds").add(1);
+  obs::ScopedTimer timer(obs::metrics().plan_build_ms);
+  obs::metrics().plan_builds.add(1);
   if (fp != nullptr) {
     fingerprint_ = *fp;
   } else {
@@ -68,7 +68,7 @@ SpmmPlan::SpmmPlan(const Csr& A, const PlanOptions& opts, const MatrixFingerprin
   }
   {
     NMDT_TRACE_SCOPE("plan.profile");
-    obs::ScopedTimer t("plan.profile_ms");
+    obs::ScopedTimer t(obs::metrics().plan_profile_ms);
     // The profile is structural (row lengths, strip occupancy) — computed
     // once from the canonical matrix, valid at every precision.
     if (opts.profile_sample_fraction < 1.0) {
@@ -163,9 +163,6 @@ PlanCache::PlanCache(i64 byte_budget, double ttl_ms)
 std::shared_ptr<const SpmmPlan> PlanCache::get_or_build(const Csr& A,
                                                         const PlanOptions& opts,
                                                         bool* was_hit) {
-  static obs::Counter& hit_counter = obs::MetricsRegistry::global().counter("plan_cache.hits");
-  static obs::Counter& miss_counter =
-      obs::MetricsRegistry::global().counter("plan_cache.misses");
   obs::TraceSpan span("plan_cache.lookup");
   Key key{{}, opts};
   {
@@ -199,7 +196,7 @@ std::shared_ptr<const SpmmPlan> PlanCache::get_or_build(const Csr& A,
         std::shared_ptr<const SpmmPlan> plan = lru_.front().second.plan;
         charge_and_evict_locked();
         ++stats_.hits;
-        hit_counter.add(1);
+        obs::metrics().plan_cache_hits.add(1);
         if (was_hit) *was_hit = true;
         span.arg("hit", i64{1});
         return plan;
@@ -215,11 +212,11 @@ std::shared_ptr<const SpmmPlan> PlanCache::get_or_build(const Csr& A,
         fault::note_detected();
         recovering = true;
         ++stats_.corrupt_evictions;
-        obs::MetricsRegistry::global().counter("plan_cache.corrupt_evictions").add(1);
+        obs::metrics().plan_cache_corrupt_evictions.add(1);
         span.arg("corrupt_eviction", i64{1});
       } else {
         ++stats_.ttl_evictions;
-        obs::MetricsRegistry::global().counter("plan_cache.ttl_evictions").add(1);
+        obs::metrics().plan_cache_ttl_evictions.add(1);
         span.arg("ttl_eviction", i64{1});
       }
     }
@@ -230,14 +227,14 @@ std::shared_ptr<const SpmmPlan> PlanCache::get_or_build(const Csr& A,
       flight = fit->second;
       ++stats_.hits;
       ++stats_.single_flight_shares;
-      hit_counter.add(1);
-      obs::MetricsRegistry::global().counter("plan_cache.single_flight_shares").add(1);
+      obs::metrics().plan_cache_hits.add(1);
+      obs::metrics().plan_cache_single_flight_shares.add(1);
     } else {
       flight = std::make_shared<InFlight>();
       inflight_[key] = flight;
       builder = true;
       ++stats_.misses;
-      miss_counter.add(1);
+      obs::metrics().plan_cache_misses.add(1);
     }
   }
 
@@ -283,7 +280,7 @@ std::shared_ptr<const SpmmPlan> PlanCache::get_or_build(const Csr& A,
   const i64 bytes = plan->bytes();
   if (bytes > budget_) {
     ++stats_.oversize;  // usable, but never resident
-    obs::MetricsRegistry::global().counter("plan_cache.oversize").add(1);
+    obs::metrics().plan_cache_oversize.add(1);
   } else {
     lru_.emplace_front(key, Entry{plan, Clock::now(), bytes});
     index_[key] = lru_.begin();
@@ -294,10 +291,6 @@ std::shared_ptr<const SpmmPlan> PlanCache::get_or_build(const Csr& A,
 }
 
 void PlanCache::charge_and_evict_locked() {
-  static obs::Counter& evict_counter =
-      obs::MetricsRegistry::global().counter("plan_cache.evictions");
-  static obs::Gauge& resident_gauge =
-      obs::MetricsRegistry::global().gauge("plan_cache.resident_bytes");
   for (auto& [key, entry] : lru_) {
     const i64 now = entry.plan->bytes();
     stats_.bytes += now - entry.charged;
@@ -309,10 +302,10 @@ void PlanCache::charge_and_evict_locked() {
     index_.erase(victim.first);
     lru_.pop_back();
     ++stats_.evictions;
-    evict_counter.add(1);
+    obs::metrics().plan_cache_evictions.add(1);
   }
   stats_.entries = index_.size();
-  resident_gauge.set(static_cast<double>(stats_.bytes));
+  obs::metrics().plan_cache_resident_bytes.set(static_cast<double>(stats_.bytes));
 }
 
 PlanCacheStats PlanCache::stats() const {

@@ -72,7 +72,7 @@ Completion RowWork::plan(usize row) const {
     std::shared_ptr<const SpmmPlan> plan;
     {
       obs::TraceSpan sp("suite.plan");
-      obs::ScopedTimer t("suite.plan_ms");
+      obs::ScopedTimer t(obs::metrics().suite_plan_ms);
       plan = build_plan(A, plan_options_for(cfg));
       sp.arg("matrix", specs[row].name.c_str()).arg("nnz", static_cast<i64>(A.nnz()));
     }
@@ -138,8 +138,7 @@ std::vector<SuiteRow> drive_suite(std::span<const MatrixSpec> specs, const SpmmC
   NMDT_CHECK_CONFIG(!opts.resume || !opts.journal_path.empty(),
                     "resume requires a checkpoint-journal path");
   const usize total = specs.size();
-  auto& metrics = obs::MetricsRegistry::global();
-  metrics.counter("suite.runs").add(1);
+  obs::metrics().suite_runs.add(1);
   // Install the sweep-wide fault plan before any backend starts: forked
   // workers inherit the injector, so their draws match the in-process
   // run.  A default plan leaves whatever is already installed untouched.
@@ -155,7 +154,7 @@ std::vector<SuiteRow> drive_suite(std::span<const MatrixSpec> specs, const SpmmC
   if (opts.resume) {
     replay = read_journal_file(opts.journal_path);
     verify_journal(replay, fingerprint, total, K, SuiteRow::kArmCount);
-    metrics.counter("checkpoint.replayed").add(static_cast<i64>(replay.entries));
+    obs::metrics().checkpoint_replayed.add(static_cast<i64>(replay.entries));
     suite_span.arg("replayed_entries", static_cast<i64>(replay.entries));
   }
   std::optional<JournalWriter> writer;
@@ -219,7 +218,7 @@ std::vector<SuiteRow> drive_suite(std::span<const MatrixSpec> specs, const SpmmC
                             std::exception_ptr e) {
     SuiteRow& row = *slots[idx];
     (arm < 0 ? row.error : row.arm_error[static_cast<usize>(arm)]) = desc;
-    if (desc.rfind("TimeoutError", 0) == 0) metrics.counter("fault.timeout").add(1);
+    if (desc.rfind("TimeoutError", 0) == 0) obs::metrics().fault_timeout.add(1);
     const i64 rank = static_cast<i64>(idx) * (SuiteRow::kArmCount + 1) + arm + 1;
     if (err_rank < 0 || rank < err_rank) {
       err_rank = rank;
@@ -374,7 +373,7 @@ std::vector<SuiteRow> drive_suite(std::span<const MatrixSpec> specs, const SpmmC
   if (writer) writer->flush();  // the final checkpoint lands before we report
 
   if (cut || suite_token.cancelled()) {
-    metrics.counter("suite.cancelled").add(1);
+    obs::metrics().suite_cancelled.add(1);
     const std::string where =
         opts.journal_path.empty()
             ? std::string(" (no journal was configured; completed work is lost)")

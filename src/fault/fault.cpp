@@ -106,28 +106,10 @@ bool should_inject(FaultSite site, u64 key) {
   return FaultInjector::global().should_inject(site, key);
 }
 
-namespace {
-obs::Counter& fault_counter(const char* name) {
-  return obs::MetricsRegistry::global().counter(name);
-}
-}  // namespace
-
-void note_injected() {
-  static obs::Counter& c = fault_counter("fault.injected");
-  c.add(1);
-}
-void note_detected() {
-  static obs::Counter& c = fault_counter("fault.detected");
-  c.add(1);
-}
-void note_recovered() {
-  static obs::Counter& c = fault_counter("fault.recovered");
-  c.add(1);
-}
-void note_unrecovered() {
-  static obs::Counter& c = fault_counter("fault.unrecovered");
-  c.add(1);
-}
+void note_injected() { obs::metrics().fault_injected.add(1); }
+void note_detected() { obs::metrics().fault_detected.add(1); }
+void note_recovered() { obs::metrics().fault_recovered.add(1); }
+void note_unrecovered() { obs::metrics().fault_unrecovered.add(1); }
 
 bool flip_bit(void* data, usize bytes, u64 key) {
   if (bytes == 0) return false;

@@ -105,9 +105,9 @@ u64 mix(u64 a, u64 b);
 /// Convenience: FaultInjector::global().should_inject(site, key).
 bool should_inject(FaultSite site, u64 key);
 
-// Fault lifecycle accounting into MetricsRegistry.  Invariant the chaos
-// suite pins: fault.detected == fault.injected for detectable sites,
-// and every detection sequence ends in exactly one recovered or
+// Fault lifecycle accounting into the fault_* catalogue counters.
+// Invariant the chaos suite pins: detected == injected for detectable
+// sites, and every detection sequence ends in exactly one recovered or
 // unrecovered event.
 void note_injected();
 void note_detected();

@@ -130,7 +130,7 @@ std::string read_file_bytes(const std::string& path) {
       fault::should_inject(fault::FaultSite::kSerializedStream, key)) {
     const u64 max_cut = std::max<u64>(1, static_cast<u64>(bytes.size()) / 4);
     const usize cut = static_cast<usize>(1 + fault::mix(key, 0xF11E) % max_cut);
-    bytes.resize(bytes.size() - std::min(bytes.size(), cut));
+    bytes.erase(bytes.size() - std::min(bytes.size(), cut));
     fault::note_injected();
   }
   return bytes;

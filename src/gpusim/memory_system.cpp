@@ -126,8 +126,7 @@ void MemorySystem::merge(const MemorySystem& other) {
                "MemorySystem::merge requires matching mode and channel geometry");
   // Shard flush point: a shard-local memory system drains its simulated
   // traffic into the canonical one.
-  static obs::Counter& merges = obs::MetricsRegistry::global().counter("mem.merges");
-  merges.add(1);
+  obs::metrics().mem_merges.add(1);
   obs::TraceSpan span("mem.merge");
   stats_ += other.stats_;
   if (span.enabled()) {

@@ -148,9 +148,8 @@ SpmmResult run_spmm(KernelKind kind, const SpmmOperandsT<V>& A, const DenseMatri
   cfg.tiling.validate();
   check_operands(kind, A, cfg);
   NMDT_REQUIRE(A.csr->cols == B.rows(), "SpMM shape mismatch: A.cols != B.rows");
-  static obs::Counter& runs = obs::MetricsRegistry::global().counter("kernel.runs");
-  runs.add(1);
-  obs::ScopedTimer timer("kernel.host_ms");
+  obs::metrics().kernel_runs.add(1);
+  obs::ScopedTimer timer(obs::metrics().kernel_host_ms);
   obs::TraceSpan span(kernel_name(kind));
   // Destroyed before `span`, so the hw.* counter args land on the
   // kernel span (profiling enabled only — spans stay deterministic
@@ -168,9 +167,7 @@ SpmmResult run_spmm(KernelKind kind, const SpmmOperandsT<V>& A, const DenseMatri
     // The online conversion path is the only kernel with a faultable
     // hardware unit in the loop; degrade to the reference CSR baseline
     // rather than failing the multiplication.
-    static obs::Counter& fallbacks =
-        obs::MetricsRegistry::global().counter("fault.fallbacks");
-    fallbacks.add(1);
+    obs::metrics().fault_fallbacks.add(1);
     obs::TraceSpan fb_span("fault.fallback");
     fb_span.arg("from", kernel_name(kind))
         .arg("to", kernel_name(KernelKind::kCsrCStationaryRowWarp));

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace nmdt::obs {
 
 namespace {
@@ -265,13 +267,21 @@ bool validate_metrics_json(std::string_view text, std::string* error,
       return fail(std::string("missing '") + section + "' object");
     }
   }
+  // The catalogue is the only source of names: an undeclared name, or
+  // one filed under another kind's section, is a schema error.
+  auto undeclared = [](const std::string& name, MetricKind kind) {
+    const MetricDecl* decl = find_metric(name);
+    return decl == nullptr || decl->kind != kind;
+  };
   for (const auto& [name, v] : root.find("counters")->object) {
+    if (undeclared(name, MetricKind::kCounter)) return fail("undeclared counter '" + name + "'");
     if (v.kind != JsonValue::Kind::kNumber) {
       return fail("counter '" + name + "' is not numeric");
     }
     ++rep.counters;
   }
   for (const auto& [name, v] : root.find("gauges")->object) {
+    if (undeclared(name, MetricKind::kGauge)) return fail("undeclared gauge '" + name + "'");
     if (v.kind != JsonValue::Kind::kNumber) {
       return fail("gauge '" + name + "' is not numeric");
     }
@@ -279,6 +289,7 @@ bool validate_metrics_json(std::string_view text, std::string* error,
   }
   for (const auto& [name, h] : root.find("histograms")->object) {
     const std::string at = "histogram '" + name + "'";
+    if (undeclared(name, MetricKind::kHistogram)) return fail("undeclared " + at);
     if (h.kind != JsonValue::Kind::kObject) return fail(at + " is not an object");
     for (const char* key : {"count", "sum", "min", "max", "mean"}) {
       if (!has_number(h, key)) return fail(at + " lacks numeric '" + key + "'");

@@ -63,7 +63,9 @@ struct MetricsCheckReport {
 
 /// Validate a MetricsRegistry JSON snapshot (as written by
 /// `nmdt_cli --metrics`): an object with "counters"/"gauges"/
-/// "histograms" objects; counter and gauge values numeric; every
+/// "histograms" objects; every name declared in the metric catalogue
+/// (obs/metrics.hpp) and listed in its kind's section; counter and
+/// gauge values numeric; every
 /// histogram an object with numeric count/sum/min/max/mean and a
 /// "buckets" array of {"le": number, "count": number} entries whose
 /// counts sum to the histogram count (each observation lands in exactly

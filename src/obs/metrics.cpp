@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <type_traits>
 
-#include "obs/trace.hpp"  // json_escape
 #include "util/error.hpp"
 
 namespace nmdt::obs {
@@ -71,81 +71,106 @@ void Histogram::reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
 }
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
+namespace {
+
+/// Call f(name, instrument) for every declared instrument, in name order.
+template <class Registry, class F>
+void for_each_instrument(Registry& reg, F&& f) {
+#define NMDT_METRIC_VISIT(type, member, name) f(std::string_view(name), reg.member);
+  NMDT_METRICS(NMDT_METRIC_VISIT)
+#undef NMDT_METRIC_VISIT
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+template <class T, class U>
+constexpr bool is_a = std::is_same_v<std::remove_cvref_t<U>, T>;
+
+template <class T>
+T& lookup(MetricsRegistry& reg, std::string_view name, const char* kind) {
+  T* hit = nullptr;
+  bool declared = false;
+  for_each_instrument(reg, [&](std::string_view n, auto& inst) {
+    if (n != name) return;
+    declared = true;
+    if constexpr (is_a<T, decltype(inst)>) hit = &inst;
+  });
+  if (!declared) throw ConfigError("undeclared metric '" + std::string(name) + "'");
+  if (hit == nullptr) throw ConfigError("metric '" + std::string(name) + "' is not a " + kind);
+  return *hit;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+void write_value(std::ostream& os, const Counter& c) { os << c.value(); }
+
+void write_value(std::ostream& os, const Gauge& g) { write_number(os, g.value()); }
+
+void write_value(std::ostream& os, const Histogram& h) {
+  const Histogram::Snapshot s = h.snapshot();
+  os << "{\"count\": " << s.count << ", \"sum\": ";
+  write_number(os, s.sum);
+  os << ", \"min\": ";
+  write_number(os, s.min);
+  os << ", \"max\": ";
+  write_number(os, s.max);
+  os << ", \"mean\": ";
+  write_number(os, s.mean());
+  os << ", \"buckets\": [";
+  bool first = true;
+  for (int i = 0; i < Histogram::kBuckets; ++i) {
+    if (s.buckets[static_cast<usize>(i)] == 0) continue;
+    os << (first ? "" : ", ") << "{\"le\": ";
+    write_number(os, Histogram::bucket_bound(i));
+    os << ", \"count\": " << s.buckets[static_cast<usize>(i)] << "}";
+    first = false;
+  }
+  os << "]}";
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
+template <class T>
+void write_section(std::ostream& os, const MetricsRegistry& reg, const char* section) {
+  os << "  \"" << section << "\": {";
+  bool first = true;
+  for_each_instrument(reg, [&](std::string_view name, const auto& inst) {
+    if constexpr (is_a<T, decltype(inst)>) {
+      os << (first ? "\n" : ",\n") << "    \"" << name << "\": ";
+      write_value(os, inst);
+      first = false;
+    }
+  });
+  os << (first ? "" : "\n  ") << "}";
+}
+
+}  // namespace
+
+const MetricDecl* find_metric(std::string_view name) {
+  for (const MetricDecl& d : kMetricCatalogue) {
+    if (d.name == name) return &d;
+  }
+  return nullptr;
+}
+
+Counter& MetricsRegistry::counter(std::string_view name) {
+  return lookup<Counter>(*this, name, "counter");
+}
+
+Gauge& MetricsRegistry::gauge(std::string_view name) {
+  return lookup<Gauge>(*this, name, "gauge");
+}
+
+Histogram& MetricsRegistry::histogram(std::string_view name) {
+  return lookup<Histogram>(*this, name, "histogram");
 }
 
 void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
+  for_each_instrument(*this, [](std::string_view, auto& inst) { inst.reset(); });
 }
 
 void MetricsRegistry::write_json(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  os << "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-       << "\": " << c->value();
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name) << "\": ";
-    write_number(os, g->value());
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    const Histogram::Snapshot s = h->snapshot();
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-       << "\": {\"count\": " << s.count << ", \"sum\": ";
-    write_number(os, s.sum);
-    os << ", \"min\": ";
-    write_number(os, s.min);
-    os << ", \"max\": ";
-    write_number(os, s.max);
-    os << ", \"mean\": ";
-    write_number(os, s.mean());
-    os << ", \"buckets\": [";
-    bool bfirst = true;
-    for (int i = 0; i < Histogram::kBuckets; ++i) {
-      if (s.buckets[static_cast<usize>(i)] == 0) continue;
-      os << (bfirst ? "" : ", ") << "{\"le\": ";
-      write_number(os, Histogram::bucket_bound(i));
-      os << ", \"count\": " << s.buckets[static_cast<usize>(i)] << "}";
-      bfirst = false;
-    }
-    os << "]}";
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "}\n}\n";
+  os << "{\n";
+  write_section<Counter>(os, *this, "counters");
+  os << ",\n";
+  write_section<Gauge>(os, *this, "gauges");
+  os << ",\n";
+  write_section<Histogram>(os, *this, "histograms");
+  os << "\n}\n";
 }
 
 void MetricsRegistry::write_json_file(const std::string& path) const {

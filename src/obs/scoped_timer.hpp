@@ -1,4 +1,4 @@
-// RAII wall-clock timer reporting into a MetricsRegistry histogram —
+// RAII wall-clock timer reporting into a catalogue histogram —
 // the single host-side clock source feeding traces, metrics, and the
 // bench harnesses (simulated GPU time comes from gpusim::TimingModel,
 // never from this clock).  Observes elapsed host milliseconds exactly
@@ -15,8 +15,6 @@ namespace nmdt::obs {
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram& hist) : hist_(&hist) {}
-  explicit ScopedTimer(const std::string& name)
-      : hist_(&MetricsRegistry::global().histogram(name)) {}
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;

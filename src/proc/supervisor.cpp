@@ -236,7 +236,6 @@ struct Supervisor::Impl {
   std::condition_variable comp_cv;
   std::deque<TaskPtr> inbox;
   std::deque<Completion> completions;
-  ProcStats stat{};
   std::vector<i64> pids;
   std::atomic<u64> next_id{1};
   std::atomic<usize> pending{0};
@@ -249,14 +248,6 @@ struct Supervisor::Impl {
   int wake_r = -1, wake_w = -1;
   std::thread loop_thread;
 
-  // Pre-resolved instruments (created before any fork so a child never
-  // needs the registry lock for them).
-  obs::Counter* m_spawns = nullptr;
-  obs::Counter* m_crashes = nullptr;
-  obs::Counter* m_retries = nullptr;
-  obs::Counter* m_quarantines = nullptr;
-  obs::Counter* m_hb_timeouts = nullptr;
-  obs::Histogram* m_hb_gap = nullptr;
   std::unique_ptr<obs::TraceSpan> supervise_span;
 
   struct sigaction old_sigpipe{};
@@ -305,17 +296,8 @@ struct Supervisor::Impl {
       if (other.to_fd >= 0) inherited.push_back(other.to_fd);
       if (other.from_fd >= 0) inherited.push_back(other.from_fd);
     }
-    // Hold the registry lock across fork() so the child never inherits
-    // it locked (its handler creates instruments on first use).
-    obs::MetricsRegistry::global().fork_prepare();
     const pid_t pid = ::fork();
-    if (pid == 0) {
-      // The child is a clone of the forking thread, which owns the
-      // lock; release it before anything else allocates instruments.
-      obs::MetricsRegistry::global().fork_release();
-      worker_child_main(opts, handler, task_pipe[0], result_pipe[1], inherited);
-    }
-    obs::MetricsRegistry::global().fork_release();
+    if (pid == 0) worker_child_main(opts, handler, task_pipe[0], result_pipe[1], inherited);
     if (pid < 0) {
       ::close(task_pipe[0]);
       ::close(task_pipe[1]);
@@ -334,10 +316,9 @@ struct Supervisor::Impl {
     w.has_affinity = false;
     w.last_hb = Clock::now();
     w.alive = true;
-    m_spawns->add(1);
+    obs::metrics().proc_spawns.add(1);
     {
       std::lock_guard<std::mutex> lock(mu);
-      ++stat.spawns;
       pids.push_back(static_cast<i64>(pid));
     }
     return true;
@@ -362,20 +343,12 @@ struct Supervisor::Impl {
     forget_pid(w.pid);
     w.pid = -1;
     w.alive = false;
-    m_crashes->add(1);
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      ++stat.crashes;
-    }
+    obs::metrics().proc_crashes.add(1);
     if (TaskPtr t = std::move(w.inflight)) {
       w.inflight = nullptr;
       ++t->crashes;
       if (t->crashes >= kMaxWorkerRetries) {
-        m_quarantines->add(1);
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          ++stat.quarantines;
-        }
+        obs::metrics().proc_quarantines.add(1);
         TaskOutcome out;
         out.ok = false;
         out.crashes = t->crashes;
@@ -384,11 +357,7 @@ struct Supervisor::Impl {
                     " crashed attempts";
         complete(t, std::move(out));
       } else {
-        m_retries->add(1);
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          ++stat.retries;
-        }
+        obs::metrics().proc_retries.add(1);
         t->not_before =
             Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                std::chrono::duration<double, std::milli>(
@@ -483,7 +452,7 @@ struct Supervisor::Impl {
         w.last_hb = now;
         break;
       case FrameType::kHeartbeat:
-        m_hb_gap->observe(ms_since(w.last_hb, now));
+        obs::metrics().proc_heartbeat_ms.observe(ms_since(w.last_hb, now));
         w.last_hb = now;
         break;
       case FrameType::kResult: {
@@ -547,11 +516,7 @@ struct Supervisor::Impl {
     for (WorkerProc& w : workers) {
       if (!w.alive) continue;
       if (ms_since(w.last_hb, now) <= opts.heartbeat_timeout_ms) continue;
-      m_hb_timeouts->add(1);
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        ++stat.heartbeat_timeouts;
-      }
+      obs::metrics().proc_heartbeat_timeouts.add(1);
       kill_worker(w, "missed its heartbeat deadline");
     }
   }
@@ -620,13 +585,6 @@ Supervisor::Supervisor(ProcOptions opts, TaskHandler handler)
   sigemptyset(&ign.sa_mask);
   ::sigaction(SIGPIPE, &ign, &impl_->old_sigpipe);
 
-  auto& reg = obs::MetricsRegistry::global();
-  impl_->m_spawns = &reg.counter("proc.spawns");
-  impl_->m_crashes = &reg.counter("proc.crashes");
-  impl_->m_retries = &reg.counter("proc.retries");
-  impl_->m_quarantines = &reg.counter("proc.quarantines");
-  impl_->m_hb_timeouts = &reg.counter("proc.heartbeat_timeouts");
-  impl_->m_hb_gap = &reg.histogram("proc.heartbeat_ms");
   impl_->supervise_span = std::make_unique<obs::TraceSpan>("proc.supervise");
   impl_->supervise_span->arg("workers", impl_->opts.workers);
 
@@ -726,11 +684,6 @@ TaskOutcome Supervisor::call(u8 kind, u64 key, std::string payload) {
 
 usize Supervisor::pending() const { return impl_->pending.load(std::memory_order_acquire); }
 
-ProcStats Supervisor::stats() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->stat;
-}
-
 std::vector<i64> Supervisor::worker_pids() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   return impl_->pids;
@@ -819,7 +772,6 @@ u64 Supervisor::submit(u8, u64, std::string, u64) { return 0; }
 std::optional<Completion> Supervisor::wait_completion(double) { return std::nullopt; }
 TaskOutcome Supervisor::call(u8, u64, std::string) { return {}; }
 usize Supervisor::pending() const { return 0; }
-ProcStats Supervisor::stats() const { return {}; }
 std::vector<i64> Supervisor::worker_pids() const { return {}; }
 void Supervisor::shutdown() {}
 

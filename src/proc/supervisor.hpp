@@ -27,17 +27,14 @@
 //
 // Fork safety: workers are forked from the constructor's calling
 // thread (fork early, before the caller spawns its own threads);
-// respawns happen on the supervisor's event-loop thread while the
-// MetricsRegistry lock is held across fork() (obs fork_prepare), so a
-// child never inherits a locked registry.  The child immediately
-// uninstalls any inherited TraceSession (a lock-free pointer CAS),
-// resets signal dispositions, and communicates only through its two
-// pipe ends; it leaves via _exit(), never flushing inherited stdio.
+// respawns happen on the supervisor's event-loop thread.  The child
+// immediately uninstalls any inherited TraceSession (a lock-free
+// pointer CAS), resets signal dispositions, and communicates only
+// through its two pipe ends; it leaves via _exit(), never flushing
+// inherited stdio.
 //
-// Metrics: proc.spawns, proc.crashes, proc.retries, proc.quarantines,
-// proc.heartbeat_timeouts counters and the proc.heartbeat_ms histogram
-// (observed inter-heartbeat gap).  Traces: a proc.supervise span for
-// the supervisor lifetime and one proc.task span per dispatched task.
+// Traces: a proc.supervise span for the supervisor lifetime and one
+// proc.task span per dispatched task.
 #pragma once
 
 #include <functional>
@@ -90,14 +87,6 @@ struct Completion {
   TaskOutcome outcome;
 };
 
-struct ProcStats {
-  i64 spawns = 0;
-  i64 crashes = 0;
-  i64 retries = 0;
-  i64 quarantines = 0;
-  i64 heartbeat_timeouts = 0;
-};
-
 class Supervisor {
  public:
   /// Forks the initial workers on the calling thread, then starts the
@@ -128,8 +117,6 @@ class Supervisor {
 
   /// Tasks submitted but not yet completed.
   usize pending() const;
-
-  ProcStats stats() const;
 
   /// Live worker pids — the chaos tests' kill -9 target.
   std::vector<i64> worker_pids() const;

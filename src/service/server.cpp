@@ -321,6 +321,10 @@ void execute_isolated(proc::Supervisor& supervisor, const Ticket& t, const Membe
   done(0, res, exec_start);
 }
 
+void publish_queue_depth(usize depth) {
+  obs::metrics().service_queue_depth.set(static_cast<double>(depth));
+}
+
 }  // namespace
 
 Csr load_matrix_spec(const std::string& spec) {
@@ -407,10 +411,7 @@ void SpmmServer::respond(const Response& r) {
 }
 
 bool SpmmServer::submit(Request req) {
-  static obs::Counter& submitted = obs::MetricsRegistry::global().counter("service.submitted");
-  static obs::Counter& accepted = obs::MetricsRegistry::global().counter("service.accepted");
-  static obs::Counter& shed = obs::MetricsRegistry::global().counter("service.shed");
-  submitted.add(1);
+  obs::metrics().service_submitted.add(1);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.submitted;
@@ -419,7 +420,7 @@ bool SpmmServer::submit(Request req) {
   Ticket t;
   t.req = std::move(req);
   const auto shed_with = [&](const OverloadError& e, u64 ServerStats::*slot) {
-    shed.add(1);
+    obs::metrics().service_shed.add(1);
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++(stats_.*slot);
@@ -455,13 +456,12 @@ bool SpmmServer::submit(Request req) {
               &ServerStats::shed_queue_full);
     return false;
   }
-  accepted.add(1);
+  obs::metrics().service_accepted.add(1);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.accepted;
   }
-  obs::MetricsRegistry::global().gauge("service.queue_depth").set(
-      static_cast<double>(queue_.depth()));
+  publish_queue_depth(queue_.depth());
   return true;
 }
 
@@ -513,8 +513,7 @@ void SpmmServer::worker_loop() {
           static_cast<usize>(opts_.coalesce_max - 1));
       for (auto& t : more) group.push_back(std::move(t));
     }
-    obs::MetricsRegistry::global().gauge("service.queue_depth").set(
-        static_cast<double>(queue_.depth()));
+    publish_queue_depth(queue_.depth());
     const auto batch_start = Clock::now();
     try {
       process_group(std::move(group));
@@ -529,13 +528,11 @@ void SpmmServer::worker_loop() {
 }
 
 void SpmmServer::process_group(std::vector<Ticket> group) {
-  static obs::Counter& coalesced_batches =
-      obs::MetricsRegistry::global().counter("service.coalesced_batches");
   obs::TraceSpan span("service.batch");
   span.arg("size", static_cast<i64>(group.size()));
   const int coalesced = static_cast<int>(group.size());
   if (coalesced > 1) {
-    coalesced_batches.add(1);
+    obs::metrics().service_coalesced_batches.add(1);
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.coalesced_batches;
     stats_.coalesced_requests += group.size();
@@ -601,11 +598,9 @@ void SpmmServer::process_group(std::vector<Ticket> group) {
 }
 
 void SpmmServer::finish_ok(const Response& resp) {
-  static obs::Counter& completed =
-      obs::MetricsRegistry::global().counter("service.completed");
-  completed.add(1);
-  obs::MetricsRegistry::global().histogram("service.queue_ms").observe(resp.queue_ms);
-  obs::MetricsRegistry::global().histogram("service.exec_ms").observe(resp.exec_ms);
+  obs::metrics().service_completed.add(1);
+  obs::metrics().service_queue_ms.observe(resp.queue_ms);
+  obs::metrics().service_exec_ms.observe(resp.exec_ms);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.completed_ok;
@@ -615,8 +610,7 @@ void SpmmServer::finish_ok(const Response& resp) {
 
 void SpmmServer::finish_error(const Ticket& t, const std::exception& e,
                               int coalesced_with) {
-  static obs::Counter& failed = obs::MetricsRegistry::global().counter("service.failed");
-  failed.add(1);
+  obs::metrics().service_failed.add(1);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.completed_error;

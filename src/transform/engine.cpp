@@ -133,9 +133,7 @@ void ConversionEngine::convert_tile_into(DcsrTileT<V>& out, const CscT<V>& csc,
                "strip cursor used out of order (tile requests must be monotone)");
   NMDT_REQUIRE(cursor.lanes() <= hw_.lanes,
                "strip wider than the engine's lane count");
-  static obs::Counter& tile_requests =
-      obs::MetricsRegistry::global().counter("engine.tile_requests");
-  tile_requests.add(1);
+  obs::metrics().engine_tile_requests.add(1);
   obs::TraceSpan span("engine.convert_tile");
   const index_t row_end = std::min<index_t>(row_start + spec.tile_height, csc.rows);
   cursor.advance_watermark(row_end);

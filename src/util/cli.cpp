@@ -21,11 +21,9 @@ CliParser::CliParser(int argc, const char* const* argv) {
     }
     // `--flag value` unless the next token is another flag or absent, in
     // which case treat as boolean presence.
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[arg] = argv[++i];
-    } else {
-      values_[arg] = "1";
-    }
+    const bool has_value = i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0;
+    // Move-assigned: GCC 12 misreports operator=(const char*) as -Wrestrict.
+    values_[arg] = std::string(has_value ? argv[++i] : "1");
   }
 }
 

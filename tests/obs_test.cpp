@@ -4,6 +4,7 @@
 // that backs `example_trace_lint`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -12,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "obs/trace.hpp"
+#include "util/error.hpp"
 
 namespace nmdt::obs {
 namespace {
@@ -111,9 +113,10 @@ TEST(Metrics, HistogramEmptySnapshotHasZeroMinMax) {
 
 TEST(Metrics, RegistryReturnsStableReferences) {
   MetricsRegistry& reg = MetricsRegistry::global();
-  Counter& a = reg.counter("obs_test.stable");
-  Counter& b = reg.counter("obs_test.stable");
+  Counter& a = reg.counter("kernel.runs");
+  Counter& b = reg.counter("kernel.runs");
   EXPECT_EQ(&a, &b);
+  EXPECT_EQ(&a, &metrics().kernel_runs);  // by-name and typed handle agree
   a.add(7);
   reg.reset();
   EXPECT_EQ(b.value(), 0);  // reset zeroes in place, reference survives
@@ -121,22 +124,58 @@ TEST(Metrics, RegistryReturnsStableReferences) {
 
 TEST(Metrics, RegistrySnapshotIsValidJson) {
   MetricsRegistry& reg = MetricsRegistry::global();
-  reg.counter("obs_test.count\"quoted\"").add(3);
-  reg.gauge("obs_test.gauge").set(1.5);
-  reg.histogram("obs_test.hist").observe(4.0);
+  reg.counter("kernel.runs").add(3);
+  reg.gauge("service.queue_depth").set(1.5);
+  reg.histogram("kernel.host_ms").observe(4.0);
   std::ostringstream os;
   reg.write_json(os);
   std::string error;
   EXPECT_TRUE(json_is_valid(os.str(), &error)) << error;
-  EXPECT_NE(os.str().find("obs_test.gauge"), std::string::npos);
+  EXPECT_NE(os.str().find("service.queue_depth"), std::string::npos);
+}
+
+TEST(Metrics, CatalogueIsSortedUniqueAndFollowsTheUnitRule) {
+  // Names sort strictly (so unique), use [a-z0-9_.], and carry their
+  // unit as a suffix: `_ms` milliseconds, `bytes` bytes, anything else
+  // a count.  Every histogram is a `_ms` timing, and no other unit
+  // suffix may appear where the rule would read it as a count.
+  const auto in_charset = [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_' || c == '.';
+  };
+  std::string_view prev;
+  for (const MetricDecl& d : kMetricCatalogue) {
+    SCOPED_TRACE(std::string(d.name));
+    EXPECT_FALSE(d.name.empty());
+    EXPECT_TRUE(std::all_of(d.name.begin(), d.name.end(), in_charset));
+    for (std::string_view unit : {"_us", "_ns", "_s", "_sec", "_mb", "_kb", "_gb", "_pct"}) {
+      EXPECT_FALSE(d.name.ends_with(unit)) << unit;
+    }
+    EXPECT_LT(prev, d.name);
+    prev = d.name;
+    if (d.kind == MetricKind::kHistogram) {
+      EXPECT_TRUE(d.name.ends_with("_ms"));
+    }
+    EXPECT_EQ(find_metric(d.name), &d);
+  }
+  EXPECT_EQ(find_metric("kernel.run"), nullptr);
+}
+
+TEST(Metrics, ByNameLookupRejectsUndeclaredNamesAndWrongKinds) {
+  MetricsRegistry& reg = MetricsRegistry::global();
+  EXPECT_THROW(reg.counter("obs_test.undeclared"), ConfigError);
+  EXPECT_THROW(reg.gauge("obs_test.undeclared"), ConfigError);
+  EXPECT_THROW(reg.histogram("obs_test.undeclared"), ConfigError);
+  EXPECT_THROW(reg.counter("kernel.host_ms"), ConfigError);  // a histogram
+  EXPECT_THROW(reg.histogram("kernel.runs"), ConfigError);   // a counter
+  EXPECT_EQ(&reg.gauge("service.queue_depth"), &metrics().service_queue_depth);
 }
 
 TEST(Metrics, ScopedTimerObservesOnceIntoHistogram) {
   MetricsRegistry& reg = MetricsRegistry::global();
-  Histogram& h = reg.histogram("obs_test.timer_ms");
+  Histogram& h = reg.histogram("kernel.host_ms");
   h.reset();
   {
-    ScopedTimer t("obs_test.timer_ms");
+    ScopedTimer t(metrics().kernel_host_ms);
     const double ms = t.stop();
     EXPECT_GE(ms, 0.0);
   }  // dtor after stop() must not double-observe
@@ -313,9 +352,9 @@ TEST(JsonCheck, RejectsNonTraceSchemas) {
 TEST(MetricsCheck, RegistrySnapshotRoundTripsThroughValidator) {
   MetricsRegistry& reg = MetricsRegistry::global();
   reg.reset();
-  reg.counter("mcheck.count").add(7);
-  reg.gauge("mcheck.gauge").set(-2.5);
-  Histogram& h = reg.histogram("mcheck.hist");
+  reg.counter("kernel.runs").add(7);
+  reg.gauge("service.queue_depth").set(-2.5);
+  Histogram& h = reg.histogram("kernel.host_ms");
   h.observe(0.0);
   h.observe(1.0);
   h.observe(1e18);
@@ -335,30 +374,59 @@ TEST(MetricsCheck, RejectsMissingSectionsAndBrokenInvariants) {
   EXPECT_FALSE(validate_metrics_json("[]", &error));  // not an object
   EXPECT_FALSE(validate_metrics_json("{\"counters\": {}}", &error));  // no gauges
   EXPECT_FALSE(validate_metrics_json(
-      "{\"counters\": {\"c\": \"NaN\"}, \"gauges\": {}, \"histograms\": {}}",
+      "{\"counters\": {\"kernel.runs\": \"NaN\"}, \"gauges\": {}, \"histograms\": {}}",
       &error));  // non-numeric counter
   // Histogram whose bucket counts do not sum to `count`.
   EXPECT_FALSE(validate_metrics_json(
-      "{\"counters\": {}, \"gauges\": {}, \"histograms\": {\"h\": "
+      "{\"counters\": {}, \"gauges\": {}, \"histograms\": {\"kernel.host_ms\": "
       "{\"count\": 3, \"sum\": 1.0, \"min\": 0.0, \"max\": 1.0, \"mean\": 0.33, "
       "\"buckets\": [{\"le\": 1.0, \"count\": 1}]}}}",
       &error));
   EXPECT_NE(error.find("bucket"), std::string::npos) << error;
   // Buckets with non-ascending bounds.
   EXPECT_FALSE(validate_metrics_json(
-      "{\"counters\": {}, \"gauges\": {}, \"histograms\": {\"h\": "
+      "{\"counters\": {}, \"gauges\": {}, \"histograms\": {\"kernel.host_ms\": "
       "{\"count\": 2, \"sum\": 1.0, \"min\": 0.0, \"max\": 1.0, \"mean\": 0.5, "
       "\"buckets\": [{\"le\": 4.0, \"count\": 1}, {\"le\": 2.0, \"count\": 1}]}}}",
       &error));
   // The same document with ascending bounds and a correct sum passes.
   MetricsCheckReport report;
   EXPECT_TRUE(validate_metrics_json(
-      "{\"counters\": {}, \"gauges\": {}, \"histograms\": {\"h\": "
+      "{\"counters\": {}, \"gauges\": {}, \"histograms\": {\"kernel.host_ms\": "
       "{\"count\": 2, \"sum\": 1.0, \"min\": 0.0, \"max\": 1.0, \"mean\": 0.5, "
       "\"buckets\": [{\"le\": 2.0, \"count\": 1}, {\"le\": 4.0, \"count\": 1}]}}}",
       &error, &report))
       << error;
   EXPECT_EQ(report.histograms, 1u);
+}
+
+TEST(MetricsCheck, RejectsUndeclaredNames) {
+  std::string error;
+  EXPECT_FALSE(validate_metrics_json(
+      "{\"counters\": {\"kernel.runz\": 1}, \"gauges\": {}, \"histograms\": {}}", &error));
+  EXPECT_NE(error.find("undeclared counter 'kernel.runz'"), std::string::npos) << error;
+  EXPECT_FALSE(validate_metrics_json(
+      "{\"counters\": {}, \"gauges\": {\"obs_test.gauge\": 1.5}, \"histograms\": {}}", &error));
+  EXPECT_NE(error.find("undeclared gauge"), std::string::npos) << error;
+  EXPECT_TRUE(validate_metrics_json(
+      "{\"counters\": {\"kernel.runs\": 1}, \"gauges\": {}, \"histograms\": {}}", &error))
+      << error;
+}
+
+TEST(MetricsCheck, RejectsDeclaredNamesInTheWrongSection) {
+  std::string error;
+  // A histogram name filed as a counter, and a counter as a gauge.
+  EXPECT_FALSE(validate_metrics_json(
+      "{\"counters\": {\"kernel.host_ms\": 1}, \"gauges\": {}, \"histograms\": {}}", &error));
+  EXPECT_NE(error.find("kernel.host_ms"), std::string::npos) << error;
+  EXPECT_FALSE(validate_metrics_json(
+      "{\"counters\": {}, \"gauges\": {\"kernel.runs\": 1}, \"histograms\": {}}", &error));
+  EXPECT_NE(error.find("kernel.runs"), std::string::npos) << error;
+  EXPECT_FALSE(validate_metrics_json(
+      "{\"counters\": {}, \"gauges\": {}, \"histograms\": {\"kernel.runs\": "
+      "{\"count\": 0, \"sum\": 0, \"min\": 0, \"max\": 0, \"mean\": 0, \"buckets\": []}}}",
+      &error));
+  EXPECT_NE(error.find("undeclared histogram 'kernel.runs'"), std::string::npos) << error;
 }
 
 }  // namespace

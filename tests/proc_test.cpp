@@ -42,6 +42,28 @@ u64 key_injecting_only_on_attempt(fault::FaultSite site, u32 hit, u32 miss) {
   return 0;
 }
 
+/// The catalogue's proc.* counters.  Each Supervisor test snapshots
+/// them before it builds its Supervisor and asserts on the difference,
+/// so supervisors that ran earlier in the same process do not count.
+struct ProcCounts {
+  i64 spawns = 0;
+  i64 crashes = 0;
+  i64 retries = 0;
+  i64 quarantines = 0;
+  i64 heartbeat_timeouts = 0;
+};
+
+ProcCounts proc_counts() {
+  const obs::MetricsRegistry& m = obs::metrics();
+  return {m.proc_spawns.value(), m.proc_crashes.value(), m.proc_retries.value(),
+          m.proc_quarantines.value(), m.proc_heartbeat_timeouts.value()};
+}
+
+ProcCounts operator-(const ProcCounts& a, const ProcCounts& b) {
+  return {a.spawns - b.spawns, a.crashes - b.crashes, a.retries - b.retries,
+          a.quarantines - b.quarantines, a.heartbeat_timeouts - b.heartbeat_timeouts};
+}
+
 TaskHandler echo_handler() {
   return [](u8 kind, u64 key, const std::string& payload) {
     return "kind=" + std::to_string(kind) + " key=" + std::to_string(key) +
@@ -52,6 +74,7 @@ TaskHandler echo_handler() {
 TEST(Supervisor, EchoTasksRoundTripThroughWorkerProcesses) {
   ProcOptions po;
   po.workers = 2;
+  const ProcCounts before = proc_counts();
   Supervisor sup(po, echo_handler());
   // Blocking call path.
   const TaskOutcome out = sup.call(3, 42, "hello");
@@ -72,7 +95,7 @@ TEST(Supervisor, EchoTasksRoundTripThroughWorkerProcesses) {
     ids.erase(c->id);
   }
   EXPECT_EQ(sup.pending(), 0u);
-  EXPECT_EQ(sup.stats().crashes, 0);
+  EXPECT_EQ((proc_counts() - before).crashes, 0);
 }
 
 TEST(Supervisor, HandlerTypedErrorsAreNotRetried) {
@@ -80,6 +103,7 @@ TEST(Supervisor, HandlerTypedErrorsAreNotRetried) {
   // worker survives, the error travels back typed, and no retry fires.
   ProcOptions po;
   po.workers = 1;
+  const ProcCounts before = proc_counts();
   Supervisor sup(po, [](u8, u64, const std::string&) -> std::string {
     throw TimeoutError("work unit exceeded its deadline");
   });
@@ -87,7 +111,7 @@ TEST(Supervisor, HandlerTypedErrorsAreNotRetried) {
   EXPECT_FALSE(out.ok);
   EXPECT_EQ(out.error.rfind("TimeoutError:", 0), 0u) << out.error;
   EXPECT_EQ(out.crashes, 0);
-  const ProcStats s = sup.stats();
+  const ProcCounts s = proc_counts() - before;
   EXPECT_EQ(s.crashes, 0);
   EXPECT_EQ(s.retries, 0);
   // The same worker (never crashed, never respawned) still serves the
@@ -96,7 +120,7 @@ TEST(Supervisor, HandlerTypedErrorsAreNotRetried) {
   EXPECT_FALSE(next.ok);
   EXPECT_EQ(next.error.rfind("TimeoutError:", 0), 0u) << next.error;
   EXPECT_EQ(next.crashes, 0);
-  EXPECT_EQ(sup.stats().spawns, 1);
+  EXPECT_EQ((proc_counts() - before).spawns, 1);
 }
 
 TEST(Supervisor, CrashedWorkerIsRespawnedAndTaskRetriedToSuccess) {
@@ -110,12 +134,13 @@ TEST(Supervisor, CrashedWorkerIsRespawnedAndTaskRetriedToSuccess) {
   ProcOptions po;
   po.workers = 1;
   po.backoff_base_ms = 1.0;
+  const ProcCounts before = proc_counts();
   Supervisor sup(po, echo_handler());
   const TaskOutcome out = sup.call(2, key, "retry-me");
   ASSERT_TRUE(out.ok) << out.error;
   EXPECT_EQ(out.payload, "kind=2 key=" + std::to_string(key) + " payload=retry-me");
   EXPECT_GE(out.crashes, 1);
-  const ProcStats s = sup.stats();
+  const ProcCounts s = proc_counts() - before;
   EXPECT_GE(s.crashes, 1);
   EXPECT_GE(s.retries, 1);
   EXPECT_GE(s.spawns, 2);  // initial fleet + at least one respawn
@@ -133,13 +158,14 @@ TEST(Supervisor, PoisonTaskIsQuarantinedAfterTheRetryBudget) {
   ProcOptions po;
   po.workers = 1;
   po.backoff_base_ms = 1.0;
+  const ProcCounts before = proc_counts();
   Supervisor sup(po, echo_handler());
   const TaskOutcome out = sup.call(2, 99, "poison");
   EXPECT_FALSE(out.ok);
   EXPECT_EQ(out.error.rfind("WorkerError:", 0), 0u) << out.error;
   EXPECT_NE(out.error.find("quarantined"), std::string::npos) << out.error;
   EXPECT_EQ(out.crashes, kMaxWorkerRetries);
-  const ProcStats s = sup.stats();
+  const ProcCounts s = proc_counts() - before;
   EXPECT_GE(s.quarantines, 1);
   EXPECT_GE(s.crashes, kMaxWorkerRetries);
 }
@@ -157,11 +183,12 @@ TEST(Supervisor, HungWorkerMissesHeartbeatsAndIsKilled) {
   po.heartbeat_interval_ms = 10.0;
   po.heartbeat_timeout_ms = 250.0;  // fast detection for the test
   po.backoff_base_ms = 1.0;
+  const ProcCounts before = proc_counts();
   Supervisor sup(po, echo_handler());
   const TaskOutcome out = sup.call(2, key, "wedge-once");
   ASSERT_TRUE(out.ok) << out.error;
   EXPECT_GE(out.crashes, 1);
-  const ProcStats s = sup.stats();
+  const ProcCounts s = proc_counts() - before;
   EXPECT_GE(s.heartbeat_timeouts, 1);
   EXPECT_GE(s.crashes, 1);
 }
@@ -172,6 +199,7 @@ TEST(Supervisor, ExternalKillNineIsAbsorbed) {
   ProcOptions po;
   po.workers = 2;
   po.backoff_base_ms = 1.0;
+  const ProcCounts before = proc_counts();
   Supervisor sup(po, [](u8, u64 key, const std::string&) {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     return "done " + std::to_string(key);
@@ -186,7 +214,7 @@ TEST(Supervisor, ExternalKillNineIsAbsorbed) {
     ASSERT_TRUE(c.has_value());
     EXPECT_TRUE(c->outcome.ok) << c->outcome.error;
   }
-  const ProcStats s = sup.stats();
+  const ProcCounts s = proc_counts() - before;
   EXPECT_GE(s.crashes, 1);
   EXPECT_GT(s.spawns, 2);  // the killed worker was replaced
 }
