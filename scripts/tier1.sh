@@ -126,8 +126,8 @@ echo "==== tier-1: serial-perf regression gate (f32) ===="
 # is sized for a shared host: best-of-3 timings here swing up to ~1.5x
 # run-to-run under neighbour load, so a tight (10%) gate false-fails
 # routinely.  0.60 slack still catches the regressions that matter —
-# losing SIMD dispatch, a complexity blowup, or a fast-path bypass are
-# all well over 2x.
+# losing SIMD dispatch, a complexity blowup, or counting-mode requests
+# booked sector by sector instead of per granule are all well over 2x.
 # The history gates read a scratch copy of the committed history, so a
 # tier-1 run appends its entries there and leaves the tree clean.
 history="$smoke_dir/bench_history.jsonl"

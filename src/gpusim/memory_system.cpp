@@ -1,7 +1,6 @@
 #include "gpusim/memory_system.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -151,37 +150,16 @@ void MemorySystem::dram_access(u64 addr, i64 bytes, int kind) {
       break;
   }
   operand_slot(addr) += effective;
-  if (!dram_.empty()) {
-    DramChannelSim& bank_model = dram_[channel];
-    bank_model.access(addr, effective);
-    ch.busy_ns = bank_model.busy_ns();
-    ch.row_hits = bank_model.row_hits();
-    ch.row_misses = bank_model.row_misses();
-  }
+  dram_[channel].access(addr, effective);
+  sync_bank(channel);
 }
 
-namespace {
-/// Invoke fn(sector_addr) for each touched sector of [addr, addr+bytes).
-template <typename Fn>
-void for_each_sector(u64 addr, i64 bytes, i64 sector, Fn&& fn) {
-  if (bytes <= 0) return;
-  const u64 first = addr / static_cast<u64>(sector);
-  const u64 last = (addr + static_cast<u64>(bytes) - 1) / static_cast<u64>(sector);
-  for (u64 s = first; s <= last; ++s) fn(s * static_cast<u64>(sector));
-}
-
-/// Counting-mode fast-path switch (test hook; see the header).  Relaxed
-/// atomic: flipped only between runs, read concurrently by shard
-/// threads.
-std::atomic<bool> g_counting_fast_path{true};
-}  // namespace
-
-void MemorySystem::set_counting_fast_path_for_test(bool enabled) {
-  g_counting_fast_path.store(enabled, std::memory_order_relaxed);
-}
-
-bool MemorySystem::counting_fast_path_enabled() {
-  return g_counting_fast_path.load(std::memory_order_relaxed);
+void MemorySystem::sync_bank(usize channel) {
+  const DramChannelSim& bank_model = dram_[channel];
+  ChannelStats& ch = stats_.channels[channel];
+  ch.busy_ns = bank_model.busy_ns();
+  ch.row_hits = bank_model.row_hits();
+  ch.row_misses = bank_model.row_misses();
 }
 
 void MemorySystem::counting_access(u64 addr, i64 bytes, int kind) {
@@ -224,84 +202,32 @@ void MemorySystem::counting_access(u64 addr, i64 bytes, int kind) {
   }
 }
 
-void MemorySystem::warp_load(u64 addr, i64 bytes) {
-  if (mode_ == MemMode::kCounting && counting_fast_path_enabled()) {
-    counting_access(addr, bytes, 0);
+void MemorySystem::request(Kind kind, u64 addr, i64 bytes) {
+  if (mode_ == MemMode::kCounting) {
+    counting_access(addr, bytes, kind);
     return;
   }
-  for_each_sector(addr, bytes, arch_.l2_sector_bytes, [&](u64 sector_addr) {
-    stats_.l2_service_bytes += arch_.l2_sector_bytes;
-    if (mode_ == MemMode::kCacheSim) {
-      const auto r = l2_->access(sector_addr, /*is_write=*/false);
-      if (r.dram_read_bytes > 0) dram_access(sector_addr, r.dram_read_bytes, 0);
-      if (r.dram_write_bytes > 0) dram_access(sector_addr, r.dram_write_bytes, 1);
-    } else {
-      dram_access(sector_addr, arch_.l2_sector_bytes, 0);
-    }
-  });
-  if (mode_ == MemMode::kCacheSim) stats_.l2 = l2_->stats();
-}
-
-void MemorySystem::warp_store(u64 addr, i64 bytes) {
-  if (mode_ == MemMode::kCounting && counting_fast_path_enabled()) {
-    counting_access(addr, bytes, 1);
-    return;
-  }
-  for_each_sector(addr, bytes, arch_.l2_sector_bytes, [&](u64 sector_addr) {
-    stats_.l2_service_bytes += arch_.l2_sector_bytes;
-    if (mode_ == MemMode::kCacheSim) {
-      const auto r = l2_->access(sector_addr, /*is_write=*/true);
-      if (r.dram_read_bytes > 0) dram_access(sector_addr, r.dram_read_bytes, 0);
-      if (r.dram_write_bytes > 0) dram_access(sector_addr, r.dram_write_bytes, 1);
-    } else {
-      dram_access(sector_addr, arch_.l2_sector_bytes, 1);
-    }
-  });
-  if (mode_ == MemMode::kCacheSim) stats_.l2 = l2_->stats();
-}
-
-void MemorySystem::warp_atomic(u64 addr, i64 bytes) {
   // Atomics resolve at the LLC: partial C tiles live in L2 (Sec. 3.1.1)
   // so repeated accumulation hits there, but every RMW consumes
   // atomic_cost_multiplier× LLC bandwidth (tracked in atomic_rmw_bytes
   // and charged by the timing model).  Only misses/writebacks reach
-  // DRAM — charged at the atomic (2×) rate there too.
-  if (mode_ == MemMode::kCounting && counting_fast_path_enabled()) {
-    counting_access(addr, bytes, 2);
-    return;
-  }
-  for_each_sector(addr, bytes, arch_.l2_sector_bytes, [&](u64 sector_addr) {
-    stats_.l2_service_bytes += arch_.l2_sector_bytes;
-    stats_.atomic_rmw_bytes += arch_.l2_sector_bytes;
-    if (mode_ == MemMode::kCacheSim) {
-      const auto r = l2_->access(sector_addr, /*is_write=*/true);
-      if (r.dram_read_bytes > 0) dram_access(sector_addr, r.dram_read_bytes, 2);
+  // DRAM — an atomic's fill is charged at the atomic (2×) rate there.
+  const i64 sector = arch_.l2_sector_bytes;
+  const bool is_write = kind != kLoad;
+  const int fill_kind = kind == kAtomic ? 2 : 0;
+  if (bytes > 0) {
+    const u64 first = addr / static_cast<u64>(sector);
+    const u64 last = (addr + static_cast<u64>(bytes) - 1) / static_cast<u64>(sector);
+    for (u64 s = first; s <= last; ++s) {
+      const u64 sector_addr = s * static_cast<u64>(sector);
+      stats_.l2_service_bytes += sector;
+      if (kind == kAtomic) stats_.atomic_rmw_bytes += sector;
+      const auto r = l2_->access(sector_addr, is_write);
+      if (r.dram_read_bytes > 0) dram_access(sector_addr, r.dram_read_bytes, fill_kind);
       if (r.dram_write_bytes > 0) dram_access(sector_addr, r.dram_write_bytes, 1);
-    } else {
-      dram_access(sector_addr, arch_.l2_sector_bytes, 2);
     }
-  });
-  if (mode_ == MemMode::kCacheSim) stats_.l2 = l2_->stats();
-}
-
-void MemorySystem::warp_load_run(std::span<const u64> addrs, i64 bytes_each) {
-  if (mode_ == MemMode::kCacheSim || !counting_fast_path_enabled()) {
-    // The L2 / DRAM bank models are stateful: preserve the exact
-    // per-entry event order so stats match the unbatched path bit for
-    // bit.  (With the fast path disabled this is also the counting-mode
-    // event path the equality tests compare against.)
-    for (u64 addr : addrs) warp_load(addr, bytes_each);
-    return;
   }
-  for (u64 addr : addrs) counting_access(addr, bytes_each, 0);
-}
-
-void MemorySystem::warp_atomic_run(std::span<const u64> addrs, i64 bytes_each) {
-  if (mode_ == MemMode::kCacheSim || !counting_fast_path_enabled()) {
-    for (u64 addr : addrs) warp_atomic(addr, bytes_each);
-    return;
-  }
-  for (u64 addr : addrs) counting_access(addr, bytes_each, 2);
+  stats_.l2 = l2_->stats();
 }
 
 void MemorySystem::engine_read(u64 addr, i64 bytes) {
@@ -315,14 +241,8 @@ void MemorySystem::engine_read(u64 addr, i64 bytes) {
   operand_slot(addr) += bytes;
   if (!dram_.empty()) {
     dram_[channel].stream(bytes);
-    ch.busy_ns = dram_[channel].busy_ns();
-    ch.row_hits = dram_[channel].row_hits();
-    ch.row_misses = dram_[channel].row_misses();
+    sync_bank(channel);
   }
-}
-
-void MemorySystem::engine_read_channel(int channel, i64 bytes, const char* tag) {
-  engine_read_channel(channel, bytes, 1, tag);
 }
 
 void MemorySystem::engine_read_channel(int channel, i64 bytes_each, i64 count,
@@ -337,26 +257,10 @@ void MemorySystem::engine_read_channel(int channel, i64 bytes_each, i64 count,
   if (!dram_.empty()) {
     DramChannelSim& bank_model = dram_[static_cast<usize>(channel)];
     for (i64 i = 0; i < count; ++i) bank_model.stream(bytes_each);
-    ch.busy_ns = bank_model.busy_ns();
-    ch.row_hits = bank_model.row_hits();
-    ch.row_misses = bank_model.row_misses();
+    sync_bank(static_cast<usize>(channel));
   }
 }
 
 void MemorySystem::xbar_transfer(i64 bytes) { stats_.xbar_bytes += bytes; }
-
-void MemorySystem::reset_stats() {
-  for (auto& c : stats_.channels) c = ChannelStats{};
-  stats_.xbar_bytes = 0;
-  stats_.l2_service_bytes = 0;
-  stats_.atomic_rmw_bytes = 0;
-  stats_.operand_bytes.clear();  // invalidates cached operand slots
-  cached_begin_ = 1;
-  cached_end_ = 0;
-  cached_slot_ = nullptr;
-  stats_.l2 = CacheStats{};
-  if (l2_) l2_->reset();
-  for (auto& d : dram_) d.reset();
-}
 
 }  // namespace nmdt

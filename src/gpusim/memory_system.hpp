@@ -2,14 +2,19 @@
 // coalescing, optional L2 simulation, and per-pseudo-channel DRAM
 // traffic accounting.
 //
-// Two fidelity modes (DESIGN.md Sec. 5):
+// Warp loads, stores and atomics all enter one request body; the mode
+// alone picks its path (DESIGN.md Sec. 5):
 //  * kCounting — requests bypass the L2 and count straight into DRAM
-//    channel totals.  Kernels already encode shared-memory reuse
-//    explicitly, so this mode measures *compulsory* traffic, matching
-//    the Table 1 analytical model.  Cheap enough for thousand-matrix
-//    suite sweeps.
-//  * kCacheSim — requests run through the sectored L2; only misses
-//    reach DRAM.  Used for traversal-order and locality experiments.
+//    channel totals, booked per interleave granule.  Kernels already
+//    encode shared-memory reuse explicitly, so this mode measures
+//    *compulsory* traffic, matching the Table 1 analytical model.
+//    Cheap enough for thousand-matrix suite sweeps.
+//  * kCacheSim — each 32 B sector runs through the sectored L2; only
+//    fills and writebacks reach DRAM and its bank model.  Used for
+//    traversal-order and locality experiments.
+// The request kind decides only whether the L2 access writes, whether
+// a fill is booked as a read or an atomic, and whether the LLC's
+// atomic RMW bytes grow.
 //
 // Atomic read-modify-writes are charged atomic_cost_multiplier× at the
 // channel, the paper's "atomic bandwidth = 2× memory access" model.
@@ -17,7 +22,6 @@
 
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -77,56 +81,33 @@ class MemorySystem {
  public:
   MemorySystem(const ArchConfig& arch, MemMode mode);
 
-  const ArchConfig& arch() const { return arch_; }
-  MemMode mode() const { return mode_; }
-
   /// Reserve a device array; returns its base address.  Bases are
   /// granule-aligned and separated so arrays never share a granule.
   u64 allocate(i64 bytes, const std::string& name);
 
   /// A warp-coalesced read of [addr, addr+bytes): split into 32 B
   /// sectors, each counted once (perfect intra-warp coalescing).
-  void warp_load(u64 addr, i64 bytes);
-  void warp_store(u64 addr, i64 bytes);
+  void warp_load(u64 addr, i64 bytes) { request(kLoad, addr, bytes); }
+  void warp_store(u64 addr, i64 bytes) { request(kStore, addr, bytes); }
   /// Atomic RMW on [addr, addr+bytes): charged 2× at the owning channel.
-  void warp_atomic(u64 addr, i64 bytes);
-
-  /// Test hook: when disabled, counting-mode warp requests take the
-  /// generic per-sector event path instead of the granule-aggregated
-  /// counting fast path, so tests can pin the two bit-identical.
-  /// Process-global; call between runs only.  Default: enabled.
-  static void set_counting_fast_path_for_test(bool enabled);
-  static bool counting_fast_path_enabled();
-
-  /// Batched equivalents: one call per *run* of same-sized warp requests
-  /// (a row's B-row fetches, a tile's per-row C atomics).  Addresses are
-  /// processed in order, so byte / hit / row-buffer accounting is
-  /// identical to issuing the per-entry calls one by one (asserted by
-  /// tests); the win is bookkeeping — in counting mode the per-sector
-  /// event plumbing collapses to plain arithmetic, and the allocation
-  /// lookup for operand attribution is cached across the run.
-  void warp_load_run(std::span<const u64> addrs, i64 bytes_each);
-  void warp_atomic_run(std::span<const u64> addrs, i64 bytes_each);
+  void warp_atomic(u64 addr, i64 bytes) { request(kAtomic, addr, bytes); }
 
   /// Direct DRAM read issued by a near-memory engine (bypasses L2 — the
   /// engine sits beside the memory controller).
   void engine_read(u64 addr, i64 bytes);
-  /// Engine read pinned to an explicit channel — used when a placement
-  /// policy (sched/layout.hpp) locates a strip's data in one partition
-  /// instead of globally interleaving it.  Attributed to operand
-  /// `tag` (the engine always reads the sparse input).
-  void engine_read_channel(int channel, i64 bytes, const char* tag = "A");
-  /// `count` pinned engine reads of `bytes_each` each, booked with one
-  /// channel and operand lookup.  The bank model still streams every
-  /// read in turn, so all stats are bit-identical to `count` single
-  /// calls (none at all when count is 0).
+  /// `count` engine reads of `bytes_each` each, pinned to an explicit
+  /// channel — used when a placement policy (sched/layout.hpp) locates a
+  /// strip's data in one partition instead of globally interleaving it.
+  /// Booked with one channel and operand lookup; the bank model still
+  /// streams every read in turn (nothing at all when count is 0).
+  /// Attributed to operand `tag` (the engine always reads the sparse
+  /// input).
   void engine_read_channel(int channel, i64 bytes_each, i64 count, const char* tag = "A");
   /// Engine output streamed to an SM across the crossbar (never touches
   /// DRAM).
   void xbar_transfer(i64 bytes);
 
   const MemStats& stats() const { return stats_; }
-  const Interleaver& interleaver() const { return interleave_; }
 
   /// Fold another shard's statistics into this instance (intra-kernel
   /// sharding: each shard records events into a private MemorySystem
@@ -136,22 +117,33 @@ class MemorySystem {
   /// and channel geometry.
   void merge(const MemorySystem& other);
 
-  void reset_stats();
-
  private:
-  void dram_access(u64 addr, i64 bytes, int kind);  // 0=read,1=write,2=atomic
+  /// Request kinds; also the DRAM booking kinds (0=read, 1=write,
+  /// 2=atomic) of `counting_access` and `dram_access`.
+  enum Kind : int { kLoad = 0, kStore = 1, kAtomic = 2 };
 
-  /// Counting-mode fast path for one warp request: per-granule
+  /// The one warp-request body: counting mode hands the request to
+  /// `counting_access`; cache-sim walks its 32 B sectors through the L2.
+  void request(Kind kind, u64 addr, i64 bytes);
+
+  /// Book one cache-sim DRAM access (an L2 fill or writeback).
+  void dram_access(u64 addr, i64 bytes, int kind);
+
+  /// Copy a channel's bank-model timing into its stats (cache-sim).
+  void sync_bank(usize channel);
+
+  /// Counting-mode accounting for one warp request: per-granule
   /// aggregated sector accounting (channel hash and operand lookup once
   /// per interleave granule instead of once per 32 B sector).  Totals
-  /// are bit-identical to the per-sector event path because the channel
-  /// map is constant within a granule and allocations never share one.
+  /// equal one channel and operand booking per 32 B sector because the
+  /// channel map is constant within a granule and allocations never
+  /// share one.
   void counting_access(u64 addr, i64 bytes, int kind);
 
   /// Cached accumulator for the operand-attribution map entry of the
   /// allocation containing `addr`.  Consecutive accesses within one
-  /// allocation (the common case, and every run-API entry) skip both
-  /// the region binary search and the string-keyed map lookup.
+  /// allocation (the common case) skip both the region binary search
+  /// and the string-keyed map lookup.
   i64& operand_slot(u64 addr);
 
   struct Region {
@@ -168,7 +160,7 @@ class MemorySystem {
   MemStats stats_;
   u64 next_base_ = 0;
   // operand_slot cache (empty range = invalid; map nodes are stable, so
-  // the pointer survives later insertions until reset_stats()).
+  // the pointer survives later insertions).
   u64 cached_begin_ = 1;
   u64 cached_end_ = 0;
   i64* cached_slot_ = nullptr;

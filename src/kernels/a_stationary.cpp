@@ -52,7 +52,6 @@ SpmmResult spmm_a_stationary(const SpmmOperandsT<V>& ops, const DenseMatrixT<V>&
     const u64 entry_base =
         ctx.mem.allocate(total_entries * (kIndexBytes + kVB), "A.tiles.entries");
     DenseMatrixT<CT>& C = partial.shard(sh);
-    std::vector<u64> b_addrs;
 
     for (i64 s = range.begin; s < range.end; ++s) {
       i64 rowptr_off = strip_rowptr_start[static_cast<usize>(s)];
@@ -87,16 +86,14 @@ SpmmResult spmm_a_stationary(const SpmmOperandsT<V>& ops, const DenseMatrixT<V>&
           const index_t jb = tile.body.row_ptr[lr];
           const index_t je = tile.body.row_ptr[lr + 1];
           // Every non-zero streams a K-wide B row from DRAM: B has no
-          // residency anywhere in this strategy.  The row's fetches
-          // form one request run; the per-non-zero issue calls collapse
-          // into one ×cnt call (linear identity).
+          // residency anywhere in this strategy.  The per-non-zero
+          // issue calls collapse into one ×cnt call (linear identity).
           ctx.waves(InstrClass::kMemory, K, static_cast<u64>(cnt));
           ctx.waves(InstrClass::kFp, K, static_cast<u64>(cnt));
           ctx.counters.flops += static_cast<u64>(2 * cnt * K);
-          b_addrs.clear();
           for (index_t j = jb; j < je; ++j)
-            b_addrs.push_back(b.addr(tile.col_begin + tile.body.col_idx[j]));
-          ctx.mem.warp_load_run(b_addrs, static_cast<i64>(K) * kVB);
+            ctx.mem.warp_load(b.addr(tile.col_begin + tile.body.col_idx[j]),
+                              static_cast<i64>(K) * kVB);
           // Host FP sweep, cache-blocked over B columns (bit-identical:
           // ascending-j contribution order per C element is preserved).
           const index_t bc = b_block_cols(kVB, K);

@@ -34,16 +34,14 @@ namespace {
 
 /// SM-side processing of one DCSR tile whose data is already on chip
 /// (shared memory): per dense row, stream the entries against the B
-/// tile and atomically add the partial C row.  The per-row atomics form
-/// one request run issued at tile end.
+/// tile and atomically add the partial C row.
 template <class V>
 void process_dcsr_tile(Ctx& ctx, const DcsrTileT<V>& tile, const DenseMatrixT<V>& B,
                        DenseMatrixT<typename VTraits<V>::compute_t>& C,
                        const DenseLayout& c_layout, index_t b_col_begin,
-                       index_t tile_cols, std::vector<u64>& atomic_addrs) {
+                       index_t tile_cols) {
   using CT = typename VTraits<V>::compute_t;
   constexpr i64 kVB = static_cast<i64>(sizeof(V));
-  atomic_addrs.clear();
   for (i64 g = 0; g < tile.body.nnz_rows(); ++g) {
     const index_t grow = tile.row_begin + tile.body.dense_row(g);
     const auto cols = tile.body.dense_row_cols(g);
@@ -69,10 +67,9 @@ void process_dcsr_tile(Ctx& ctx, const DcsrTileT<V>& tile, const DenseMatrixT<V>
     // Partial-sum accumulation: atomicAdd of the tile_cols-wide C row
     // segment (other SMs may be contributing to the same C tile).
     ctx.waves(InstrClass::kMemory, tile_cols);
-    atomic_addrs.push_back(c_layout.addr(grow, b_col_begin));
+    ctx.mem.warp_atomic(c_layout.addr(grow, b_col_begin), static_cast<i64>(tile_cols) * kVB);
     ++ctx.counters.atomic_updates;
   }
-  ctx.mem.warp_atomic_run(atomic_addrs, static_cast<i64>(tile_cols) * kVB);
 }
 
 /// Offline preprocessing cost of building a tiled format: stream the
@@ -143,7 +140,6 @@ SpmmResult spmm_tiled_csr_b_stationary(const SpmmOperandsT<V>& ops,
     const u64 entry_base =
         ctx.mem.allocate(off.total_entries * (kIndexBytes + kVB), "A.tiles.entries");
     DenseMatrixT<CT>& C = partial.shard(sh);
-    std::vector<u64> b_addrs, atomic_addrs;
 
     const VisitOrder visits(K, bt, static_cast<index_t>(range.begin),
                             static_cast<index_t>(range.end), cfg.traversal);
@@ -153,7 +149,7 @@ SpmmResult spmm_tiled_csr_b_stationary(const SpmmOperandsT<V>& ops,
       const index_t tile_cols = std::min<index_t>(bt, K - bc);
       const index_t width =
           std::min<index_t>(spec.strip_width, A.cols - s * spec.strip_width);
-      load_b_tile(ctx, b, s * spec.strip_width, width, bc, tile_cols, b_addrs);
+      load_b_tile(ctx, b, s * spec.strip_width, width, bc, tile_cols);
 
       for (usize t = 0; t < tiled.strips[s].size(); ++t) {
         const CsrTileT<V>& tile = tiled.strips[s][t];
@@ -170,7 +166,6 @@ SpmmResult spmm_tiled_csr_b_stationary(const SpmmOperandsT<V>& ops,
               tile.nnz() * (kIndexBytes + kVB));
         }
 
-        atomic_addrs.clear();
         for (index_t lr = 0; lr < tile.body.rows; ++lr) {
           const i64 cnt = tile.body.row_nnz(lr);
           if (cnt == 0) {
@@ -193,10 +188,9 @@ SpmmResult spmm_tiled_csr_b_stationary(const SpmmOperandsT<V>& ops,
             axpy_row(tile.body.val[j], B.row(gcol).data() + bc, c_row, tile_cols);
           }
           ctx.waves(InstrClass::kMemory, tile_cols);
-          atomic_addrs.push_back(c.addr(grow, bc));
+          ctx.mem.warp_atomic(c.addr(grow, bc), static_cast<i64>(tile_cols) * kVB);
           ++ctx.counters.atomic_updates;
         }
-        ctx.mem.warp_atomic_run(atomic_addrs, static_cast<i64>(tile_cols) * kVB);
       }
     }
   });
@@ -233,7 +227,6 @@ SpmmResult spmm_tiled_dcsr_b_stationary(const SpmmOperandsT<V>& ops,
     const u64 entry_base =
         ctx.mem.allocate(off.total_entries * (kIndexBytes + kVB), "A.tiles.entries");
     DenseMatrixT<CT>& C = partial.shard(sh);
-    std::vector<u64> b_addrs, atomic_addrs;
 
     const VisitOrder visits(K, bt, static_cast<index_t>(range.begin),
                             static_cast<index_t>(range.end), cfg.traversal);
@@ -243,7 +236,7 @@ SpmmResult spmm_tiled_dcsr_b_stationary(const SpmmOperandsT<V>& ops,
       const index_t tile_cols = std::min<index_t>(bt, K - bc);
       const index_t width =
           std::min<index_t>(spec.strip_width, A.cols - s * spec.strip_width);
-      load_b_tile(ctx, b, s * spec.strip_width, width, bc, tile_cols, b_addrs);
+      load_b_tile(ctx, b, s * spec.strip_width, width, bc, tile_cols);
 
       for (usize t = 0; t < tiled.strips[s].size(); ++t) {
         const DcsrTileT<V>& tile = tiled.strips[s][t];
@@ -259,7 +252,7 @@ SpmmResult spmm_tiled_dcsr_b_stationary(const SpmmOperandsT<V>& ops,
               entry_base + static_cast<u64>(off.entries[s][t]) * (kIndexBytes + kVB),
               tile.nnz() * (kIndexBytes + kVB));
         }
-        process_dcsr_tile<V>(ctx, tile, B, C, c, bc, tile_cols, atomic_addrs);
+        process_dcsr_tile<V>(ctx, tile, B, C, c, bc, tile_cols);
       }
     }
   });
@@ -309,7 +302,6 @@ SpmmResult spmm_tiled_dcsr_online(const SpmmOperandsT<V>& ops, const DenseMatrix
     for (int ch = 0; ch < cfg.arch.pseudo_channels; ++ch) engines.emplace_back(cfg.engine_hw);
 
     DenseMatrixT<CT>& C = partial.shard(sh);
-    std::vector<u64> b_addrs, atomic_addrs;
 
     // Engine occupancy is phase-structured: the SMs sweep one strip's
     // tiles concurrently (that is what creates the Fig. 17 camping
@@ -337,15 +329,14 @@ SpmmResult spmm_tiled_dcsr_online(const SpmmOperandsT<V>& ops, const DenseMatrix
       // CSC knows which strip columns are empty (one col_ptr
       // subtraction), so the online kernel loads only the B rows that
       // can be touched — the n_nnzcol·K "single fetch" of Table 1 that
-      // row-major offline tiles cannot achieve (Sec. 3.1.4).  The
-      // non-empty rows form one request run.
-      b_addrs.clear();
+      // row-major offline tiles cannot achieve (Sec. 3.1.4).
+      u64 live_cols = 0;
       for (index_t col = col_begin; col < col_end; ++col) {
         if (csc.col_ptr[col + 1] == csc.col_ptr[col]) continue;
-        b_addrs.push_back(b.addr(col, bc));
+        ++live_cols;
+        ctx.mem.warp_load(b.addr(col, bc), static_cast<i64>(tile_cols) * kVB);
       }
-      ctx.waves(InstrClass::kMemory, tile_cols, static_cast<u64>(b_addrs.size()));
-      ctx.mem.warp_load_run(b_addrs, static_cast<i64>(tile_cols) * kVB);
+      ctx.waves(InstrClass::kMemory, tile_cols, live_cols);
 
       StripCursor cursor(csc, s, spec);
       // One tile buffer per strip sweep, refilled in place, and a fresh
@@ -363,7 +354,7 @@ SpmmResult spmm_tiled_dcsr_online(const SpmmOperandsT<V>& ops, const DenseMatrix
         engines[static_cast<usize>(ch)].convert_tile_checked_into(
             tile, csc, cursor, row_start, spec, &ctx.mem, &a, ch);
         if (tile.nnz() == 0) continue;
-        process_dcsr_tile<V>(ctx, tile, B, C, c, bc, tile_cols, atomic_addrs);
+        process_dcsr_tile<V>(ctx, tile, B, C, c, bc, tile_cols);
       }
       u64 phase_max = 0;
       for (int ch = 0; ch < cfg.arch.pseudo_channels; ++ch) {

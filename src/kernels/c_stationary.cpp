@@ -19,8 +19,7 @@ namespace {
 template <class V>
 void row_per_warp_body(Ctx& ctx, std::span<const index_t> cols, std::span<const V> vals,
                        const DenseMatrixT<V>& B, const DenseLayout& b_layout,
-                       std::span<typename VTraits<V>::compute_t> c_row, index_t K,
-                       std::vector<u64>& addr_scratch) {
+                       std::span<typename VTraits<V>::compute_t> c_row, index_t K) {
   constexpr i64 kVB = static_cast<i64>(sizeof(V));
   const i64 cnt = static_cast<i64>(cols.size());
   // Per non-zero: broadcast load of (col_idx, val) + loop control; the
@@ -39,10 +38,9 @@ void row_per_warp_body(Ctx& ctx, std::span<const index_t> cols, std::span<const 
   // ×cnt books totals bit-identical to cnt per-non-zero calls.
   ctx.waves(InstrClass::kMemory, K, static_cast<u64>(cnt));
   ctx.waves(InstrClass::kFp, K, static_cast<u64>(cnt));
-  addr_scratch.clear();
-  for (i64 j = 0; j < cnt; ++j) addr_scratch.push_back(b_layout.addr(cols[j]));
-  // The row's B-row fetches form one request run.
-  ctx.mem.warp_load_run(addr_scratch, static_cast<i64>(K) * kVB);
+  // The row's B-row fetches, in non-zero order.
+  for (i64 j = 0; j < cnt; ++j)
+    ctx.mem.warp_load(b_layout.addr(cols[j]), static_cast<i64>(K) * kVB);
   // Host FP sweep, cache-blocked over the B column dimension: every
   // non-zero of the row revisits its B row one L1-sized panel at a time
   // (see b_block_cols).  Per C element the contributions still land in
@@ -75,7 +73,6 @@ SpmmResult spmm_csr_row_warp(const SpmmOperandsT<V>& ops, const DenseMatrixT<V>&
     const CsrLayout a = CsrLayout::allocate(A, ctx.mem);
     const DenseLayout b = DenseLayout::allocate(B, ctx.mem, "B");
     const DenseLayout c = DenseLayout::allocate(A.rows, K, kVB, ctx.mem, "C");
-    std::vector<u64> addr_scratch;
     for (i64 g = range.begin; g < range.end; ++g) {
       const index_t r0 = static_cast<index_t>(g) * 32;
       const index_t rows_here = std::min<index_t>(32, A.rows - r0);
@@ -99,8 +96,7 @@ SpmmResult spmm_csr_row_warp(const SpmmOperandsT<V>& ops, const DenseMatrixT<V>&
         ctx.mem.warp_load(a.col_idx + static_cast<u64>(A.row_ptr[r]) * kIndexBytes,
                           cnt * kIndexBytes);
         ctx.mem.warp_load(a.val + static_cast<u64>(A.row_ptr[r]) * kVB, cnt * kVB);
-        row_per_warp_body<V>(ctx, A.row_cols(r), A.row_vals(r), B, b, C.row(r), K,
-                             addr_scratch);
+        row_per_warp_body<V>(ctx, A.row_cols(r), A.row_vals(r), B, b, C.row(r), K);
         // Write the finished C row once (C-stationary: single update).
         ctx.waves(InstrClass::kMemory, K);
         ctx.mem.warp_store(c.addr(r), static_cast<i64>(K) * kVB);
@@ -160,16 +156,17 @@ SpmmResult spmm_csr_row_thread(const SpmmOperandsT<V>& ops, const DenseMatrixT<V
           const V v = A.val[j];
           // Uncoalesced per-lane loads: each lane pulls its own sector
           // for 4 useful bytes of col_idx/val, and walks its own B row.
-          // The lanes of one iteration issue together — three runs.
+          // The lanes of one iteration issue together: all column
+          // indices, then all values, then all B rows.
           idx_addrs.push_back(a.col_idx + static_cast<u64>(j) * kIndexBytes);
           val_addrs.push_back(a.val + static_cast<u64>(j) * kVB);
           b_addrs.push_back(b.addr(col));
           axpy_row(v, B.row(col).data(), C.row(r).data(), K);
         }
         ctx.counters.flops += static_cast<u64>(2 * K) * static_cast<u64>(active);
-        ctx.mem.warp_load_run(idx_addrs, kIndexBytes);
-        ctx.mem.warp_load_run(val_addrs, kVB);
-        ctx.mem.warp_load_run(b_addrs, static_cast<i64>(K) * kVB);
+        for (u64 addr : idx_addrs) ctx.mem.warp_load(addr, kIndexBytes);
+        for (u64 addr : val_addrs) ctx.mem.warp_load(addr, kVB);
+        for (u64 addr : b_addrs) ctx.mem.warp_load(addr, static_cast<i64>(K) * kVB);
         ctx.issue(InstrClass::kMemory, active, 3);
         ctx.issue(InstrClass::kControl, active);
         ctx.issue(InstrClass::kMemory, active, static_cast<u64>(K));  // B element loads
@@ -212,7 +209,6 @@ SpmmResult spmm_dcsr_c_stationary(const SpmmOperandsT<V>& ops, const DenseMatrix
     const DcsrLayout a = DcsrLayout::allocate(D, ctx.mem);
     const DenseLayout b = DenseLayout::allocate(B, ctx.mem, "B");
     const DenseLayout c = DenseLayout::allocate(A.rows, K, kVB, ctx.mem, "C");
-    std::vector<u64> addr_scratch;
     for (i64 gr = range.begin; gr < range.end; ++gr) {
       const i64 g0 = gr * 32;
       const i64 rows_here = std::min<i64>(32, nrows - g0);
@@ -233,7 +229,7 @@ SpmmResult spmm_dcsr_c_stationary(const SpmmOperandsT<V>& ops, const DenseMatrix
                           cnt * kIndexBytes);
         ctx.mem.warp_load(a.val + static_cast<u64>(D.row_ptr[g]) * kVB, cnt * kVB);
         row_per_warp_body<V>(ctx, D.dense_row_cols(g), D.dense_row_vals(g), B, b,
-                             C.row(r), K, addr_scratch);
+                             C.row(r), K);
         ctx.waves(InstrClass::kMemory, K);
         ctx.mem.warp_store(c.addr(r), static_cast<i64>(K) * kVB);
       }

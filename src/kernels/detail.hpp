@@ -120,11 +120,10 @@ SpmmResult finish(Ctx& ctx, DenseMatrixT<typename VTraits<V>::compute_t> C,
 
 /// Cooperative load of a B tile into shared memory: `width` B rows
 /// (one per A strip column) by `tile_cols` columns starting at
-/// (row_begin, col_begin).  `addr_scratch` is a reusable buffer for the
-/// batched request run.  Request sizes scale with the layout's element
-/// width.
+/// (row_begin, col_begin).  Request sizes scale with the layout's
+/// element width.
 void load_b_tile(Ctx& ctx, const DenseLayout& b, index_t row_begin, index_t width,
-                 index_t col_begin, index_t tile_cols, std::vector<u64>& addr_scratch);
+                 index_t col_begin, index_t tile_cols);
 
 /// c[0..k) += a·b[0..k): the accumulate micro-kernel every kernel's FMA
 /// sweep routes through, dispatched to the SIMD tier resolved at

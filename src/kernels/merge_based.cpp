@@ -42,7 +42,6 @@ SpmmResult spmm_merge_c_stationary(const SpmmOperandsT<V>& ops, const DenseMatri
     const DcsrLayout a = DcsrLayout::allocate(D, ctx.mem);
     const DenseLayout b = DenseLayout::allocate(B, ctx.mem, "B");
     const DenseLayout c = DenseLayout::allocate(A.rows, K, kVB, ctx.mem, "C");
-    std::vector<u64> b_addrs;
 
     if (sh == 0) {
       // Metadata stream: each warp binary-searches its span start on the
@@ -77,14 +76,13 @@ SpmmResult spmm_merge_c_stationary(const SpmmOperandsT<V>& ops, const DenseMatri
 
         // Accumulate the span into registers (math on the host directly
         // into C — partials sum associatively up to FP rounding).  The
-        // span's B-row fetches form one request run; the per-non-zero
-        // issue calls collapse into one ×cnt call (linear identity).
+        // per-non-zero issue calls collapse into one ×cnt call (linear
+        // identity).
         ctx.waves(InstrClass::kMemory, K, static_cast<u64>(cnt));
         ctx.waves(InstrClass::kFp, K, static_cast<u64>(cnt));
         ctx.counters.flops += static_cast<u64>(2 * cnt * K);
-        b_addrs.clear();
-        for (index_t j = span; j < span_end; ++j) b_addrs.push_back(b.addr(D.col_idx[j]));
-        ctx.mem.warp_load_run(b_addrs, static_cast<i64>(K) * kVB);
+        for (index_t j = span; j < span_end; ++j)
+          ctx.mem.warp_load(b.addr(D.col_idx[j]), static_cast<i64>(K) * kVB);
         // Host FP sweep, cache-blocked over B columns (bit-identical:
         // per C element the span's contributions keep ascending-j
         // order; D shares A's entry ordering — densification drops

@@ -52,8 +52,8 @@ void ShardSet::run(const std::function<void(int, ShardRange, Ctx&)>& body) {
     body(shard, r, ctx);
     // Arg values are computed at the call site even when no trace
     // session is installed, and total_dram_bytes() walks every channel
-    // — skip the whole emission when nobody is listening (the
-    // counting-mode fast path runs with tracing off).
+    // — skip the whole emission when nobody is listening (every
+    // untraced run, which is most of them).
     if (sp.enabled()) {
       sp.arg("shard", shard)
           .arg("begin", r.begin)

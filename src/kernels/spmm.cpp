@@ -282,15 +282,12 @@ template SpmmResult finish<bf16_t>(Ctx&, DenseMatrixT<float>, double, EngineStat
                                    double);
 
 void load_b_tile(Ctx& ctx, const DenseLayout& b, index_t row_begin, index_t width,
-                 index_t col_begin, index_t tile_cols, std::vector<u64>& addr_scratch) {
-  // One coalesced load per B-tile row into shared memory, issued as a
-  // single per-tile request run.
-  addr_scratch.clear();
+                 index_t col_begin, index_t tile_cols) {
+  // One coalesced load per B-tile row into shared memory.
   for (index_t i = 0; i < width; ++i) {
     ctx.waves(InstrClass::kMemory, tile_cols);
-    addr_scratch.push_back(b.addr(row_begin + i, col_begin));
+    ctx.mem.warp_load(b.addr(row_begin + i, col_begin), static_cast<i64>(tile_cols) * b.vbytes);
   }
-  ctx.mem.warp_load_run(addr_scratch, static_cast<i64>(tile_cols) * b.vbytes);
 }
 
 }  // namespace detail

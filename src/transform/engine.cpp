@@ -163,7 +163,7 @@ void ConversionEngine::convert_tile_into(DcsrTileT<V>& out, const CscT<V>& csc,
     const i64 col_ptr_bytes = static_cast<i64>(lanes + 1) * kIndexBytes;
     local.dram_bytes_in += col_ptr_bytes;
     if (mem != nullptr && pinned_channel >= 0) {
-      mem->engine_read_channel(pinned_channel, col_ptr_bytes);
+      mem->engine_read_channel(pinned_channel, col_ptr_bytes, 1);
     } else if (mem != nullptr && layout != nullptr) {
       mem->engine_read(layout->col_ptr_base +
                            static_cast<u64>(cursor.col_begin()) * kIndexBytes,

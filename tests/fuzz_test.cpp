@@ -315,7 +315,8 @@ TEST(Fuzz, MutatedServiceRequestsParseOrThrowTypedError) {
           break;
         }
       }
-      if (line.empty()) line = "x";
+      // Move-assigned: GCC 12 misreports operator=(const char*) as -Wrestrict.
+      if (line.empty()) line = std::string("x");
     }
     try {
       const service::Request req = service::parse_request(line, 1);

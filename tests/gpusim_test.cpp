@@ -1,15 +1,22 @@
 // GPU-model tests: architecture presets, interleaver bijectivity,
 // sectored-L2 behaviour (hits, sector fills, LRU eviction, writeback),
-// memory-system accounting, warp-issue helpers, and the timing model.
+// memory-system accounting (counting mode against a per-sector
+// reference, cache-sim against a golden stream), warp-issue helpers,
+// and the timing model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gpusim/cache.hpp"
 #include "gpusim/interleave.hpp"
 #include "gpusim/memory_system.hpp"
 #include "gpusim/timing.hpp"
 #include "gpusim/warp.hpp"
+#include "kernels/spmm.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -183,31 +190,22 @@ TEST(MemorySystem, CacheModeFiltersRepeatedLoads) {
 
 TEST(MemorySystem, EngineReadsExactBytesOnAddressedChannel) {
   MemorySystem mem(ArchConfig::gv100(), MemMode::kCounting);
-  const int ch = mem.interleaver().channel_of(256);
+  const int ch = Interleaver(ArchConfig::gv100()).channel_of(256);
   mem.engine_read(256, 8);  // exact bytes, no sector inflation
   EXPECT_EQ(mem.stats().channels[ch].read_bytes, 8);
   const int other = ch == 5 ? 6 : 5;
-  mem.engine_read_channel(other, 100);
+  mem.engine_read_channel(other, 100, 1);
   EXPECT_EQ(mem.stats().channels[other].read_bytes, 100);
-  EXPECT_THROW(mem.engine_read_channel(64, 1), FormatError);
+  EXPECT_THROW(mem.engine_read_channel(64, 1, 1), FormatError);
 }
 
 TEST(MemorySystem, MaxPartitionBytesGroupsChannels) {
   MemorySystem mem(ArchConfig::gv100(), MemMode::kCounting);
-  mem.engine_read_channel(0, 100);
-  mem.engine_read_channel(7, 100);   // same partition as channel 0
-  mem.engine_read_channel(8, 50);    // partition 1
+  mem.engine_read_channel(0, 100, 1);
+  mem.engine_read_channel(7, 100, 1);  // same partition as channel 0
+  mem.engine_read_channel(8, 50, 1);   // partition 1
   EXPECT_EQ(mem.stats().max_partition_bytes(8), 200);
   EXPECT_EQ(mem.stats().max_channel_bytes(), 100);
-}
-
-TEST(MemorySystem, ResetStats) {
-  MemorySystem mem(ArchConfig::gv100(), MemMode::kCounting);
-  mem.warp_load(mem.allocate(64, "x"), 64);
-  mem.xbar_transfer(10);
-  mem.reset_stats();
-  EXPECT_EQ(mem.stats().total_dram_bytes(), 0);
-  EXPECT_EQ(mem.stats().xbar_bytes, 0);
 }
 
 TEST(Warp, IssueClampsAndCountsLaneSlots) {
@@ -305,7 +303,7 @@ TEST(MemorySystem, OperandAttributionFollowsAllocations) {
 
 TEST(MemorySystem, EngineChannelReadsTagAsSparseInput) {
   MemorySystem mem(ArchConfig::gv100(), MemMode::kCounting);
-  mem.engine_read_channel(3, 100);
+  mem.engine_read_channel(3, 100, 1);
   EXPECT_EQ(mem.stats().operand_bytes.at("A"), 100);
 }
 
@@ -334,20 +332,37 @@ TEST(MemStats, MergeAccumulatesEverything) {
 
 TEST(MemorySystem, MergeFoldsPeerStatsIntoThis) {
   // The shard merge: two instances that replayed the same allocation
-  // sequence, merged, must equal the elementwise sum of their stats.
-  MemorySystem a(ArchConfig::gv100(), MemMode::kCounting);
-  MemorySystem b(ArchConfig::gv100(), MemMode::kCounting);
-  const u64 pa = a.allocate(4096, "X");
-  const u64 pb = b.allocate(4096, "X");
-  ASSERT_EQ(pa, pb);
-  a.warp_load(pa, 128);
-  b.warp_load(pb + 256, 64);
-  b.warp_atomic(pb, 32);
-  b.xbar_transfer(10);
-  MemStats expected = a.stats();
-  expected += b.stats();
-  a.merge(b);
-  EXPECT_EQ(a.stats(), expected);
+  // sequence, merged, must equal the elementwise sum of their stats —
+  // in cache-sim mode the L2 counters and bank timing included.
+  for (MemMode mode : {MemMode::kCounting, MemMode::kCacheSim}) {
+    SCOPED_TRACE(mode == MemMode::kCounting ? "counting" : "cachesim");
+    MemorySystem a(ArchConfig::gv100(), mode);
+    MemorySystem b(ArchConfig::gv100(), mode);
+    const u64 pa = a.allocate(4096, "X");
+    const u64 pb = b.allocate(4096, "X");
+    ASSERT_EQ(pa, pb);
+    a.warp_load(pa, 128);
+    a.warp_store(pa + 512, 64);
+    b.warp_load(pb + 256, 64);
+    b.warp_atomic(pb, 32);
+    b.warp_atomic(pb, 32);  // an L2 hit in cache-sim mode
+    b.xbar_transfer(10);
+    if (mode == MemMode::kCacheSim) {
+      // The fields only cache-sim fills are live on both sides.
+      auto busy_ns = [](const MemStats& s) {
+        double total = 0.0;
+        for (const auto& c : s.channels) total += c.busy_ns;
+        return total;
+      };
+      EXPECT_GT(b.stats().l2.sector_hits, 0u);
+      EXPECT_GT(busy_ns(a.stats()), 0.0);
+      EXPECT_GT(busy_ns(b.stats()), 0.0);
+    }
+    MemStats expected = a.stats();
+    expected += b.stats();
+    a.merge(b);
+    EXPECT_EQ(a.stats(), expected);
+  }
 }
 
 TEST(MemorySystem, MergeRejectsModeMismatch) {
@@ -356,44 +371,219 @@ TEST(MemorySystem, MergeRejectsModeMismatch) {
   EXPECT_THROW(a.merge(b), FormatError);
 }
 
-TEST(MemorySystem, WarpLoadRunMatchesPerEntryLoads) {
-  // The batched API must be a pure event-coalescing change: same
-  // addresses, same bytes, identical stats in both memory modes.
-  for (MemMode mode : {MemMode::kCounting, MemMode::kCacheSim}) {
-    MemorySystem per_entry(ArchConfig::gv100(), mode);
-    MemorySystem batched(ArchConfig::gv100(), mode);
-    const u64 base1 = per_entry.allocate(1 << 20, "B");
-    const u64 base2 = batched.allocate(1 << 20, "B");
-    ASSERT_EQ(base1, base2);
-    std::vector<u64> addrs;
-    for (u64 i = 0; i < 64; ++i) addrs.push_back(base1 + (i * 7919) % (1 << 19));
-    addrs.push_back(addrs.front());  // repeat (cache-mode hit path)
-    for (u64 addr : addrs) per_entry.warp_load(addr, 96);
-    batched.warp_load_run(addrs, 96);
-    EXPECT_EQ(per_entry.stats(), batched.stats()) << "mode " << static_cast<int>(mode);
+enum class Req { kLoad, kStore, kAtomic };
+
+void issue_request(MemorySystem& mem, Req kind, u64 addr, i64 bytes) {
+  switch (kind) {
+    case Req::kLoad: mem.warp_load(addr, bytes); break;
+    case Req::kStore: mem.warp_store(addr, bytes); break;
+    case Req::kAtomic: mem.warp_atomic(addr, bytes); break;
   }
 }
 
-TEST(MemorySystem, WarpAtomicRunMatchesPerEntryAtomics) {
-  for (MemMode mode : {MemMode::kCounting, MemMode::kCacheSim}) {
-    MemorySystem per_entry(ArchConfig::gv100(), mode);
-    MemorySystem batched(ArchConfig::gv100(), mode);
-    const u64 base1 = per_entry.allocate(1 << 18, "C");
-    const u64 base2 = batched.allocate(1 << 18, "C");
-    ASSERT_EQ(base1, base2);
-    std::vector<u64> addrs;
-    for (u64 i = 0; i < 48; ++i) addrs.push_back(base1 + i * 1024 + (i % 3) * 8);
-    for (u64 addr : addrs) per_entry.warp_atomic(addr, 256);
-    batched.warp_atomic_run(addrs, 256);
-    EXPECT_EQ(per_entry.stats(), batched.stats()) << "mode " << static_cast<int>(mode);
+/// Counting-mode reference: every 32 B sector of a request books its
+/// own channel_of lookup and operand entry, atomics at
+/// atomic_cost_multiplier×.  MemorySystem books the same totals once
+/// per interleave granule.
+class PerSectorReference {
+ public:
+  explicit PerSectorReference(const ArchConfig& arch) : arch_(arch), interleave_(arch) {
+    stats.channels.assign(static_cast<usize>(arch.pseudo_channels), ChannelStats{});
+  }
+
+  void add_allocation(u64 base, i64 bytes, const std::string& tag) {
+    allocations_.push_back({base, base + static_cast<u64>(bytes), tag});
+  }
+
+  void request(Req kind, u64 addr, i64 bytes) {
+    const u64 sector = static_cast<u64>(arch_.l2_sector_bytes);
+    const i64 charged =
+        kind == Req::kAtomic
+            ? static_cast<i64>(static_cast<double>(sector) * arch_.atomic_cost_multiplier)
+            : static_cast<i64>(sector);
+    const u64 last = (addr + static_cast<u64>(bytes) - 1) / sector;
+    for (u64 s = addr / sector; s <= last; ++s) {
+      const u64 sector_addr = s * sector;
+      ChannelStats& ch =
+          stats.channels[static_cast<usize>(interleave_.channel_of(sector_addr))];
+      ++ch.requests;
+      switch (kind) {
+        case Req::kLoad: ch.read_bytes += charged; break;
+        case Req::kStore: ch.write_bytes += charged; break;
+        case Req::kAtomic:
+          ch.atomic_bytes += charged;
+          stats.atomic_rmw_bytes += static_cast<i64>(sector);
+          break;
+      }
+      stats.l2_service_bytes += static_cast<i64>(sector);
+      stats.operand_bytes[tag_of(sector_addr)] += charged;
+    }
+  }
+
+  MemStats stats;
+
+ private:
+  struct Allocation {
+    u64 begin, end;
+    std::string tag;
+  };
+
+  std::string tag_of(u64 addr) const {
+    for (const Allocation& a : allocations_)
+      if (addr >= a.begin && addr < a.end) return a.tag;
+    return "?";
+  }
+
+  ArchConfig arch_;
+  Interleaver interleave_;
+  std::vector<Allocation> allocations_;
+};
+
+TEST(MemorySystem, CountingModeMatchesPerSectorReference) {
+  struct Alloc {
+    const char* name;
+    const char* tag;
+    i64 bytes;
+  };
+  constexpr Alloc kAllocs[] = {{"A.row_ptr", "A", 1001},
+                               {"A.entries", "A", 4 * 256 + 7},
+                               {"B", "B", 8192},
+                               {"C", "C", 3 * 256}};
+  const std::pair<const char*, ArchConfig> archs[] = {
+      {"gv100", ArchConfig::gv100()},
+      {"tu116", ArchConfig::tu116()},
+      {"a100", ArchConfig::a100()},
+      {"evaluation_config", evaluation_config().arch}};
+  for (const auto& [arch_name, arch] : archs) {
+    SCOPED_TRACE(arch_name);
+    MemorySystem mem(arch, MemMode::kCounting);
+    PerSectorReference ref(arch);
+    std::vector<std::pair<u64, i64>> allocations;
+    for (const Alloc& a : kAllocs) {
+      const u64 base = mem.allocate(a.bytes, a.name);
+      ref.add_allocation(base, a.bytes, a.tag);
+      allocations.emplace_back(base, a.bytes);
+    }
+    const i64 granule = arch.interleave_bytes;
+    Rng rng(97);
+    int crossing = 0, ending = 0, unmapped = 0;
+    for (int i = 0; i < 3000; ++i) {
+      const Req kind = static_cast<Req>(rng.below(3));
+      const auto [base, size] = allocations[rng.below(allocations.size())];
+      // 1 B to four granules: any length, or a multiple of 2, 4 or 8 B.
+      const i64 unit = i64{1} << rng.below(4);
+      const i64 bytes = unit * rng.range(1, std::min<i64>(4 * granule, size) / unit);
+      u64 addr = 0;
+      switch (rng.below(8)) {
+        case 0: {  // ends on the allocation's last byte
+          addr = base + static_cast<u64>(size - bytes);
+          break;
+        }
+        case 1: {  // straddles a granule boundary inside the allocation
+          const i64 boundary = granule * rng.range(1, (size - 1) / granule);
+          const i64 before = bytes > 1 ? rng.range(1, bytes - 1) : 0;
+          addr = base + static_cast<u64>(std::clamp<i64>(boundary - before, 0, size - bytes));
+          break;
+        }
+        case 2: {  // outside every allocation
+          addr = (u64{1} << 40) + rng.below(4096);
+          ++unmapped;
+          break;
+        }
+        default:  // any start, unaligned
+          addr = base + rng.below(static_cast<u64>(size - bytes) + 1);
+          break;
+      }
+      const u64 end = addr + static_cast<u64>(bytes);
+      if (end == base + static_cast<u64>(size)) ++ending;
+      if (addr / static_cast<u64>(granule) != (end - 1) / static_cast<u64>(granule))
+        ++crossing;
+      issue_request(mem, kind, addr, bytes);
+      ref.request(kind, addr, bytes);
+      ASSERT_TRUE(mem.stats() == ref.stats)
+          << "request " << i << ": kind " << static_cast<int>(kind) << " addr " << addr
+          << " bytes " << bytes;
+    }
+    EXPECT_GT(crossing, 100);
+    EXPECT_GT(ending, 100);
+    EXPECT_GT(unmapped, 100);
   }
 }
 
-TEST(MemorySystem, RunApisTolerateEmptyRuns) {
-  MemorySystem mem(ArchConfig::gv100(), MemMode::kCounting);
-  mem.warp_load_run({}, 32);
-  mem.warp_atomic_run({}, 32);
-  EXPECT_EQ(mem.stats().total_dram_bytes(), 0);
+/// The cache-sim golden stream: loads of a small "B" array, then loads,
+/// stores and atomics of 4..128 B on 20 granules of "C" that all map to
+/// the same few L2 sets (stride = sets × line), so lines are evicted
+/// and dirty ones written back.
+void drive_golden_stream(MemorySystem& mem, const ArchConfig& arch) {
+  const u64 b = mem.allocate(4 * 256, "B");
+  const u64 set_stride = static_cast<u64>(arch.l2_bytes / arch.l2_ways);
+  const u64 c = mem.allocate(static_cast<i64>(20 * set_stride), "C");
+  Rng rng(2024);
+  for (int i = 0; i < 600; ++i) {
+    if (rng.chance(0.2)) {
+      mem.warp_load(b + rng.below(4 * 256 - 128), 128);
+      continue;
+    }
+    const Req kind = static_cast<Req>(rng.below(3));
+    const u64 addr = c + rng.below(20) * set_stride + rng.below(256);
+    issue_request(mem, kind, addr, i64{4} << rng.below(6));
+  }
+}
+
+TEST(MemorySystem, CacheSimGoldenStreamOnGv100) {
+  // Literal totals of the golden stream: a swapped fill kind, a dropped
+  // atomic booking or a lost bank-timing copy moves at least one.
+  MemorySystem mem(ArchConfig::gv100(), MemMode::kCacheSim);
+  drive_golden_stream(mem, ArchConfig::gv100());
+  const MemStats& s = mem.stats();
+  EXPECT_EQ(s.l2, (CacheStats{1749, 1220, 529, 121, 103}));
+  EXPECT_EQ(s.l2_service_bytes, 55968);
+  EXPECT_EQ(s.atomic_rmw_bytes, 12256);
+  EXPECT_EQ(s.xbar_bytes, 0);
+  EXPECT_EQ(s.operand_bytes, (std::map<std::string, i64>{{"B", 1024}, {"C", 30752}}));
+  // The channels the stream reached; every other channel stays zero.
+  struct Touched {
+    usize channel;
+    ChannelStats stats;  // read, write, atomic, requests, busy_ns, row hits, misses
+  };
+  const Touched kTouched[] = {
+      {0, {256, 0, 0, 8, 25.323529411764703, 7, 1}},
+      {1, {512, 224, 448, 27, 93.558823529411768, 26, 1}},
+      {3, {128, 128, 256, 9, 44.147058823529413, 8, 1}},
+      {4, {384, 320, 320, 21, 81.79411764705884, 20, 1}},
+      {6, {128, 0, 0, 4, 15.911764705882355, 3, 1}},
+      {9, {512, 544, 896, 35, 189.02941176470583, 28, 7}},
+      {12, {480, 416, 384, 26, 100.61764705882352, 25, 1}},
+      {15, {416, 736, 768, 32, 147.6764705882353, 31, 1}},
+      {17, {0, 64, 384, 7, 39.441176470588239, 6, 1}},
+      {18, {480, 384, 128, 21, 79.441176470588246, 20, 1}},
+      {20, {160, 32, 0, 6, 20.617647058823529, 5, 1}},
+      {23, {544, 224, 320, 26, 125.50000000000006, 19, 7}},
+      {26, {320, 288, 640, 23, 124.26470588235297, 18, 5}},
+      {28, {128, 0, 0, 4, 15.911764705882355, 3, 1}},
+      {29, {448, 320, 192, 20, 77.088235294117652, 19, 1}},
+      {31, {64, 32, 0, 3, 13.558823529411766, 2, 1}},
+      {32, {416, 512, 704, 30, 126.50000000000003, 29, 1}},
+      {34, {544, 384, 192, 23, 114.85294117647059, 18, 5}},
+      {37, {640, 608, 896, 41, 203.14705882352945, 34, 7}},
+      {40, {576, 704, 128, 26, 110.0294117647059, 25, 1}},
+      {42, {128, 32, 64, 6, 22.970588235294116, 5, 1}},
+      {43, {288, 512, 768, 27, 121.79411764705883, 26, 1}},
+      {45, {320, 0, 0, 10, 36.529411764705877, 8, 2}},
+      {48, {320, 256, 640, 23, 102.41176470588238, 21, 2}},
+      {51, {608, 256, 448, 28, 135.47058823529414, 22, 6}},
+      {53, {0, 64, 384, 7, 39.441176470588239, 6, 1}},
+      {54, {352, 128, 640, 23, 88.852941176470623, 22, 1}},
+      {56, {192, 192, 0, 8, 34.735294117647058, 7, 1}},
+      {57, {832, 352, 448, 38, 146.00000000000003, 34, 4}},
+      {59, {544, 928, 448, 32, 160.6764705882353, 29, 3}},
+      {62, {832, 832, 256, 38, 160.67647058823528, 35, 3}},
+  };
+  ASSERT_EQ(s.channels.size(), 64u);
+  std::vector<ChannelStats> expected(s.channels.size());
+  for (const Touched& t : kTouched) expected[t.channel] = t.stats;
+  for (usize ch = 0; ch < expected.size(); ++ch)
+    EXPECT_EQ(s.channels[ch], expected[ch]) << "channel " << ch;
 }
 
 TEST(MemStats, ServiceTimeTakesMaxOfTransferAndBusy) {

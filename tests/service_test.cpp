@@ -777,7 +777,7 @@ TEST(ServiceChaos, BurstFaultsAndShutdownNeverLoseAResponse) {
     for (int i = 0; i < 24; ++i) {
       const char* spec = specs[i % 2];
       const index_t k = (i % 4 < 2) ? index_t{8} : index_t{16};
-      Request req = make_request("c" + std::to_string(i), spec, k);
+      Request req = make_request(std::string("c").append(std::to_string(i)), spec, k);
       if (i % 8 == 7) req.matrix = "gen:bogus:1x1:0.1:1";  // typed failure
       ++submitted;
       if (server.submit(req) && req.matrix[4] != 'b') {
@@ -830,7 +830,7 @@ TEST(ServiceChaos, CancelAllAnswersEveryInFlightRequest) {
   SpmmServer server(opts, out.sink());
   usize submitted = 0;
   for (int i = 0; i < 12; ++i) {
-    Request req = make_request("x" + std::to_string(i), kSpecA, 16);
+    Request req = make_request(std::string("x").append(std::to_string(i)), kSpecA, 16);
     if (server.submit(req)) ++submitted;
   }
   server.start();

@@ -1,27 +1,14 @@
-// SIMD dispatch and counting-fast-path tests.
+// SIMD dispatch tests.
 //
-// Two bit-identity contracts introduced by the serial hot-loop
-// overhaul are pinned here:
-//
-//  * every dispatched axpy tier (AVX2 / NEON / whatever the host has)
-//    reproduces the portable scalar reference BITWISE for all three
-//    precisions, ragged K, and unaligned row pointers — the unfused
-//    mul-then-add numerics the rest of the determinism suite is built
-//    on;
-//
-//  * the counting-mode fast path (granule-aggregated counter updates,
-//    no per-sector event walk) books exactly the KernelCounters and
-//    MemStats of the event-emission path, for every kernel family and
-//    across the sharded jobs axis.
+// Every dispatched axpy tier (AVX2 / NEON / whatever the host has)
+// reproduces the portable scalar reference BITWISE for all three
+// precisions, ragged K, and unaligned row pointers — the unfused
+// mul-then-add numerics the rest of the determinism suite is built on.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
-#include "core/executor.hpp"
-#include "gpusim/memory_system.hpp"
-#include "kernels/spmm.hpp"
-#include "matgen/generators.hpp"
 #include "util/precision.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -42,16 +29,6 @@ class TierGuard {
 
  private:
   simd::Tier saved_;
-};
-
-/// Restore the counting fast path on scope exit.
-class FastPathGuard {
- public:
-  FastPathGuard() : saved_(MemorySystem::counting_fast_path_enabled()) {}
-  ~FastPathGuard() { MemorySystem::set_counting_fast_path_for_test(saved_); }
-
- private:
-  bool saved_;
 };
 
 /// Run the dispatched axpy and the scalar reference on identical inputs
@@ -113,62 +90,6 @@ TEST(SimdAxpy, EveryTierMatchesScalarReferenceBitwise) {
         check_axpy_matches_scalar<double>(k, offset, seed++);
         check_axpy_matches_scalar<bf16_t>(k, offset, seed++);
       }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Counting-mode fast path: counters-only accounting must be
-// indistinguishable from the event-emission walk it replaces.
-// ---------------------------------------------------------------------
-
-void expect_same_run(const SpmmResult& fast, const SpmmResult& slow) {
-  const auto x = result_bits(fast);
-  const auto y = result_bits(slow);
-  ASSERT_EQ(x.size(), y.size());
-  EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size()), 0);
-  EXPECT_EQ(fast.counters, slow.counters);
-  EXPECT_EQ(fast.mem, slow.mem);
-  EXPECT_EQ(fast.engine, slow.engine);
-  EXPECT_EQ(fast.timing.total_ns, slow.timing.total_ns);
-}
-
-TEST(CountingFastPath, CountersBitIdenticalToEventPathAllKernels) {
-  const FastPathGuard guard;
-  const Csr A = gen_uniform(1024, 1024, 0.004, 13);
-  Rng rng(17);
-  DenseMatrix B(1024, 32);
-  B.randomize(rng);
-  for (KernelKind kind : kAllKernels) {
-    for (int jobs : {1, 4}) {
-      SpmmConfig cfg;  // default mem_mode is kCounting
-      cfg.jobs = jobs;
-      SCOPED_TRACE(std::string(kernel_name(kind)) + " jobs=" + std::to_string(jobs));
-      MemorySystem::set_counting_fast_path_for_test(true);
-      const SpmmResult fast = run_one_shot(kind, A, B, cfg);
-      MemorySystem::set_counting_fast_path_for_test(false);
-      const SpmmResult slow = run_one_shot(kind, A, B, cfg);
-      expect_same_run(fast, slow);
-    }
-  }
-}
-
-TEST(CountingFastPath, HoldsAcrossPrecisions) {
-  const FastPathGuard guard;
-  const Csr A = gen_uniform(512, 512, 0.01, 23);
-  Rng rng(29);
-  DenseMatrix B(512, 48);
-  B.randomize(rng);
-  for (Precision p : {Precision::kF64, Precision::kBf16}) {
-    for (KernelKind kind : kAllKernels) {
-      SpmmConfig cfg;
-      cfg.precision = p;
-      SCOPED_TRACE(std::string(kernel_name(kind)) + " " + precision_name(p));
-      MemorySystem::set_counting_fast_path_for_test(true);
-      const SpmmResult fast = run_one_shot(kind, A, B, cfg);
-      MemorySystem::set_counting_fast_path_for_test(false);
-      const SpmmResult slow = run_one_shot(kind, A, B, cfg);
-      expect_same_run(fast, slow);
     }
   }
 }

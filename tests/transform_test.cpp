@@ -308,7 +308,7 @@ DcsrTileT<V> reference_convert_tile(const CscT<V>& csc, StripCursor& cursor,
     const i64 col_ptr_bytes = static_cast<i64>(lanes + 1) * kIndexBytes;
     local.dram_bytes_in += col_ptr_bytes;
     if (mem != nullptr && pinned_channel >= 0) {
-      mem->engine_read_channel(pinned_channel, col_ptr_bytes);
+      mem->engine_read_channel(pinned_channel, col_ptr_bytes, 1);
     } else if (mem != nullptr && layout != nullptr) {
       mem->engine_read(layout->col_ptr_base +
                            static_cast<u64>(cursor.col_begin()) * kIndexBytes,
@@ -337,7 +337,7 @@ DcsrTileT<V> reference_convert_tile(const CscT<V>& csc, StripCursor& cursor,
       ++local.elements;
       local.dram_bytes_in += kIndexBytes + kVB;
       if (mem != nullptr && pinned_channel >= 0) {
-        mem->engine_read_channel(pinned_channel, kIndexBytes + kVB);
+        mem->engine_read_channel(pinned_channel, kIndexBytes + kVB, 1);
       } else if (mem != nullptr && layout != nullptr) {
         mem->engine_read(layout->row_idx_base + static_cast<u64>(src) * kIndexBytes,
                          kIndexBytes);
