@@ -42,7 +42,8 @@ frozen two-point comparison, gate the current report against the
 rolling per-kernel best of every comparable entry in the bench
 trajectory JSONL that micro_kernels appends to
 (results/bench_history.jsonl).  Comparable = same matrix, k, mode,
-precision, and host fingerprint.  The same fractional + absolute slack
+precision, and host fingerprint; the current run's own entry (the one
+whose per-kernel timings equal the report's) is excluded.  The same fractional + absolute slack
 rules apply, and the geomean trajectory is rendered as a sparkline so a
 slow drift across many runs is visible even when every individual step
 stayed inside the slack.
@@ -197,10 +198,21 @@ def run_history_mode(args):
             return False
         return True
 
+    def timings(report):
+        return {k["name"]: (k.get("serial_best_ms"), k.get("counting_best_ms"))
+                for k in report.get("kernels", [])}
+
+    # micro_kernels appends the current run to the history before this
+    # gate reads it; that entry carries the report's own timings, and a
+    # run held against itself always passes.
+    own = timings(curr)
     matched = [e for e in entries if comparable(e)]
-    skipped = len(entries) - len(matched)
+    own_entries = sum(1 for e in matched if timings(e) == own)
+    matched = [e for e in matched if timings(e) != own]
+    skipped = len(entries) - len(matched) - own_entries
     print(f"check_serial_perf: history {args.history}: {len(entries)} entries, "
-          f"{len(matched)} comparable ({skipped} other workload/host)")
+          f"{len(matched)} comparable ({skipped} other workload/host, "
+          f"{own_entries} from this run)")
     for efp, count in mismatched_hosts.items():
         # Same workload, different host: say exactly which provenance
         # fields diverged so a toolchain/box change is diagnosable from

@@ -4,6 +4,12 @@
 
 namespace nmdt {
 
+namespace {
+
+bool pow2(i64 v) { return v > 0 && (v & (v - 1)) == 0; }
+
+}  // namespace
+
 void ArchConfig::validate() const {
   NMDT_CHECK_CONFIG(num_sms > 0, "num_sms must be positive");
   NMDT_CHECK_CONFIG(warp_size > 0, "warp_size must be positive");
@@ -12,17 +18,25 @@ void ArchConfig::validate() const {
                     "issue_efficiency must be in (0, 1]");
   NMDT_CHECK_CONFIG(core_clock_ghz > 0, "core_clock_ghz must be positive");
   NMDT_CHECK_CONFIG(l2_bytes > 0, "l2_bytes must be positive");
-  NMDT_CHECK_CONFIG(l2_line_bytes > 0 && l2_sector_bytes > 0, "L2 geometry must be positive");
+  NMDT_CHECK_CONFIG(pow2(l2_line_bytes) && pow2(l2_sector_bytes),
+                    "l2_line_bytes and l2_sector_bytes must be positive powers of two");
   NMDT_CHECK_CONFIG(l2_line_bytes % l2_sector_bytes == 0,
                     "l2_line_bytes must be a multiple of l2_sector_bytes");
+  NMDT_CHECK_CONFIG(l2_line_bytes / l2_sector_bytes <= 32,
+                    "sector bitmap limited to 32 sectors per line");
+  NMDT_CHECK_CONFIG(l2_ways > 0 && l2_ways <= kMaxL2Ways, "l2_ways must be in [1, 256]");
   NMDT_CHECK_CONFIG(l2_bytes % (static_cast<i64>(l2_ways) * l2_line_bytes) == 0,
                     "l2_bytes must divide into ways*line sets");
   NMDT_CHECK_CONFIG(pseudo_channels > 0, "pseudo_channels must be positive");
   NMDT_CHECK_CONFIG(fb_partitions > 0 && pseudo_channels % fb_partitions == 0,
                     "pseudo_channels must be a multiple of fb_partitions");
   NMDT_CHECK_CONFIG(bw_per_channel_gbps > 0, "bw_per_channel_gbps must be positive");
-  NMDT_CHECK_CONFIG(interleave_bytes > 0 && (interleave_bytes & (interleave_bytes - 1)) == 0,
+  NMDT_CHECK_CONFIG(pow2(interleave_bytes),
                     "interleave_bytes must be a power of two");
+  NMDT_CHECK_CONFIG(pow2(dram_banks_per_channel),
+                    "dram_banks_per_channel must be a positive power of two");
+  NMDT_CHECK_CONFIG(pow2(dram_row_bytes),
+                    "dram_row_bytes must be a positive power of two");
   NMDT_CHECK_CONFIG(atomic_cost_multiplier >= 1.0, "atomic_cost_multiplier must be >= 1");
 }
 

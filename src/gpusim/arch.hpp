@@ -14,6 +14,10 @@
 
 namespace nmdt {
 
+/// Most L2 ways a set may have: the L2 model keeps each set's
+/// most-recently-used way index in one byte.
+inline constexpr int kMaxL2Ways = 256;
+
 struct ArchConfig {
   std::string name = "GV100";
 
@@ -30,7 +34,8 @@ struct ArchConfig {
   i64 shared_mem_per_sm = 96 * 1024;
 
   // L2 (sectored, NVIDIA-style: 128 B lines of 4 × 32 B sectors; misses
-  // fill only the touched sector).
+  // fill only the touched sector).  Line and sector sizes are powers of
+  // two; the set count need not be.
   i64 l2_bytes = 6144 * 1024;
   int l2_ways = 16;
   int l2_line_bytes = 128;
@@ -48,7 +53,8 @@ struct ArchConfig {
   double dram_cl_ns = 15.0;        ///< column-access latency (Sec. 5.3)
   i64 interleave_bytes = 256;      ///< address interleave granule
   double atomic_cost_multiplier = 2.0;  ///< Table 1: atomic ≈ 2× access
-  // Bank/row-buffer timing (gpusim/dram.hpp; cache-sim mode only).
+  // Bank/row-buffer timing (gpusim/dram.hpp; cache-sim mode only).  Bank
+  // count and row size are powers of two.
   int dram_banks_per_channel = 16;
   i64 dram_row_bytes = 2048;
   double dram_row_miss_penalty_ns = 26.0;  ///< tRP + tRCD

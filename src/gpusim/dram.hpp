@@ -6,9 +6,13 @@
 // parallelism.  This is exactly the axis the paper's formats sit on:
 // the engine's CSC column walks are sequential (row-buffer friendly)
 // while an SM chasing scattered B rows misses often.  The model keeps
-// one open row per bank and accumulates channel busy time:
+// one open row per bank and books each access's channel busy time and
+// row hit or miss into that channel's ChannelStats:
 //
 //   busy += bytes / pin_bandwidth  (+ row_miss_penalty / bank_parallelism on miss)
+//
+// Row size and bank count are powers of two (ArchConfig::validate), so
+// the row/bank split of an address is two shifts and a mask.
 #pragma once
 
 #include <vector>
@@ -17,35 +21,52 @@
 
 namespace nmdt {
 
+/// One pseudo channel's DRAM traffic (booked by the memory system) and
+/// bank timing (booked by DramChannelSim).
+struct ChannelStats {
+  i64 read_bytes = 0;
+  i64 write_bytes = 0;
+  i64 atomic_bytes = 0;  ///< already includes the 2× multiplier
+  i64 requests = 0;
+  // Bank/row-buffer timing (cache-sim mode; zero in counting mode).
+  double busy_ns = 0.0;
+  u64 row_hits = 0;
+  u64 row_misses = 0;
+
+  bool operator==(const ChannelStats&) const = default;
+
+  i64 total_bytes() const { return read_bytes + write_bytes + atomic_bytes; }
+};
+
 class DramChannelSim {
  public:
   explicit DramChannelSim(const ArchConfig& arch);
 
   /// Addressed access (row tracking at `dram_row_bytes` granularity).
-  void access(u64 addr, i64 bytes);
+  void access(u64 addr, i64 bytes, ChannelStats& ch) {
+    if (bytes <= 0) return;
+    ch.busy_ns += static_cast<double>(bytes) * ns_per_byte_;
+    const u64 global_row = addr >> row_shift_;
+    const usize bank = static_cast<usize>(global_row & (open_row_.size() - 1));
+    const u64 row = global_row >> bank_shift_;
+    if (open_row_[bank] == row) {
+      ++ch.row_hits;
+    } else {
+      ++ch.row_misses;
+      open_row_[bank] = row;
+      ch.busy_ns += miss_penalty_ns_;
+    }
+  }
 
   /// Sequential stream with guaranteed row locality (the engine's
   /// prefetch-buffered column bursts): pure transfer time.
-  void stream(i64 bytes);
-
-  double busy_ns() const { return busy_ns_; }
-  u64 row_hits() const { return row_hits_; }
-  u64 row_misses() const { return row_misses_; }
-  double row_hit_rate() const {
-    const u64 total = row_hits_ + row_misses_;
-    return total == 0 ? 1.0 : static_cast<double>(row_hits_) / static_cast<double>(total);
-  }
-
-  void reset();
+  void stream(i64 bytes, ChannelStats& ch) const;
 
  private:
-  int banks_;
-  i64 row_bytes_;
+  int row_shift_;
+  int bank_shift_;
   double ns_per_byte_;
   double miss_penalty_ns_;  ///< already divided by bank parallelism
-  double busy_ns_ = 0.0;
-  u64 row_hits_ = 0;
-  u64 row_misses_ = 0;
   std::vector<u64> open_row_;  ///< per bank; sentinel ~0 = closed
 };
 

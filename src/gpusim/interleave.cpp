@@ -9,6 +9,7 @@ Interleaver::Interleaver(const ArchConfig& arch)
       partitions_(arch.fb_partitions),
       channels_per_partition_(arch.pseudo_channels / arch.fb_partitions) {
   arch.validate();
+  channel_mod_ = FastMod32(static_cast<u32>(channels_));
   granule_shift_ = 0;
   while ((i64{1} << granule_shift_) < arch.interleave_bytes) ++granule_shift_;
   NMDT_CHECK_CONFIG((i64{1} << granule_shift_) == arch.interleave_bytes,

@@ -12,6 +12,7 @@
 #pragma once
 
 #include "gpusim/arch.hpp"
+#include "util/fastmod.hpp"
 
 namespace nmdt {
 
@@ -22,7 +23,7 @@ class Interleaver {
   int channel_of(u64 addr) const {
     u64 g = addr >> granule_shift_;
     g *= 0x9e3779b97f4a7c15ULL;  // Fibonacci hash: decorrelate strides
-    return static_cast<int>((g >> 40) % static_cast<u64>(channels_));
+    return static_cast<int>(channel_mod_(static_cast<u32>(g >> 40)));  // g >> 40 < 2^24
   }
 
   int partition_of_channel(int channel) const { return channel / channels_per_partition_; }
@@ -33,6 +34,7 @@ class Interleaver {
 
  private:
   int channels_;
+  FastMod32 channel_mod_{1};  ///< % channels_
   int partitions_;
   int channels_per_partition_;
   int granule_shift_;

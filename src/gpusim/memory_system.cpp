@@ -1,6 +1,7 @@
 #include "gpusim/memory_system.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -75,7 +76,11 @@ MemStats& MemStats::operator+=(const MemStats& o) {
 }
 
 MemorySystem::MemorySystem(const ArchConfig& arch, MemMode mode)
-    : arch_(arch), mode_(mode), interleave_(arch) {
+    : arch_(arch),
+      mode_(mode),
+      interleave_(arch),
+      sector_shift_(std::countr_zero(static_cast<u32>(arch.l2_sector_bytes))),
+      line_sector_shift_(std::countr_zero(static_cast<u32>(arch.l2_line_bytes)) - sector_shift_) {
   arch_.validate();
   stats_.channels.assign(static_cast<usize>(arch.pseudo_channels), ChannelStats{});
   if (mode_ == MemMode::kCacheSim) {
@@ -96,25 +101,23 @@ u64 MemorySystem::allocate(i64 bytes, const std::string& name) {
   return base;
 }
 
-i64& MemorySystem::operand_slot(u64 addr) {
-  if (addr < cached_begin_ || addr >= cached_end_) {
-    auto it = std::upper_bound(regions_.begin(), regions_.end(), addr,
-                               [](u64 a, const Region& r) { return a < r.begin; });
-    const Region* region = nullptr;
-    if (it != regions_.begin()) {
-      --it;
-      if (addr < it->end) region = &*it;
-    }
-    if (region != nullptr) {
-      cached_begin_ = region->begin;
-      cached_end_ = region->end;
-      cached_slot_ = &stats_.operand_bytes[region->tag];
-    } else {
-      static const std::string kUnknown = "?";
-      cached_begin_ = addr;
-      cached_end_ = addr + 1;
-      cached_slot_ = &stats_.operand_bytes[kUnknown];
-    }
+i64& MemorySystem::find_operand_slot(u64 addr) {
+  auto it = std::upper_bound(regions_.begin(), regions_.end(), addr,
+                             [](u64 a, const Region& r) { return a < r.begin; });
+  const Region* region = nullptr;
+  if (it != regions_.begin()) {
+    --it;
+    if (addr < it->end) region = &*it;
+  }
+  if (region != nullptr) {
+    cached_begin_ = region->begin;
+    cached_end_ = region->end;
+    cached_slot_ = &stats_.operand_bytes[region->tag];
+  } else {
+    static const std::string kUnknown = "?";
+    cached_begin_ = addr;
+    cached_end_ = addr + 1;
+    cached_slot_ = &stats_.operand_bytes[kUnknown];
   }
   return *cached_slot_;
 }
@@ -150,16 +153,7 @@ void MemorySystem::dram_access(u64 addr, i64 bytes, int kind) {
       break;
   }
   operand_slot(addr) += effective;
-  dram_[channel].access(addr, effective);
-  sync_bank(channel);
-}
-
-void MemorySystem::sync_bank(usize channel) {
-  const DramChannelSim& bank_model = dram_[channel];
-  ChannelStats& ch = stats_.channels[channel];
-  ch.busy_ns = bank_model.busy_ns();
-  ch.row_hits = bank_model.row_hits();
-  ch.row_misses = bank_model.row_misses();
+  dram_[channel].access(addr, effective, ch);
 }
 
 void MemorySystem::counting_access(u64 addr, i64 bytes, int kind) {
@@ -172,8 +166,8 @@ void MemorySystem::counting_access(u64 addr, i64 bytes, int kind) {
   if (bytes <= 0) return;
   const i64 sector = arch_.l2_sector_bytes;
   const u64 granule_mask = ~(static_cast<u64>(interleave_.granule_bytes()) - 1);
-  const u64 first = addr / static_cast<u64>(sector);
-  const u64 last = (addr + static_cast<u64>(bytes) - 1) / static_cast<u64>(sector);
+  const u64 first = addr >> sector_shift_;
+  const u64 last = (addr + static_cast<u64>(bytes) - 1) >> sector_shift_;
   const i64 sectors = static_cast<i64>(last - first + 1);
   stats_.l2_service_bytes += sector * sectors;
   const i64 per_sector =
@@ -182,11 +176,11 @@ void MemorySystem::counting_access(u64 addr, i64 bytes, int kind) {
   if (kind == 2) stats_.atomic_rmw_bytes += sector * sectors;
   u64 s = first;
   while (s <= last) {
-    const u64 sector_addr = s * static_cast<u64>(sector);
+    const u64 sector_addr = s << sector_shift_;
     // First sector index beyond this granule.
     const u64 granule_end =
-        ((sector_addr & granule_mask) + static_cast<u64>(interleave_.granule_bytes())) /
-        static_cast<u64>(sector);
+        ((sector_addr & granule_mask) + static_cast<u64>(interleave_.granule_bytes())) >>
+        sector_shift_;
     const u64 run_end = granule_end <= last ? granule_end : last + 1;
     const i64 n = static_cast<i64>(run_end - s);
     ChannelStats& ch =
@@ -212,22 +206,34 @@ void MemorySystem::request(Kind kind, u64 addr, i64 bytes) {
   // atomic_cost_multiplier× LLC bandwidth (tracked in atomic_rmw_bytes
   // and charged by the timing model).  Only misses/writebacks reach
   // DRAM — an atomic's fill is charged at the atomic (2×) rate there.
+  if (bytes <= 0) return;
   const i64 sector = arch_.l2_sector_bytes;
   const bool is_write = kind != kLoad;
   const int fill_kind = kind == kAtomic ? 2 : 0;
-  if (bytes > 0) {
-    const u64 first = addr / static_cast<u64>(sector);
-    const u64 last = (addr + static_cast<u64>(bytes) - 1) / static_cast<u64>(sector);
-    for (u64 s = first; s <= last; ++s) {
-      const u64 sector_addr = s * static_cast<u64>(sector);
-      stats_.l2_service_bytes += sector;
-      if (kind == kAtomic) stats_.atomic_rmw_bytes += sector;
-      const auto r = l2_->access(sector_addr, is_write);
-      if (r.dram_read_bytes > 0) dram_access(sector_addr, r.dram_read_bytes, fill_kind);
-      if (r.dram_write_bytes > 0) dram_access(sector_addr, r.dram_write_bytes, 1);
+  const u64 first = addr >> sector_shift_;
+  const u64 last = (addr + static_cast<u64>(bytes) - 1) >> sector_shift_;
+  const i64 sectors = static_cast<i64>(last - first + 1);
+  stats_.l2_service_bytes += sector * sectors;
+  if (kind == kAtomic) stats_.atomic_rmw_bytes += sector * sectors;
+  // One L2 lookup per line, then the DRAM bookings in per-sector order:
+  // each missed sector's fill, and a dirty victim's writeback right
+  // after the line's first fill, at that sector's address.
+  const u64 in_line = (u64{1} << line_sector_shift_) - 1;
+  for (u64 s = first; s <= last;) {
+    const u64 line = s >> line_sector_shift_;
+    const u64 line_last = std::min(last, s | in_line);
+    const auto r = l2_->access_line(line, static_cast<int>(s & in_line),
+                                    static_cast<int>(line_last - s + 1), is_write, stats_.l2);
+    i64 writeback = r.writeback_bytes;
+    for (u32 fills = r.fill_mask; fills != 0; fills &= fills - 1) {
+      const u64 sector_in_line = static_cast<u64>(std::countr_zero(fills));
+      const u64 sector_addr = ((line << line_sector_shift_) | sector_in_line) << sector_shift_;
+      dram_access(sector_addr, sector, fill_kind);
+      if (writeback > 0) dram_access(sector_addr, writeback, 1);
+      writeback = 0;
     }
+    s = line_last + 1;
   }
-  stats_.l2 = l2_->stats();
 }
 
 void MemorySystem::engine_read(u64 addr, i64 bytes) {
@@ -239,10 +245,7 @@ void MemorySystem::engine_read(u64 addr, i64 bytes) {
   ++ch.requests;
   ch.read_bytes += bytes;
   operand_slot(addr) += bytes;
-  if (!dram_.empty()) {
-    dram_[channel].stream(bytes);
-    sync_bank(channel);
-  }
+  if (!dram_.empty()) dram_[channel].stream(bytes, ch);
 }
 
 void MemorySystem::engine_read_channel(int channel, i64 bytes_each, i64 count,
@@ -255,9 +258,8 @@ void MemorySystem::engine_read_channel(int channel, i64 bytes_each, i64 count,
   ch.read_bytes += bytes_each * count;
   stats_.operand_bytes[tag] += bytes_each * count;
   if (!dram_.empty()) {
-    DramChannelSim& bank_model = dram_[static_cast<usize>(channel)];
-    for (i64 i = 0; i < count; ++i) bank_model.stream(bytes_each);
-    sync_bank(static_cast<usize>(channel));
+    const DramChannelSim& bank_model = dram_[static_cast<usize>(channel)];
+    for (i64 i = 0; i < count; ++i) bank_model.stream(bytes_each, ch);
   }
 }
 

@@ -9,12 +9,20 @@
 //    encode shared-memory reuse explicitly, so this mode measures
 //    *compulsory* traffic, matching the Table 1 analytical model.
 //    Cheap enough for thousand-matrix suite sweeps.
-//  * kCacheSim — each 32 B sector runs through the sectored L2; only
-//    fills and writebacks reach DRAM and its bank model.  Used for
-//    traversal-order and locality experiments.
+//  * kCacheSim — a request is split into the 128 B lines it touches and
+//    each line is looked up once in the sectored L2; only sector fills
+//    and dirty writebacks reach DRAM and its bank model, booked in the
+//    order one access per 32 B sector would book them.  Used by
+//    evaluation_config, so by every figure, suite sweep and served
+//    request.
 // The request kind decides only whether the L2 access writes, whether
 // a fill is booked as a read or an atomic, and whether the LLC's
 // atomic RMW bytes grow.
+//
+// The L2 and the bank model book straight into this system's MemStats
+// (`l2`, and each channel's busy_ns and row counters), so stats() is
+// always current and merge() is a plain sum: requests issued after a
+// merge add to the merged totals.
 //
 // Atomic read-modify-writes are charged atomic_cost_multiplier× at the
 // channel, the paper's "atomic bandwidth = 2× memory access" model.
@@ -32,21 +40,6 @@
 namespace nmdt {
 
 enum class MemMode { kCounting, kCacheSim };
-
-struct ChannelStats {
-  i64 read_bytes = 0;
-  i64 write_bytes = 0;
-  i64 atomic_bytes = 0;  ///< already includes the 2× multiplier
-  i64 requests = 0;
-  // Bank/row-buffer timing (cache-sim mode; zero in counting mode).
-  double busy_ns = 0.0;
-  u64 row_hits = 0;
-  u64 row_misses = 0;
-
-  bool operator==(const ChannelStats&) const = default;
-
-  i64 total_bytes() const { return read_bytes + write_bytes + atomic_bytes; }
-};
 
 struct MemStats {
   std::vector<ChannelStats> channels;
@@ -123,14 +116,12 @@ class MemorySystem {
   enum Kind : int { kLoad = 0, kStore = 1, kAtomic = 2 };
 
   /// The one warp-request body: counting mode hands the request to
-  /// `counting_access`; cache-sim walks its 32 B sectors through the L2.
+  /// `counting_access`; cache-sim looks each touched line up in the L2
+  /// once and books its fills and writeback.
   void request(Kind kind, u64 addr, i64 bytes);
 
   /// Book one cache-sim DRAM access (an L2 fill or writeback).
   void dram_access(u64 addr, i64 bytes, int kind);
-
-  /// Copy a channel's bank-model timing into its stats (cache-sim).
-  void sync_bank(usize channel);
 
   /// Counting-mode accounting for one warp request: per-granule
   /// aggregated sector accounting (channel hash and operand lookup once
@@ -144,7 +135,11 @@ class MemorySystem {
   /// allocation containing `addr`.  Consecutive accesses within one
   /// allocation (the common case) skip both the region binary search
   /// and the string-keyed map lookup.
-  i64& operand_slot(u64 addr);
+  i64& operand_slot(u64 addr) {
+    return addr >= cached_begin_ && addr < cached_end_ ? *cached_slot_ : find_operand_slot(addr);
+  }
+  /// The region lookup behind operand_slot; refills the cache.
+  i64& find_operand_slot(u64 addr);
 
   struct Region {
     u64 begin, end;
@@ -157,6 +152,8 @@ class MemorySystem {
   std::unique_ptr<L2Cache> l2_;
   std::vector<DramChannelSim> dram_;  ///< cache-sim mode only
   std::vector<Region> regions_;       ///< sorted by begin (allocation order)
+  int sector_shift_;       ///< log2 l2_sector_bytes
+  int line_sector_shift_;  ///< log2 sectors per L2 line
   MemStats stats_;
   u64 next_base_ = 0;
   // operand_slot cache (empty range = invalid; map nodes are stable, so

@@ -14,47 +14,42 @@ namespace {
 
 TEST(Dram, SequentialAccessHitsRowBuffer) {
   DramChannelSim ch(ArchConfig::gv100());
+  ChannelStats st;
   // Walk one 2 KiB row in 32 B sectors: 1 activate, then hits.
-  for (u64 a = 0; a < 2048; a += 32) ch.access(a, 32);
-  EXPECT_EQ(ch.row_misses(), 1u);
-  EXPECT_EQ(ch.row_hits(), 63u);
+  for (u64 a = 0; a < 2048; a += 32) ch.access(a, 32, st);
+  EXPECT_EQ(st.row_misses, 1u);
+  EXPECT_EQ(st.row_hits, 63u);
 }
 
 TEST(Dram, RowStrideMissesEveryTime) {
   ArchConfig arch = ArchConfig::gv100();
   DramChannelSim ch(arch);
+  ChannelStats st;
   // Jump a full bank rotation each access: same bank, new row.
   const u64 stride = static_cast<u64>(arch.dram_row_bytes) * arch.dram_banks_per_channel;
-  for (int i = 0; i < 64; ++i) ch.access(static_cast<u64>(i) * stride, 32);
-  EXPECT_EQ(ch.row_misses(), 64u);
-  EXPECT_DOUBLE_EQ(ch.row_hit_rate(), 0.0);
+  for (int i = 0; i < 64; ++i) ch.access(static_cast<u64>(i) * stride, 32, st);
+  EXPECT_EQ(st.row_misses, 64u);
+  EXPECT_EQ(st.row_hits, 0u);
 }
 
 TEST(Dram, MissPenaltyInflatesBusyTime) {
   const ArchConfig arch = ArchConfig::gv100();
   DramChannelSim seq(arch), random(arch);
-  for (u64 a = 0; a < 2048; a += 32) seq.access(a, 32);
+  ChannelStats seq_st, random_st;
+  for (u64 a = 0; a < 2048; a += 32) seq.access(a, 32, seq_st);
   const u64 stride = static_cast<u64>(arch.dram_row_bytes) * arch.dram_banks_per_channel;
-  for (int i = 0; i < 64; ++i) random.access(static_cast<u64>(i) * stride, 32);
-  EXPECT_GT(random.busy_ns(), 2.0 * seq.busy_ns())
+  for (int i = 0; i < 64; ++i) random.access(static_cast<u64>(i) * stride, 32, random_st);
+  EXPECT_GT(random_st.busy_ns, 2.0 * seq_st.busy_ns)
       << "row-missing traffic must be markedly slower at equal bytes";
 }
 
 TEST(Dram, StreamIsPureTransferTime) {
   const ArchConfig arch = ArchConfig::gv100();
-  DramChannelSim ch(arch);
-  ch.stream(13600);  // bytes at 13.6 B/ns
-  EXPECT_NEAR(ch.busy_ns(), 1000.0, 1e-6);
-  EXPECT_EQ(ch.row_misses(), 0u);
-}
-
-TEST(Dram, ResetClearsState) {
-  DramChannelSim ch(ArchConfig::gv100());
-  ch.access(0, 32);
-  ch.reset();
-  EXPECT_DOUBLE_EQ(ch.busy_ns(), 0.0);
-  ch.access(0, 32);
-  EXPECT_EQ(ch.row_misses(), 1u) << "open rows must be closed by reset";
+  const DramChannelSim ch(arch);
+  ChannelStats st;
+  ch.stream(13600, st);  // bytes at 13.6 B/ns
+  EXPECT_NEAR(st.busy_ns, 1000.0, 1e-6);
+  EXPECT_EQ(st.row_misses, 0u);
 }
 
 TEST(Dram, BankParallelismScalesPenalty) {
@@ -63,12 +58,13 @@ TEST(Dram, BankParallelismScalesPenalty) {
   DramChannelSim serial(arch);
   arch.dram_bank_parallelism = 8.0;
   DramChannelSim parallel(arch);
+  ChannelStats serial_st, parallel_st;
   const u64 stride = static_cast<u64>(arch.dram_row_bytes) * arch.dram_banks_per_channel;
   for (int i = 0; i < 16; ++i) {
-    serial.access(static_cast<u64>(i) * stride, 32);
-    parallel.access(static_cast<u64>(i) * stride, 32);
+    serial.access(static_cast<u64>(i) * stride, 32, serial_st);
+    parallel.access(static_cast<u64>(i) * stride, 32, parallel_st);
   }
-  EXPECT_GT(serial.busy_ns(), parallel.busy_ns());
+  EXPECT_GT(serial_st.busy_ns, parallel_st.busy_ns);
 }
 
 TEST(Dram, MemorySystemTracksBusyInCacheMode) {
@@ -112,6 +108,9 @@ TEST(Dram, EngineStreamsAreRowFriendlyInKernels) {
 TEST(Dram, RejectsBadGeometry) {
   ArchConfig arch = ArchConfig::gv100();
   arch.dram_banks_per_channel = 0;
+  EXPECT_THROW(DramChannelSim{arch}, ConfigError);
+  arch = ArchConfig::gv100();
+  arch.dram_row_bytes = 3000;  // the row split is a shift
   EXPECT_THROW(DramChannelSim{arch}, ConfigError);
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <string>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "gpusim/timing.hpp"
 #include "gpusim/warp.hpp"
 #include "kernels/spmm.hpp"
+#include "reference_cachesim.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -51,6 +53,37 @@ TEST(Arch, ValidateRejectsBadGeometry) {
   c = ArchConfig::gv100();
   c.fb_partitions = 7;  // does not divide 64 channels
   EXPECT_THROW(c.validate(), ConfigError);
+  // The L2 and DRAM models index with shifts and a one-byte MRU way:
+  // each of these must be a ConfigError, never a division by zero.
+  for (int ways : {0, -1, kMaxL2Ways + 1}) {
+    c = ArchConfig::gv100();
+    c.l2_ways = ways;
+    EXPECT_THROW(c.validate(), ConfigError) << "l2_ways " << ways;
+  }
+  c = ArchConfig::gv100();
+  c.l2_line_bytes = 96;  // a multiple of the sector, not a power of two
+  EXPECT_THROW(c.validate(), ConfigError);
+  c = ArchConfig::gv100();
+  c.l2_sector_bytes = 24;
+  c.l2_line_bytes = 96;
+  EXPECT_THROW(c.validate(), ConfigError);
+  c = ArchConfig::gv100();
+  c.l2_sector_bytes = 2;  // 64 sectors per line: more than the bitmap holds
+  EXPECT_THROW(c.validate(), ConfigError);
+  for (i64 row : {i64{0}, i64{-2048}, i64{3000}}) {
+    c = ArchConfig::gv100();
+    c.dram_row_bytes = row;
+    EXPECT_THROW(c.validate(), ConfigError) << "dram_row_bytes " << row;
+  }
+  for (int banks : {0, -16, 12}) {
+    c = ArchConfig::gv100();
+    c.dram_banks_per_channel = banks;
+    EXPECT_THROW(c.validate(), ConfigError) << "dram_banks_per_channel " << banks;
+  }
+  c = ArchConfig::gv100();
+  c.l2_ways = kMaxL2Ways;
+  c.l2_bytes = i64{kMaxL2Ways} * 128 * 3;
+  EXPECT_NO_THROW(c.validate());
 }
 
 TEST(Interleaver, StableWithinGranuleAndDeterministic) {
@@ -95,23 +128,33 @@ TEST(Interleaver, PartitionGroupsConsecutiveChannels) {
   EXPECT_EQ(il.partition_of_channel(63), 7);
 }
 
+/// One 32 B sector of a 128 B-line L2, as the memory system books it.
+L2Cache::LineResult access_sector(L2Cache& l2, CacheStats& stats, u64 addr, bool is_write) {
+  return l2.access_line(addr / 128, static_cast<int>(addr % 128 / 32), 1, is_write, stats);
+}
+
 TEST(L2Cache, SectorFillOnFirstTouchThenHit) {
   L2Cache l2(ArchConfig::gv100());
-  const auto miss = l2.access(0x1000, false);
-  EXPECT_FALSE(miss.hit);
-  EXPECT_EQ(miss.dram_read_bytes, 32);
-  const auto hit = l2.access(0x1000, false);
-  EXPECT_TRUE(hit.hit);
-  EXPECT_EQ(hit.dram_read_bytes, 0);
+  CacheStats st;
+  const auto miss = access_sector(l2, st, 0x1000, false);
+  EXPECT_EQ(miss.fill_mask, 1u);
+  EXPECT_EQ(st.sector_misses, 1u);
+  const auto hit = access_sector(l2, st, 0x1000, false);
+  EXPECT_EQ(hit.fill_mask, 0u);
+  EXPECT_EQ(st, (CacheStats{2, 1, 1, 0, 0}));
 }
 
 TEST(L2Cache, ResidentLineMissingSectorCostsOnlySectorFill) {
   L2Cache l2(ArchConfig::gv100());
-  l2.access(0x1000, false);            // sector 0 of the line
-  const auto r = l2.access(0x1020, false);  // sector 1, same 128B line
-  EXPECT_FALSE(r.hit);
-  EXPECT_EQ(r.dram_read_bytes, 32);
-  EXPECT_EQ(l2.stats().evictions, 0u);  // no new line allocated
+  CacheStats st;
+  access_sector(l2, st, 0x1000, false);                   // sector 0 of the line
+  const auto r = access_sector(l2, st, 0x1020, false);   // sector 1, same 128B line
+  EXPECT_EQ(r.fill_mask, 0b10u);
+  EXPECT_EQ(st.evictions, 0u);  // no new line allocated
+  // A whole-line access then fills only the two sectors still missing.
+  const auto rest = l2.access_line(0x1000 / 128, 0, 4, false, st);
+  EXPECT_EQ(rest.fill_mask, 0b1100u);
+  EXPECT_EQ(st, (CacheStats{6, 2, 4, 0, 0}));
 }
 
 TEST(L2Cache, LruEvictionWithinSet) {
@@ -119,16 +162,17 @@ TEST(L2Cache, LruEvictionWithinSet) {
   small.l2_bytes = 2 * 128 * 4;  // 2 ways, 4 sets
   small.l2_ways = 2;
   L2Cache l2(small);
-  ASSERT_EQ(l2.num_sets(), 4);
+  CacheStats st;
   const u64 set_stride = 4 * 128;  // same set every 512 bytes
-  l2.access(0 * set_stride, false);   // way 0
-  l2.access(1 * set_stride, false);   // way 1
-  l2.access(0 * set_stride, false);   // refresh line A
-  l2.access(2 * set_stride, false);   // evicts line B (LRU)
-  const auto a = l2.access(0 * set_stride, false);
-  EXPECT_TRUE(a.hit) << "most recently used line must survive";
-  const auto b = l2.access(1 * set_stride, false);
-  EXPECT_FALSE(b.hit) << "LRU victim must have been evicted";
+  access_sector(l2, st, 0 * set_stride, false);   // way 0
+  access_sector(l2, st, 1 * set_stride, false);   // way 1
+  access_sector(l2, st, 0 * set_stride, false);   // refresh line A
+  access_sector(l2, st, 2 * set_stride, false);   // evicts line B (LRU)
+  EXPECT_EQ(st.evictions, 1u);
+  EXPECT_EQ(access_sector(l2, st, 0 * set_stride, false).fill_mask, 0u)
+      << "most recently used line must survive";
+  EXPECT_NE(access_sector(l2, st, 1 * set_stride, false).fill_mask, 0u)
+      << "LRU victim must have been evicted";
 }
 
 TEST(L2Cache, DirtyEvictionWritesBack) {
@@ -136,19 +180,12 @@ TEST(L2Cache, DirtyEvictionWritesBack) {
   small.l2_bytes = 1 * 128 * 2;  // 1 way, 2 sets
   small.l2_ways = 1;
   L2Cache l2(small);
+  CacheStats st;
   const u64 set_stride = 2 * 128;
-  l2.access(0, true);  // dirty
-  const auto evict = l2.access(set_stride, false);  // same set, evicts
-  EXPECT_EQ(evict.dram_write_bytes, 32);
-  EXPECT_EQ(l2.stats().writebacks, 1u);
-}
-
-TEST(L2Cache, ResetClearsState) {
-  L2Cache l2(ArchConfig::gv100());
-  l2.access(0x1000, false);
-  l2.reset();
-  EXPECT_EQ(l2.stats().accesses, 0u);
-  EXPECT_FALSE(l2.access(0x1000, false).hit);
+  access_sector(l2, st, 0, true);  // dirty
+  const auto evict = access_sector(l2, st, set_stride, false);  // same set, evicts
+  EXPECT_EQ(evict.writeback_bytes, 32);
+  EXPECT_EQ(st.writebacks, 1u);
 }
 
 TEST(MemorySystem, AllocationsDoNotShareGranules) {
@@ -362,6 +399,13 @@ TEST(MemorySystem, MergeFoldsPeerStatsIntoThis) {
     expected += b.stats();
     a.merge(b);
     EXPECT_EQ(a.stats(), expected);
+    // Requests after the merge add to the merged totals.
+    a.warp_load(pa + 1024, 32);
+    EXPECT_EQ(a.stats().l2_service_bytes, expected.l2_service_bytes + 32);
+    if (mode == MemMode::kCacheSim) {
+      EXPECT_EQ(a.stats().l2.accesses, expected.l2.accesses + 1);
+      EXPECT_EQ(a.stats().l2.sector_hits, expected.l2.sector_hits);
+    }
   }
 }
 
@@ -584,6 +628,87 @@ TEST(MemorySystem, CacheSimGoldenStreamOnGv100) {
   for (const Touched& t : kTouched) expected[t.channel] = t.stats;
   for (usize ch = 0; ch < expected.size(); ++ch)
     EXPECT_EQ(s.channels[ch], expected[ch]) << "channel " << ch;
+}
+
+TEST(CacheSimReference, FlatL2MatchesPerSectorModelOnEveryGeometry) {
+  // The shipped cache-sim path (one flat-L2 lookup per line, shifts,
+  // bank timing booked in place) against the per-sector reference it
+  // replaced: every CacheStats and MemStats field, after every request.
+  auto geometry = [](int ways, i64 sets) {
+    ArchConfig a = ArchConfig::gv100();
+    a.l2_ways = ways;
+    a.l2_bytes = static_cast<i64>(ways) * a.l2_line_bytes * sets;
+    return a;
+  };
+  const std::pair<const char*, ArchConfig> archs[] = {
+      {"gv100", ArchConfig::gv100()},
+      {"tu116", ArchConfig::tu116()},
+      {"a100", ArchConfig::a100()},
+      {"evaluation_config(4096, 16)", evaluation_config(4096, 16).arch},
+      {"evaluation_config(4096, 64)", evaluation_config(4096, 64).arch},
+      {"evaluation_config(6000, 16)", evaluation_config(6000, 16).arch},
+      {"evaluation_config(16384, 8)", evaluation_config(16384, 8).arch},
+      {"1-way, 37 sets", geometry(1, 37)},
+      {"2-way, 13 sets", geometry(2, 13)},
+  };
+  for (const auto& [arch_name, arch] : archs) {
+    SCOPED_TRACE(arch_name);
+    const i64 line = arch.l2_line_bytes;
+    const u64 set_stride = static_cast<u64>(arch.l2_bytes / arch.l2_ways);
+    const i64 sets = static_cast<i64>(set_stride) / line;
+    if (std::string(arch_name).starts_with("evaluation_config")) {
+      EXPECT_FALSE(std::has_single_bit(static_cast<u64>(sets))) << sets << " sets";
+    }
+    MemorySystem mem(arch, MemMode::kCacheSim);
+    reference::CacheSimMemory ref(arch);
+    // "hot": ways + 3 lines per set on a few sets, so lines evict and
+    // dirty ones write back; "wide": twice the L2.
+    const i64 hot_bytes = static_cast<i64>(arch.l2_ways + 3) * static_cast<i64>(set_stride);
+    const i64 wide_bytes = 2 * arch.l2_bytes;
+    const u64 small = mem.allocate(1000, "A.row_ptr");
+    ref.add_allocation(small, 1000, "A");
+    const u64 hot = mem.allocate(hot_bytes, "C");
+    ref.add_allocation(hot, hot_bytes, "C");
+    const u64 wide = mem.allocate(wide_bytes, "B");
+    ref.add_allocation(wide, wide_bytes, "B");
+    Rng rng(31);
+    int multi_line = 0;
+    for (int i = 0; i < 4000; ++i) {
+      const int pick = static_cast<int>(rng.below(20));
+      // 1 B to four lines, or a power of two from 4 B to 256 B.
+      const i64 bytes = rng.chance(0.5) ? rng.range(1, 4 * line) : i64{4} << rng.below(7);
+      u64 addr = 0;
+      if (pick < 10) {
+        addr = hot + rng.below(static_cast<u64>(arch.l2_ways + 3)) * set_stride +
+               rng.below(static_cast<u64>(2 * line) * 4);
+      } else if (pick < 16) {
+        addr = wide + rng.below(static_cast<u64>(wide_bytes - bytes));
+      } else if (pick < 17) {
+        addr = small + rng.below(1000);
+      } else if (pick < 18) {
+        addr = (u64{1} << 40) + rng.below(1 << 16);  // unmapped
+      } else {
+        const u64 at = wide + rng.below(static_cast<u64>(wide_bytes));
+        mem.engine_read(at, bytes);
+        ref.engine_read(at, bytes);
+        ASSERT_TRUE(mem.stats() == ref.stats) << "engine read " << i;
+        continue;
+      }
+      if (addr / static_cast<u64>(line) != (addr + static_cast<u64>(bytes) - 1) /
+                                                  static_cast<u64>(line))
+        ++multi_line;
+      const int kind = static_cast<int>(rng.below(3));
+      issue_request(mem, static_cast<Req>(kind), addr, bytes);
+      ref.request(static_cast<reference::CacheSimMemory::Kind>(kind), addr, bytes);
+      ASSERT_TRUE(mem.stats() == ref.stats)
+          << "request " << i << ": kind " << kind << " addr " << addr << " bytes " << bytes;
+    }
+    const CacheStats& l2 = ref.stats.l2;
+    EXPECT_GT(multi_line, 1000);
+    EXPECT_GT(l2.sector_hits, 1000u);
+    EXPECT_GT(l2.evictions, 500u);
+    EXPECT_GT(l2.writebacks, 300u);
+  }
 }
 
 TEST(MemStats, ServiceTimeTakesMaxOfTransferAndBusy) {

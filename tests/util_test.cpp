@@ -7,17 +7,34 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/codec.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
+#include "util/fastmod.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace nmdt {
 namespace {
+
+TEST(FastMod32, EqualsRemainderForEveryDivisorShape) {
+  // Channel counts (24, 64, 80), evaluation_config set counts (71, 284,
+  // 1137), GV100's 3072 sets, and the extremes of the 32-bit range.
+  Rng rng(5);
+  std::vector<u32> divisors = {1, 2, 3, 24, 64, 71, 80, 284, 1137, 3072, 20480,
+                               0x7fffffffu, 0x80000000u, 0xffffffffu};
+  for (int i = 0; i < 16; ++i) divisors.push_back(static_cast<u32>(rng.below(0xffffffffu)) + 1);
+  for (u32 d : divisors) {
+    const FastMod32 mod(d);
+    std::vector<u32> values = {0, 1, d - 1, d, d + 1, 2 * d - 1, 0xfffffffeu, 0xffffffffu};
+    for (int i = 0; i < 2000; ++i) values.push_back(static_cast<u32>(rng()));
+    for (u32 a : values) ASSERT_EQ(mod(a), a % d) << a << " % " << d;
+  }
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42), b(42);
