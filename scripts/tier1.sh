@@ -31,7 +31,7 @@ for arg in "$@"; do
 done
 
 echo "==== tier-1: standard build + ctest ===="
-timeout 600 cmake -B build -S .
+timeout 600 cmake -B build -S . -DNMDT_WERROR=ON
 timeout 1800 cmake --build build -j
 timeout 1800 ctest --test-dir build --output-on-failure -j
 

@@ -45,23 +45,6 @@ SegmentScan scan_segments(const Csr& csr, const TilingSpec& spec) {
 
 }  // namespace
 
-double normalized_entropy(const Csr& csr, const TilingSpec& spec) {
-  spec.validate();
-  const i64 nnz = csr.nnz();
-  if (nnz <= 1) return 0.0;
-  // Row segments at tile granularity: within a strip, a row belongs to
-  // exactly one tile, so tile row segments equal strip row segments —
-  // segment membership is (strip, row), independent of tile_height.
-  const SegmentScan scan = scan_segments(csr, spec);
-  double h = 0.0;
-  const double total = static_cast<double>(nnz);
-  for (i64 seg : scan.tile_segments) {
-    const double p = static_cast<double>(seg) / total;
-    h -= p * std::log(p);
-  }
-  return h / std::log(total);
-}
-
 MatrixProfile profile_matrix(const Csr& csr, const TilingSpec& spec) {
   spec.validate();
   MatrixProfile p;

@@ -42,7 +42,4 @@ struct MatrixProfile {
 /// Compute the full profile in one pass over the tiling.
 MatrixProfile profile_matrix(const Csr& csr, const TilingSpec& spec);
 
-/// Eq. 1 alone, over the given tiling granularity.
-double normalized_entropy(const Csr& csr, const TilingSpec& spec);
-
 }  // namespace nmdt

@@ -28,10 +28,6 @@ i64 artifact_bytes(const F& format) {
   return footprint(format).total();
 }
 
-i64 artifact_bytes(const StripNnz& table) {
-  return static_cast<i64>(table.counts.size()) * static_cast<i64>(sizeof(i64));
-}
-
 /// `slot`'s artifact, converted by `convert` under `span_name` on first
 /// use and charged to `bytes`.
 template <class T, class Convert>
@@ -124,10 +120,6 @@ SpmmOperandsT<V> SpmmPlan::operands_for(KernelKind kind) const {
   if (need.tiled_csr) {
     out.tiled_csr = &artifact(ops.tiled_csr, "plan.convert.tiled_csr", b,
                               [&] { return tiled_csr_from_csr(a, t); });
-  }
-  if (need.strip_nnz) {
-    out.strip_nnz = &artifact(ops.strip_nnz, "plan.convert.strip_nnz", b,
-                              [&] { return strip_nnz_of(a, t); });
   }
   return out;
 }

@@ -129,7 +129,6 @@ class SpmmPlan {
     LazyArtifact<DcsrT<V>> dcsr;
     LazyArtifact<TiledDcsrT<V>> tiled_dcsr;
     LazyArtifact<TiledCsrT<V>> tiled_csr;
-    LazyArtifact<StripNnz> strip_nnz;
   };
 
   template <class V>

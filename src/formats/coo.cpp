@@ -8,13 +8,6 @@
 namespace nmdt {
 
 template <class V>
-double CooT<V>::density() const {
-  if (rows <= 0 || cols <= 0) return 0.0;
-  return static_cast<double>(nnz()) /
-         (static_cast<double>(rows) * static_cast<double>(cols));
-}
-
-template <class V>
 void CooT<V>::push(index_t r, index_t c, V v) {
   row.push_back(r);
   col.push_back(c);

@@ -28,7 +28,6 @@ struct CooT {
   i64 nnz() const { return static_cast<i64>(val.size()); }
 
   /// Density nnz / (rows*cols); 0 for degenerate dimensions.
-  double density() const;
 
   /// Append one entry (no duplicate detection; see coalesce()).
   void push(index_t r, index_t c, V v);

@@ -28,8 +28,6 @@ struct CscT {
   i64 nnz() const { return static_cast<i64>(val.size()); }
   double density() const;
 
-  i64 col_nnz(index_t c) const { return col_ptr[c + 1] - col_ptr[c]; }
-
   void validate() const;
 };
 

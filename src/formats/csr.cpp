@@ -14,15 +14,6 @@ double CsrT<V>::density() const {
 }
 
 template <class V>
-i64 CsrT<V>::nonzero_rows() const {
-  i64 n = 0;
-  for (index_t r = 0; r < rows; ++r) {
-    if (!row_empty(r)) ++n;
-  }
-  return n;
-}
-
-template <class V>
 void CsrT<V>::validate() const {
   NMDT_REQUIRE(rows >= 0 && cols >= 0, "CSR dimensions must be non-negative");
   NMDT_REQUIRE(row_ptr.size() == static_cast<usize>(rows) + 1,

@@ -31,9 +31,6 @@ struct CsrT {
   i64 row_nnz(index_t r) const { return row_ptr[r + 1] - row_ptr[r]; }
   bool row_empty(index_t r) const { return row_nnz(r) == 0; }
 
-  /// Number of rows with at least one non-zero.
-  i64 nonzero_rows() const;
-
   std::span<const index_t> row_cols(index_t r) const {
     return {col_idx.data() + row_ptr[r], static_cast<usize>(row_nnz(r))};
   }

@@ -35,33 +35,6 @@ void TilingSpec::validate() const {
   NMDT_CHECK_CONFIG(tile_height > 0, "TilingSpec.tile_height must be positive");
 }
 
-template <class V>
-i64 TiledDcsrT<V>::nnz() const {
-  i64 n = 0;
-  for (const auto& strip : strips) {
-    for (const auto& tile : strip) n += tile.nnz();
-  }
-  return n;
-}
-
-template <class V>
-i64 TiledDcsrT<V>::total_nnz_rows() const {
-  i64 n = 0;
-  for (const auto& strip : strips) {
-    for (const auto& tile : strip) n += tile.nnz_rows();
-  }
-  return n;
-}
-
-template <class V>
-i64 TiledCsrT<V>::nnz() const {
-  i64 n = 0;
-  for (const auto& strip : strips) {
-    for (const auto& tile : strip) n += tile.nnz();
-  }
-  return n;
-}
-
 namespace {
 
 /// Gather per-tile COO buckets in one pass over the CSR matrix.
@@ -217,15 +190,6 @@ CooT<V> coo_from_tiled(const TiledCsrT<V>& tiled) {
 }
 
 template <class V>
-StripNnz strip_nnz_of(const CsrT<V>& csr, const TilingSpec& spec) {
-  StripNnz out;
-  out.spec = spec;
-  out.counts.assign(static_cast<usize>(spec.num_strips(csr.cols)), 0);
-  for (index_t c : csr.col_idx) ++out.counts[static_cast<usize>(c / spec.strip_width)];
-  return out;
-}
-
-template <class V>
 std::vector<DcsrT<V>> strip_dcsr_from_csr(const CsrT<V>& csr, index_t strip_width) {
   TilingSpec spec;
   spec.strip_width = strip_width;
@@ -250,13 +214,6 @@ std::vector<double> strip_nonzero_row_density(const CsrT<V>& csr, index_t strip_
   return density;
 }
 
-template struct TiledDcsrT<float>;
-template struct TiledDcsrT<double>;
-template struct TiledDcsrT<bf16_t>;
-template struct TiledCsrT<float>;
-template struct TiledCsrT<double>;
-template struct TiledCsrT<bf16_t>;
-
 template u32 dcsr_tile_crc(const DcsrTileT<float>&);
 template u32 dcsr_tile_crc(const DcsrTileT<double>&);
 template u32 dcsr_tile_crc(const DcsrTileT<bf16_t>&);
@@ -269,9 +226,6 @@ template TiledDcsrT<bf16_t> tiled_dcsr_from_csr(const CsrT<bf16_t>&, const Tilin
 template TiledCsrT<float> tiled_csr_from_csr(const CsrT<float>&, const TilingSpec&);
 template TiledCsrT<double> tiled_csr_from_csr(const CsrT<double>&, const TilingSpec&);
 template TiledCsrT<bf16_t> tiled_csr_from_csr(const CsrT<bf16_t>&, const TilingSpec&);
-template StripNnz strip_nnz_of(const CsrT<float>&, const TilingSpec&);
-template StripNnz strip_nnz_of(const CsrT<double>&, const TilingSpec&);
-template StripNnz strip_nnz_of(const CsrT<bf16_t>&, const TilingSpec&);
 template CooT<float> coo_from_tiled(const TiledDcsrT<float>&);
 template CooT<double> coo_from_tiled(const TiledDcsrT<double>&);
 template CooT<bf16_t> coo_from_tiled(const TiledDcsrT<bf16_t>&);

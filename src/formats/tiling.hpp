@@ -81,8 +81,6 @@ struct TiledDcsrT {
   std::vector<std::vector<DcsrTileT<V>>> strips;
 
   index_t num_strips() const { return static_cast<index_t>(strips.size()); }
-  i64 nnz() const;
-  i64 total_nnz_rows() const;  ///< sum of per-tile non-empty row segments
 };
 
 using TiledDcsr = TiledDcsrT<value_t>;
@@ -95,17 +93,9 @@ struct TiledCsrT {
   std::vector<std::vector<CsrTileT<V>>> strips;
 
   index_t num_strips() const { return static_cast<index_t>(strips.size()); }
-  i64 nnz() const;
 };
 
 using TiledCsr = TiledCsrT<value_t>;
-
-extern template struct TiledDcsrT<float>;
-extern template struct TiledDcsrT<double>;
-extern template struct TiledDcsrT<bf16_t>;
-extern template struct TiledCsrT<float>;
-extern template struct TiledCsrT<double>;
-extern template struct TiledCsrT<bf16_t>;
 
 /// CRC32 over a tile's body arrays (row_idx, row_ptr, col_idx, val) and
 /// its coordinate header — the integrity fingerprint the conversion
@@ -125,18 +115,6 @@ template <class V>
 TiledDcsrT<V> tiled_dcsr_from_csr(const CsrT<V>& csr, const TilingSpec& spec);
 template <class V>
 TiledCsrT<V> tiled_csr_from_csr(const CsrT<V>& csr, const TilingSpec& spec);
-
-/// Per-strip non-zero counts under `spec` — the strip-skip table the
-/// B-stationary kernels consult before touching a strip.  Derivable
-/// from A alone (one col_idx scan), so plans compute it once and pass
-/// it through SpmmOperandsT instead of every kernel call rescanning.
-struct StripNnz {
-  TilingSpec spec;
-  std::vector<i64> counts;  ///< counts[s] = non-zeros in vertical strip s
-};
-
-template <class V>
-StripNnz strip_nnz_of(const CsrT<V>& csr, const TilingSpec& spec);
 
 /// Reassemble into global-coordinate COO — used by the partition-property
 /// tests (every non-zero appears in exactly one tile).

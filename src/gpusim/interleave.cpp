@@ -4,12 +4,9 @@
 
 namespace nmdt {
 
-Interleaver::Interleaver(const ArchConfig& arch)
-    : channels_(arch.pseudo_channels),
-      partitions_(arch.fb_partitions),
-      channels_per_partition_(arch.pseudo_channels / arch.fb_partitions) {
+Interleaver::Interleaver(const ArchConfig& arch) {
   arch.validate();
-  channel_mod_ = FastMod32(static_cast<u32>(channels_));
+  channel_mod_ = FastMod32(static_cast<u32>(arch.pseudo_channels));
   granule_shift_ = 0;
   while ((i64{1} << granule_shift_) < arch.interleave_bytes) ++granule_shift_;
   NMDT_CHECK_CONFIG((i64{1} << granule_shift_) == arch.interleave_bytes,

@@ -6,9 +6,9 @@
 // evenly instead of resonating with the channel count.  A given address
 // always maps to the same channel (it is physical), which is what makes
 // hot single lines a per-channel load.  Channels group into FB
-// partitions (channels_per_partition consecutive channel ids per
-// partition), the granularity at which the Sec. 6.1 camping problem
-// shows up.
+// partitions of consecutive channel ids (partition_imbalance,
+// sched/layout.hpp), the granularity at which the Sec. 6.1 camping
+// problem shows up.
 #pragma once
 
 #include "gpusim/arch.hpp"
@@ -26,17 +26,10 @@ class Interleaver {
     return static_cast<int>(channel_mod_(static_cast<u32>(g >> 40)));  // g >> 40 < 2^24
   }
 
-  int partition_of_channel(int channel) const { return channel / channels_per_partition_; }
-
   i64 granule_bytes() const { return i64{1} << granule_shift_; }
-  int channels() const { return channels_; }
-  int partitions() const { return partitions_; }
 
  private:
-  int channels_;
-  FastMod32 channel_mod_{1};  ///< % channels_
-  int partitions_;
-  int channels_per_partition_;
+  FastMod32 channel_mod_{1};  ///< % pseudo channels
   int granule_shift_;
 };
 

@@ -25,52 +25,35 @@ SpmmResult spmm_a_stationary(const SpmmOperandsT<V>& ops, const DenseMatrixT<V>&
 
   const index_t K = B.cols();
 
-  // Per-strip starting offsets into the concatenated device blobs, so a
-  // shard can address its strips' tiles without walking its
-  // predecessors.
-  const usize num_strips = tiled.strips.size();
-  std::vector<i64> strip_rowptr_start(num_strips + 1, 0);
-  std::vector<i64> strip_entry_start(num_strips + 1, 0);
-  for (usize s = 0; s < num_strips; ++s) {
-    i64 rowptr_words = 0, entries = 0;
-    for (const auto& tile : tiled.strips[s]) {
-      rowptr_words += static_cast<i64>(tile.body.row_ptr.size());
-      entries += tile.nnz();
-    }
-    strip_rowptr_start[s + 1] = strip_rowptr_start[s] + rowptr_words;
-    strip_entry_start[s + 1] = strip_entry_start[s] + entries;
-  }
-  const i64 total_rowptr = strip_rowptr_start[num_strips];
-  const i64 total_entries = strip_entry_start[num_strips];
+  // Per-tile offsets into the concatenated device blobs, so a shard can
+  // address its strips' tiles without walking its predecessors.
+  const TileOffsets off = tile_offsets(tiled);
 
-  ShardSet shards(cfg, static_cast<i64>(num_strips), kStripGrain);
+  ShardSet shards(cfg, tiled.num_strips(), kStripGrain);
   PartialCT<CT> partial(A.rows, K, shards.size());
   shards.run([&](int sh, ShardRange range, Ctx& ctx) {
     const DenseLayout b = DenseLayout::allocate(B, ctx.mem, "B");
     const DenseLayout c = DenseLayout::allocate(A.rows, K, kVB, ctx.mem, "C");
-    const u64 rowptr_base = ctx.mem.allocate(total_rowptr * kIndexBytes, "A.tiles.row_ptr");
+    const u64 rowptr_base =
+        ctx.mem.allocate(off.total().meta * kIndexBytes, "A.tiles.row_ptr");
     const u64 entry_base =
-        ctx.mem.allocate(total_entries * (kIndexBytes + kVB), "A.tiles.entries");
+        ctx.mem.allocate(off.total().entry * (kIndexBytes + kVB), "A.tiles.entries");
     DenseMatrixT<CT>& C = partial.shard(sh);
 
     for (i64 s = range.begin; s < range.end; ++s) {
-      i64 rowptr_off = strip_rowptr_start[static_cast<usize>(s)];
-      i64 entry_off = strip_entry_start[static_cast<usize>(s)];
-      for (const auto& tile : tiled.strips[static_cast<usize>(s)]) {
+      const auto& strip = tiled.strips[static_cast<usize>(s)];
+      for (usize t = 0; t < strip.size(); ++t) {
+        const CsrTileT<V>& tile = strip[t];
+        const TileOffsets::Offset& o = off.at(s, t);
         // Single fetch of the A tile into shared memory (plus the tile
         // scan visits, as in tiled CSR).
         ctx.counters.warp_visits += 1 + static_cast<u64>((tile.body.rows + 31) / 32);
         ctx.waves(InstrClass::kMemory, tile.body.rows + 1);
-        ctx.mem.warp_load(rowptr_base + static_cast<u64>(rowptr_off) * kIndexBytes,
-                          static_cast<i64>(tile.body.row_ptr.size()) * kIndexBytes);
-        rowptr_off += static_cast<i64>(tile.body.row_ptr.size());
-        if (tile.nnz() > 0) {
-          ctx.mem.warp_load(
-              entry_base + static_cast<u64>(entry_off) * (kIndexBytes + kVB),
-              tile.nnz() * (kIndexBytes + kVB));
-        }
-        entry_off += tile.nnz();
+        ctx.mem.warp_load(rowptr_base + static_cast<u64>(o.meta) * kIndexBytes,
+                          tile_meta_words(tile) * kIndexBytes);
         if (tile.nnz() == 0) continue;
+        ctx.mem.warp_load(entry_base + static_cast<u64>(o.entry) * (kIndexBytes + kVB),
+                          tile.nnz() * (kIndexBytes + kVB));
 
         for (index_t lr = 0; lr < tile.body.rows; ++lr) {
           const i64 cnt = tile.body.row_nnz(lr);

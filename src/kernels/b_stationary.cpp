@@ -17,6 +17,11 @@
 //                      CSC→DCSR engines and delivered over the crossbar;
 //                      DRAM sees only the compact CSC stream.
 //
+// Every variant skips a strip without non-zeros before loading its B
+// tile.  The online kernel finds one with a CSC col_ptr subtraction; the
+// offline kernels find it in their own tiles, as an empty entry range
+// in the per-tile device offsets (TileOffsets, kernels/detail.hpp).
+//
 // Sharding: the strip axis splits across shards (kStripGrain strips
 // each); every strip contributes to every C row, so each shard
 // accumulates into a private PartialC buffer, reduced in shard-index
@@ -85,33 +90,6 @@ double offline_tiling_cost_ns(const Footprint& src, const Footprint& dst,
          arch.total_bandwidth_gbps();
 }
 
-/// Per-tile device offsets of an offline tiled format stored as two
-/// concatenated blobs (metadata words, entry pairs).
-struct TileOffsets {
-  std::vector<std::vector<i64>> meta;     ///< [strip][tile] word offset
-  std::vector<std::vector<i64>> entries;  ///< [strip][tile] entry offset
-  i64 total_meta_words = 0;
-  i64 total_entries = 0;
-};
-
-template <typename Tiled, typename MetaWordsFn>
-TileOffsets compute_offsets(const Tiled& tiled, MetaWordsFn&& meta_words_of) {
-  TileOffsets off;
-  off.meta.resize(tiled.strips.size());
-  off.entries.resize(tiled.strips.size());
-  for (usize s = 0; s < tiled.strips.size(); ++s) {
-    off.meta[s].reserve(tiled.strips[s].size());
-    off.entries[s].reserve(tiled.strips[s].size());
-    for (const auto& tile : tiled.strips[s]) {
-      off.meta[s].push_back(off.total_meta_words);
-      off.entries[s].push_back(off.total_entries);
-      off.total_meta_words += meta_words_of(tile);
-      off.total_entries += tile.nnz();
-    }
-  }
-  return off;
-}
-
 }  // namespace
 
 template <class V>
@@ -122,10 +100,7 @@ SpmmResult spmm_tiled_csr_b_stationary(const SpmmOperandsT<V>& ops,
   const CsrT<V>& A = *ops.csr;
   const TilingSpec& spec = cfg.tiling;
   const TiledCsrT<V>& tiled = *ops.tiled_csr;
-  const StripNnz& strip_nnz = *ops.strip_nnz;
-  const TileOffsets off = compute_offsets(tiled, [](const CsrTileT<V>& t) {
-    return static_cast<i64>(t.body.row_ptr.size());
-  });
+  const TileOffsets off = tile_offsets(tiled);
 
   const index_t K = B.cols();
   const index_t bt = spec.strip_width;  // B tile is bt×bt
@@ -136,16 +111,16 @@ SpmmResult spmm_tiled_csr_b_stationary(const SpmmOperandsT<V>& ops,
     const DenseLayout b = DenseLayout::allocate(B, ctx.mem, "B");
     const DenseLayout c = DenseLayout::allocate(A.rows, K, kVB, ctx.mem, "C");
     const u64 rowptr_base =
-        ctx.mem.allocate(off.total_meta_words * kIndexBytes, "A.tiles.row_ptr");
+        ctx.mem.allocate(off.total().meta * kIndexBytes, "A.tiles.row_ptr");
     const u64 entry_base =
-        ctx.mem.allocate(off.total_entries * (kIndexBytes + kVB), "A.tiles.entries");
+        ctx.mem.allocate(off.total().entry * (kIndexBytes + kVB), "A.tiles.entries");
     DenseMatrixT<CT>& C = partial.shard(sh);
 
     const VisitOrder visits(K, bt, static_cast<index_t>(range.begin),
                             static_cast<index_t>(range.end), cfg.traversal);
     for (i64 v = 0; v < visits.size(); ++v) {
       const auto [bc, s] = visits[v];
-      if (strip_nnz.counts[static_cast<usize>(s)] == 0) continue;
+      if (off.strip_empty(s)) continue;
       const index_t tile_cols = std::min<index_t>(bt, K - bc);
       const index_t width =
           std::min<index_t>(spec.strip_width, A.cols - s * spec.strip_width);
@@ -153,17 +128,17 @@ SpmmResult spmm_tiled_csr_b_stationary(const SpmmOperandsT<V>& ops,
 
       for (usize t = 0; t < tiled.strips[s].size(); ++t) {
         const CsrTileT<V>& tile = tiled.strips[s][t];
+        const TileOffsets::Offset& o = off.at(s, t);
         // Full row_ptr scan: (tile_rows+1) pointers regardless of how
         // many rows are empty — the redundant-metadata pathology.  The
         // scan itself costs warp visits proportional to tile height.
         ctx.counters.warp_visits += 1 + static_cast<u64>((tile.body.rows + 31) / 32);
         ctx.waves(InstrClass::kMemory, tile.body.rows + 1);
-        ctx.mem.warp_load(rowptr_base + static_cast<u64>(off.meta[s][t]) * kIndexBytes,
-                          static_cast<i64>(tile.body.row_ptr.size()) * kIndexBytes);
+        ctx.mem.warp_load(rowptr_base + static_cast<u64>(o.meta) * kIndexBytes,
+                          tile_meta_words(tile) * kIndexBytes);
         if (tile.nnz() > 0) {
-          ctx.mem.warp_load(
-              entry_base + static_cast<u64>(off.entries[s][t]) * (kIndexBytes + kVB),
-              tile.nnz() * (kIndexBytes + kVB));
+          ctx.mem.warp_load(entry_base + static_cast<u64>(o.entry) * (kIndexBytes + kVB),
+                            tile.nnz() * (kIndexBytes + kVB));
         }
 
         for (index_t lr = 0; lr < tile.body.rows; ++lr) {
@@ -209,10 +184,7 @@ SpmmResult spmm_tiled_dcsr_b_stationary(const SpmmOperandsT<V>& ops,
   const CsrT<V>& A = *ops.csr;
   const TilingSpec& spec = cfg.tiling;
   const TiledDcsrT<V>& tiled = *ops.tiled_dcsr;
-  const StripNnz& strip_nnz = *ops.strip_nnz;
-  const TileOffsets off = compute_offsets(tiled, [](const DcsrTileT<V>& t) {
-    return static_cast<i64>(t.body.row_idx.size() + t.body.row_ptr.size());
-  });
+  const TileOffsets off = tile_offsets(tiled);
 
   const index_t K = B.cols();
   const index_t bt = spec.strip_width;
@@ -223,16 +195,16 @@ SpmmResult spmm_tiled_dcsr_b_stationary(const SpmmOperandsT<V>& ops,
     const DenseLayout b = DenseLayout::allocate(B, ctx.mem, "B");
     const DenseLayout c = DenseLayout::allocate(A.rows, K, kVB, ctx.mem, "C");
     const u64 meta_base =
-        ctx.mem.allocate(off.total_meta_words * kIndexBytes, "A.tiles.meta");
+        ctx.mem.allocate(off.total().meta * kIndexBytes, "A.tiles.meta");
     const u64 entry_base =
-        ctx.mem.allocate(off.total_entries * (kIndexBytes + kVB), "A.tiles.entries");
+        ctx.mem.allocate(off.total().entry * (kIndexBytes + kVB), "A.tiles.entries");
     DenseMatrixT<CT>& C = partial.shard(sh);
 
     const VisitOrder visits(K, bt, static_cast<index_t>(range.begin),
                             static_cast<index_t>(range.end), cfg.traversal);
     for (i64 v = 0; v < visits.size(); ++v) {
       const auto [bc, s] = visits[v];
-      if (strip_nnz.counts[static_cast<usize>(s)] == 0) continue;
+      if (off.strip_empty(s)) continue;
       const index_t tile_cols = std::min<index_t>(bt, K - bc);
       const index_t width =
           std::min<index_t>(spec.strip_width, A.cols - s * spec.strip_width);
@@ -240,17 +212,16 @@ SpmmResult spmm_tiled_dcsr_b_stationary(const SpmmOperandsT<V>& ops,
 
       for (usize t = 0; t < tiled.strips[s].size(); ++t) {
         const DcsrTileT<V>& tile = tiled.strips[s][t];
-        const i64 meta_words =
-            static_cast<i64>(tile.body.row_idx.size() + tile.body.row_ptr.size());
+        const TileOffsets::Offset& o = off.at(s, t);
+        const i64 meta_words = tile_meta_words(tile);
         // DCSR metadata: proportional to non-empty rows, not tile height.
         ++ctx.counters.warp_visits;
         ctx.waves(InstrClass::kMemory, meta_words);
-        ctx.mem.warp_load(meta_base + static_cast<u64>(off.meta[s][t]) * kIndexBytes,
+        ctx.mem.warp_load(meta_base + static_cast<u64>(o.meta) * kIndexBytes,
                           meta_words * kIndexBytes);
         if (tile.nnz() > 0) {
-          ctx.mem.warp_load(
-              entry_base + static_cast<u64>(off.entries[s][t]) * (kIndexBytes + kVB),
-              tile.nnz() * (kIndexBytes + kVB));
+          ctx.mem.warp_load(entry_base + static_cast<u64>(o.entry) * (kIndexBytes + kVB),
+                            tile.nnz() * (kIndexBytes + kVB));
         }
         process_dcsr_tile<V>(ctx, tile, B, C, c, bc, tile_cols);
       }

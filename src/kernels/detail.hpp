@@ -87,6 +87,59 @@ struct DcsrLayout {
   }
 };
 
+/// Metadata words of one offline tile: the full row_ptr of a tiled-CSR
+/// tile; row_idx plus row_ptr of a tiled-DCSR tile.
+template <class V>
+i64 tile_meta_words(const CsrTileT<V>& t) {
+  return static_cast<i64>(t.body.row_ptr.size());
+}
+template <class V>
+i64 tile_meta_words(const DcsrTileT<V>& t) {
+  return static_cast<i64>(t.body.row_idx.size() + t.body.row_ptr.size());
+}
+
+/// Device offsets of an offline tiled format stored as two concatenated
+/// blobs (metadata words, entry pairs), tiles in strip-major order:
+/// tile t of strip s sits at tile[strip_start[s] + t], and one trailing
+/// element holds the blob totals.  A strip's entries are the range
+/// between its first tile's offset and the next strip's, so an empty
+/// strip is found in the tiles themselves.
+struct TileOffsets {
+  struct Offset {
+    i64 meta = 0;   ///< metadata word offset
+    i64 entry = 0;  ///< entry offset
+  };
+  std::vector<Offset> tile;
+  std::vector<usize> strip_start;  ///< num_strips + 1 indices into `tile`
+
+  const Offset& at(i64 s, usize t) const {
+    return tile[strip_start[static_cast<usize>(s)] + t];
+  }
+  bool strip_empty(i64 s) const {
+    return tile[strip_start[static_cast<usize>(s) + 1]].entry ==
+           tile[strip_start[static_cast<usize>(s)]].entry;
+  }
+  const Offset& total() const { return tile.back(); }
+};
+
+template <class Tiled>
+TileOffsets tile_offsets(const Tiled& tiled) {
+  TileOffsets off;
+  off.strip_start.reserve(tiled.strips.size() + 1);
+  TileOffsets::Offset next;
+  for (const auto& strip : tiled.strips) {
+    off.strip_start.push_back(off.tile.size());
+    for (const auto& tile : strip) {
+      off.tile.push_back(next);
+      next.meta += tile_meta_words(tile);
+      next.entry += tile.nnz();
+    }
+  }
+  off.strip_start.push_back(off.tile.size());
+  off.tile.push_back(next);
+  return off;
+}
+
 /// Shared kernel-execution state.
 struct Ctx {
   const SpmmConfig& cfg;

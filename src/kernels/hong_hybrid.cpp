@@ -16,21 +16,23 @@
 #include <type_traits>
 
 #include "kernels/detail.hpp"
-#include "util/error.hpp"
 
 namespace nmdt::detail {
 
 namespace {
 
+/// Minimum non-zeros a (strip, row) segment needs to be extracted into
+/// the heavy DCSR part.
+constexpr index_t kHongHeavyThreshold = 4;
+
 template <class V>
 struct HongSplit {
-  CsrT<V> heavy;  ///< segments with >= threshold nnz in their strip
+  CsrT<V> heavy;  ///< segments with >= kHongHeavyThreshold nnz in their strip
   CsrT<V> light;  ///< everything else
 };
 
 template <class V>
-HongSplit<V> split_by_segment_weight(const CsrT<V>& A, const TilingSpec& spec,
-                                     index_t threshold) {
+HongSplit<V> split_by_segment_weight(const CsrT<V>& A, const TilingSpec& spec) {
   CooT<V> heavy, light;
   heavy.rows = light.rows = A.rows;
   heavy.cols = light.cols = A.cols;
@@ -42,7 +44,7 @@ HongSplit<V> split_by_segment_weight(const CsrT<V>& A, const TilingSpec& spec,
     }
     for (index_t k = A.row_ptr[r]; k < A.row_ptr[r + 1]; ++k) {
       const index_t c = A.col_idx[k];
-      CooT<V>& dst = seg_count[c / spec.strip_width] >= threshold ? heavy : light;
+      CooT<V>& dst = seg_count[c / spec.strip_width] >= kHongHeavyThreshold ? heavy : light;
       dst.push(r, c, A.val[k]);
     }
   }
@@ -54,13 +56,11 @@ HongSplit<V> split_by_segment_weight(const CsrT<V>& A, const TilingSpec& spec,
 template <class V>
 SpmmResult spmm_hong_hybrid(const SpmmOperandsT<V>& ops, const DenseMatrixT<V>& B,
                             const SpmmConfig& cfg) {
-  NMDT_CHECK_CONFIG(cfg.hong_heavy_threshold > 0, "hong_heavy_threshold must be positive");
   using CT = typename VTraits<V>::compute_t;
   const CsrT<V>& A = *ops.csr;
-  // The heavy/light split depends on cfg.hong_heavy_threshold, not on A
-  // alone, so it is not a plan-cacheable artifact: always derived here.
-  const HongSplit<V> split =
-      split_by_segment_weight(A, cfg.tiling, cfg.hong_heavy_threshold);
+  // The heavy/light split is the Hong scheme's own preprocessing, not a
+  // plan artifact: always derived here.
+  const HongSplit<V> split = split_by_segment_weight(A, cfg.tiling);
 
   const index_t K = B.cols();
   SpmmResult heavy_res;
@@ -69,9 +69,8 @@ SpmmResult spmm_hong_hybrid(const SpmmOperandsT<V>& ops, const DenseMatrixT<V>& 
   if (split.heavy.nnz() > 0) {
     // Tiling the heavy part is the Hong scheme's own preprocessing.
     const TiledDcsrT<V> tiles = tiled_dcsr_from_csr(split.heavy, cfg.tiling);
-    const StripNnz strips = strip_nnz_of(split.heavy, cfg.tiling);
-    heavy_res = spmm_tiled_dcsr_b_stationary(
-        {.csr = &split.heavy, .tiled_dcsr = &tiles, .strip_nnz = &strips}, B, cfg);
+    heavy_res =
+        spmm_tiled_dcsr_b_stationary({.csr = &split.heavy, .tiled_dcsr = &tiles}, B, cfg);
     ran_heavy = true;
   }
   if (split.light.nnz() > 0) {

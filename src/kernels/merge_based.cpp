@@ -4,7 +4,7 @@
 // Row-per-warp kernels serialize each row in one warp, so a single
 // heavy row sets the kernel's critical path on skewed matrices.  The
 // merge-based decomposition splits the (row boundary, non-zero) merge
-// path into equal spans: every warp gets at most `merge_chunk`
+// path into equal spans: every warp gets at most `kMergeChunk`
 // non-zeros regardless of row structure.  Spans that end mid-row
 // contribute their partial C row with an atomicAdd fixup; spans that
 // own whole rows write C directly (the common case).  DCSR supplies
@@ -20,21 +20,21 @@
 #include <algorithm>
 
 #include "kernels/detail.hpp"
-#include "util/error.hpp"
 
 namespace nmdt::detail {
+
+/// Maximum non-zeros one warp processes before a row is split.
+constexpr index_t kMergeChunk = 256;
 
 template <class V>
 SpmmResult spmm_merge_c_stationary(const SpmmOperandsT<V>& ops, const DenseMatrixT<V>& B,
                                    const SpmmConfig& cfg) {
-  NMDT_CHECK_CONFIG(cfg.merge_chunk > 0, "merge_chunk must be positive");
   using CT = typename VTraits<V>::compute_t;
   constexpr i64 kVB = static_cast<i64>(sizeof(V));
   const CsrT<V>& A = *ops.csr;
   const DcsrT<V>& D = *ops.dcsr;
 
   const index_t K = B.cols();
-  const index_t chunk = cfg.merge_chunk;
   DenseMatrixT<CT> C(A.rows, K, CT{});
 
   ShardSet shards(cfg, D.nnz_rows(), kMergeRowGrain);
@@ -58,8 +58,8 @@ SpmmResult spmm_merge_c_stationary(const SpmmOperandsT<V>& ops, const DenseMatri
       const index_t row_end = D.row_ptr[g + 1];
       CT* NMDT_RESTRICT c_row = C.row(r).data();
 
-      for (index_t span = row_begin; span < row_end; span += chunk) {
-        const index_t span_end = std::min<index_t>(span + chunk, row_end);
+      for (index_t span = row_begin; span < row_end; span += kMergeChunk) {
+        const index_t span_end = std::min<index_t>(span + kMergeChunk, row_end);
         const i64 cnt = span_end - span;
         const bool whole_row = span == row_begin && span_end == row_end;
 

@@ -9,7 +9,9 @@
 //
 // All pointers are non-owning views; the caller (SpmmPlan::operands_for)
 // guarantees they outlive the kernel call.  Pointers to artifacts the
-// kernel does not read may be null.
+// kernel does not read may be null.  A strip-skip table is no artifact:
+// the offline tiled formats know their empty strips from their tiles,
+// and the online kernel from CSC's col_ptr.
 //
 // The bundle is typed on the stored value precision V: every format in
 // one bundle carries the same scalar type, so a kernel can never mix
@@ -30,7 +32,6 @@ struct SpmmOperandsT {
   const DcsrT<V>* dcsr = nullptr;              ///< untiled DCSR kernels
   const TiledDcsrT<V>* tiled_dcsr = nullptr;   ///< offline B-stationary arm
   const TiledCsrT<V>* tiled_csr = nullptr;     ///< tiled-CSR strawman, A-stationary
-  const StripNnz* strip_nnz = nullptr;         ///< B-stationary strip-skip table
 };
 
 }  // namespace nmdt

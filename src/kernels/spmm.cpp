@@ -77,8 +77,8 @@ ArtifactSet artifacts_of(KernelKind kind) {
     case KernelKind::kHongHybrid: return {};
     case KernelKind::kDcsrCStationary:
     case KernelKind::kMergeCStationary: return {.dcsr = true};
-    case KernelKind::kTiledCsrBStationary: return {.tiled_csr = true, .strip_nnz = true};
-    case KernelKind::kTiledDcsrBStationary: return {.tiled_dcsr = true, .strip_nnz = true};
+    case KernelKind::kTiledCsrBStationary: return {.tiled_csr = true};
+    case KernelKind::kTiledDcsrBStationary: return {.tiled_dcsr = true};
     case KernelKind::kTiledDcsrOnline: return {.csc = true};
     case KernelKind::kAStationary: return {.tiled_csr = true};
   }
@@ -97,13 +97,13 @@ const char* missing_artifact(KernelKind kind, const SpmmOperandsT<V>& A) {
   if (need.dcsr && !A.dcsr) return "dcsr";
   if (need.tiled_dcsr && !A.tiled_dcsr) return "tiled_dcsr";
   if (need.tiled_csr && !A.tiled_csr) return "tiled_csr";
-  if (need.strip_nnz && !A.strip_nnz) return "strip_nnz";
   return nullptr;
 }
 
 /// The one operand check, made at kernel entry: cfg names precision V,
-/// the bundle is complete for `kind`, and every tiled artifact in it was
-/// cut under cfg.tiling.
+/// the bundle is complete for `kind`, every tiled artifact in it was cut
+/// under cfg.tiling, and the online kernel's engines have a lane per
+/// strip column.
 template <class V>
 void check_operands(KernelKind kind, const SpmmOperandsT<V>& A, const SpmmConfig& cfg) {
   NMDT_CHECK_CONFIG(cfg.precision == VTraits<V>::kPrecision,
@@ -115,9 +115,13 @@ void check_operands(KernelKind kind, const SpmmOperandsT<V>& A, const SpmmConfig
   }
   const TilingSpec& t = cfg.tiling;
   NMDT_CHECK_CONFIG((!A.tiled_dcsr || A.tiled_dcsr->spec == t) &&
-                        (!A.tiled_csr || A.tiled_csr->spec == t) &&
-                        (!A.strip_nnz || A.strip_nnz->spec == t),
+                        (!A.tiled_csr || A.tiled_csr->spec == t),
                     "a tiled operand was built under a TilingSpec other than cfg.tiling");
+  NMDT_CHECK_CONFIG(kind != KernelKind::kTiledDcsrOnline ||
+                        t.strip_width <= cfg.engine_hw.lanes,
+                    "strip_width " + std::to_string(t.strip_width) +
+                        " is wider than the conversion engine's " +
+                        std::to_string(cfg.engine_hw.lanes) + " lanes");
 }
 
 template <class V>

@@ -86,7 +86,6 @@ struct ArtifactSet {
   bool dcsr = false;
   bool tiled_dcsr = false;
   bool tiled_csr = false;
-  bool strip_nnz = false;
 };
 
 /// The one kernel → artifact table: the kernel entry rejects a bundle
@@ -112,12 +111,6 @@ struct SpmmConfig {
   PlacementPolicy placement = PlacementPolicy::kTileRotation;
   TraversalOrder traversal = TraversalOrder::kColumnMajor;
   EngineHwModel engine_hw{};
-  /// Maximum non-zeros one warp processes before the row is split
-  /// (merge-based kernel only).
-  index_t merge_chunk = 256;
-  /// Minimum non-zeros a (strip, row) segment needs to be extracted
-  /// into the heavy DCSR part (Hong-hybrid kernel only).
-  index_t hong_heavy_threshold = 4;
   /// Host threads executing one kernel's shard set (<= 0 selects
   /// hardware concurrency).  The shard decomposition depends only on
   /// the matrix, never on this value, so C and every simulated metric
@@ -190,9 +183,10 @@ DenseMatrixT<double> result_f64(const SpmmResult& r);
 /// Operands and B are stored at precision V, arithmetic runs at
 /// VTraits<V>::compute_t; instantiated for float, double, and bf16_t.
 /// Kernels never convert.  ConfigError, before any work, when an
-/// artifact the kernel reads is missing, when a tiled artifact or the
-/// StripNnz table was built under a TilingSpec other than cfg.tiling,
-/// or when cfg.precision does not name V.  The modelled offline-prep
+/// artifact the kernel reads is missing, when a tiled artifact was built
+/// under a TilingSpec other than cfg.tiling, when cfg.precision does not
+/// name V, or when the online kernel's strips are wider than
+/// cfg.engine_hw.lanes.  The modelled offline-prep
 /// cost (`SpmmResult::offline_prep_ns`) is report semantics, not host
 /// work.
 template <class V>

@@ -82,26 +82,6 @@ Csr gen_uniform(index_t rows, index_t cols, double density, u64 seed) {
   return csr;
 }
 
-Csr gen_uniform_nnz(index_t rows, index_t cols, i64 nnz, u64 seed) {
-  NMDT_CHECK_CONFIG(rows > 0 && cols > 0, "gen_uniform_nnz requires positive dimensions");
-  const i64 cells = static_cast<i64>(rows) * cols;
-  NMDT_CHECK_CONFIG(nnz >= 0 && nnz <= cells, "nnz must be in [0, rows*cols]");
-  Rng rng(seed);
-  std::unordered_set<i64> seen;
-  seen.reserve(static_cast<usize>(nnz) * 2);
-  Coo coo;
-  coo.rows = rows;
-  coo.cols = cols;
-  while (static_cast<i64>(seen.size()) < nnz) {
-    const i64 cell = static_cast<i64>(rng.below(static_cast<u64>(cells)));
-    if (seen.insert(cell).second) {
-      coo.push(static_cast<index_t>(cell / cols), static_cast<index_t>(cell % cols),
-               random_value(rng));
-    }
-  }
-  return csr_from_coo(coo);
-}
-
 namespace {
 
 /// Shared core for the two power-law generators: sample target nnz

@@ -51,10 +51,6 @@ Csr gen_block_clustered(index_t n, index_t num_blocks, double intra_density,
 /// structure; values from the stencil).  The classic HPC sparse matrix.
 Csr gen_stencil_5pt(index_t grid_x, index_t grid_y);
 
-/// Exact-nnz uniform sampler: exactly `nnz` distinct cells.  Used where
-/// tests need precise counts.
-Csr gen_uniform_nnz(index_t rows, index_t cols, i64 nnz, u64 seed);
-
 /// Magnitude-pruned block sparsity (DLMC-shaped).  The weight matrix of
 /// a pruned DNN layer: partition rows×cols into block_size×block_size
 /// blocks, rank blocks by a sampled magnitude score, keep the top

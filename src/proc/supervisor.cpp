@@ -682,8 +682,6 @@ TaskOutcome Supervisor::call(u8 kind, u64 key, std::string payload) {
   return future.get();
 }
 
-usize Supervisor::pending() const { return impl_->pending.load(std::memory_order_acquire); }
-
 std::vector<i64> Supervisor::worker_pids() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   return impl_->pids;
@@ -771,7 +769,6 @@ Supervisor::~Supervisor() = default;
 u64 Supervisor::submit(u8, u64, std::string, u64) { return 0; }
 std::optional<Completion> Supervisor::wait_completion(double) { return std::nullopt; }
 TaskOutcome Supervisor::call(u8, u64, std::string) { return {}; }
-usize Supervisor::pending() const { return 0; }
 std::vector<i64> Supervisor::worker_pids() const { return {}; }
 void Supervisor::shutdown() {}
 

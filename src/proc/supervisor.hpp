@@ -115,9 +115,6 @@ class Supervisor {
   /// outcome.  Never consumes wait_completion() completions.
   TaskOutcome call(u8 kind, u64 key, std::string payload);
 
-  /// Tasks submitted but not yet completed.
-  usize pending() const;
-
   /// Live worker pids — the chaos tests' kill -9 target.
   std::vector<i64> worker_pids() const;
 

@@ -29,11 +29,6 @@ int StripPlacement::channel_for(index_t strip_id, index_t tile_row) const {
   return 0;
 }
 
-i64 StripPlacement::switches_per_strip(index_t num_tiles) const {
-  if (policy_ == PlacementPolicy::kStripCamping || num_tiles <= 1) return 0;
-  return num_tiles - 1;
-}
-
 double partition_imbalance(const MemStats& stats, int fb_partitions) {
   NMDT_CHECK_CONFIG(fb_partitions > 0, "partition_imbalance requires partitions > 0");
   const i64 total = stats.total_dram_bytes();

@@ -32,18 +32,11 @@ class StripPlacement {
   /// Pseudo channel holding tile `tile_row` of strip `strip_id`.
   int channel_for(index_t strip_id, index_t tile_row) const;
 
-  /// Number of channel switches an SM crossing `num_tiles` consecutive
-  /// tiles of one strip performs (0 under camping placement).
-  i64 switches_per_strip(index_t num_tiles) const;
-
   /// Per-switch handoff metadata in bytes: the col_idx_frontier of the
   /// strip's lanes plus the next_fb_ptr (Sec. 6.1).
   static i64 switch_handoff_bytes(index_t strip_width) {
     return static_cast<i64>(strip_width) * kIndexBytes + 8;
   }
-
-  PlacementPolicy policy() const { return policy_; }
-  int channels() const { return channels_; }
 
  private:
   PlacementPolicy policy_;

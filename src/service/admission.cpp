@@ -107,11 +107,6 @@ void AdmissionQueue::close() {
   cv_.notify_all();
 }
 
-bool AdmissionQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
-}
-
 usize AdmissionQueue::depth() const {
   std::lock_guard<std::mutex> lock(mu_);
   return q_.size();

@@ -115,7 +115,6 @@ class AdmissionQueue {
   /// Stop accepting (try_push sheds) and wake blocked poppers; already
   /// queued tickets still drain through pop().
   void close();
-  bool closed() const;
 
   usize depth() const;
 

@@ -1,7 +1,7 @@
 // Thread-local conversion arena: a chunked bump allocator backing the
 // per-tile scratch of the CSC→DCSR engine datapath.
 //
-// convert_tile historically allocated fresh vectors per tile (lane
+// Tile conversion historically allocated fresh vectors per tile (lane
 // scratch + four growing tile arrays): at bench scale that is tens of
 // thousands of malloc/free round trips per kernel invocation, most of
 // the online kernel's non-compute time.  The arena replaces them with

@@ -73,16 +73,6 @@ MinReduceResult comparator_tree_min(std::span<const index_t> coords,
   return res;
 }
 
-int comparator_stages(int lanes) {
-  int stages = 0;
-  int width = 1;
-  while (width < lanes) {
-    width *= 2;
-    ++stages;
-  }
-  return stages;
-}
-
 namespace {
 
 /// One element under the verdict semantics of ToleranceComparator::compare.

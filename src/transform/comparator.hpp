@@ -36,10 +36,6 @@ struct MinReduceResult {
 MinReduceResult comparator_tree_min(std::span<const index_t> coords,
                                     std::span<const u8> valid);
 
-/// Number of tree stages for an N-input unit (log2 rounded up) — the
-/// pipeline depth contribution of the comparator in Sec. 5.3.
-int comparator_stages(int lanes);
-
 // ---------------------------------------------------------------------------
 // Result-tolerance comparison (the fSPMV-style verification bound).
 //

@@ -103,18 +103,6 @@ ConversionEngine::ConversionEngine(EngineHwModel hw) : hw_(hw) {
 }
 
 template <class V>
-DcsrTileT<V> ConversionEngine::convert_tile(const CscT<V>& csc, StripCursor& cursor,
-                                            index_t row_start, const TilingSpec& spec,
-                                            MemorySystem* mem,
-                                            const CscDeviceLayout* layout,
-                                            int pinned_channel, int fault_attempt) {
-  DcsrTileT<V> tile;
-  convert_tile_into(tile, csc, cursor, row_start, spec, mem, layout, pinned_channel,
-                    fault_attempt);
-  return tile;
-}
-
-template <class V>
 void ConversionEngine::convert_tile_into(DcsrTileT<V>& out, const CscT<V>& csc,
                                          StripCursor& cursor, index_t row_start,
                                          const TilingSpec& spec, MemorySystem* mem,
@@ -358,9 +346,6 @@ std::vector<DcsrTileT<V>> ConversionEngine::convert_strip(const CscT<V>& csc,
 #define NMDT_INSTANTIATE_ENGINE(V)                                                     \
   template CscDeviceLayout CscDeviceLayout::allocate(const CscT<V>&, MemorySystem&);   \
   template StripCursor::StripCursor(const CscT<V>&, index_t, const TilingSpec&);       \
-  template DcsrTileT<V> ConversionEngine::convert_tile(                                \
-      const CscT<V>&, StripCursor&, index_t, const TilingSpec&, MemorySystem*,         \
-      const CscDeviceLayout*, int, int);                                               \
   template void ConversionEngine::convert_tile_into(                                   \
       DcsrTileT<V>&, const CscT<V>&, StripCursor&, index_t, const TilingSpec&,         \
       MemorySystem*, const CscDeviceLayout*, int, int);                                \

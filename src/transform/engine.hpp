@@ -127,10 +127,9 @@ class ConversionEngine {
 
   const EngineHwModel& hw() const { return hw_; }
   const EngineStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = EngineStats{}; }
 
   /// Convert rows [row_start, row_start + spec.tile_height) of the
-  /// cursor's strip into a DCSR tile with tile-local coordinates
+  /// cursor's strip into `out`, a DCSR tile with tile-local coordinates
   /// (GetDCSRTile of Fig. 11).  Advances the cursor.  `mem` (optional)
   /// receives DRAM/crossbar traffic using `layout` addresses; when
   /// `pinned_channel >= 0` the engine's DRAM reads are charged to that
@@ -141,20 +140,11 @@ class ConversionEngine {
   /// fresh attempt index.  Templated on the stored value type: the
   /// datapath moves indices and opaque value words, so the identical
   /// comparator walk serves every precision — only the element width
-  /// (and hence DRAM/crossbar byte counts) changes.
-  template <class V>
-  DcsrTileT<V> convert_tile(const CscT<V>& csc, StripCursor& cursor, index_t row_start,
-                            const TilingSpec& spec, MemorySystem* mem = nullptr,
-                            const CscDeviceLayout* layout = nullptr,
-                            int pinned_channel = -1, int fault_attempt = 0);
-
-  /// convert_tile into a caller-owned tile: `out` is cleared and
-  /// refilled, retaining its vectors' capacity, and all transient
+  /// (and hence DRAM/crossbar byte counts) changes.  `out` is cleared
+  /// and refilled, retaining its vectors' capacity, and all transient
   /// scratch comes from the thread-local ConversionArena — so a caller
   /// that reuses one tile across a strip (the online kernel) performs
-  /// zero steady-state heap allocations per tile.  Identical output and
-  /// simulated accounting to convert_tile (which is now a thin wrapper
-  /// over this).
+  /// zero steady-state heap allocations per tile.
   template <class V>
   void convert_tile_into(DcsrTileT<V>& out, const CscT<V>& csc, StripCursor& cursor,
                          index_t row_start, const TilingSpec& spec,
@@ -162,7 +152,7 @@ class ConversionEngine {
                          const CscDeviceLayout* layout = nullptr,
                          int pinned_channel = -1, int fault_attempt = 0);
 
-  /// convert_tile plus the consumption-point integrity check (CRC32 +
+  /// convert_tile_into plus the consumption-point integrity check (CRC32 +
   /// structural validate) and bounded recovery: on a mismatch the strip
   /// cursor is rewound and the tile reconverted, up to
   /// fault::kMaxRetries times, with the engine's simulated counters and

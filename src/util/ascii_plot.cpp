@@ -62,13 +62,8 @@ void AsciiScatter::set_labels(std::string x_label, std::string y_label) {
 }
 
 void AsciiScatter::render(std::ostream& os) const {
-  auto tx = [&](double v) { return log_x_ ? std::log10(v) : v; };
-  auto ty = [&](double v) { return log_y_ ? std::log10(v) : v; };
-  auto usable = [&](const Point& p) {
-    if (!std::isfinite(p.x) || !std::isfinite(p.y)) return false;
-    if (log_x_ && p.x <= 0.0) return false;
-    if (log_y_ && p.y <= 0.0) return false;
-    return true;
+  auto usable = [](const Point& p) {
+    return std::isfinite(p.x) && std::isfinite(p.y) && p.x > 0.0 && p.y > 0.0;
   };
 
   double xmin = std::numeric_limits<double>::infinity(), xmax = -xmin;
@@ -77,15 +72,15 @@ void AsciiScatter::render(std::ostream& os) const {
   for (const auto& p : points_) {
     if (!usable(p)) continue;
     ++plotted;
-    xmin = std::min(xmin, tx(p.x));
-    xmax = std::max(xmax, tx(p.x));
-    ymin = std::min(ymin, ty(p.y));
-    ymax = std::max(ymax, ty(p.y));
+    xmin = std::min(xmin, std::log10(p.x));
+    xmax = std::max(xmax, std::log10(p.x));
+    ymin = std::min(ymin, std::log10(p.y));
+    ymax = std::max(ymax, std::log10(p.y));
   }
   for (double h : hlines_) {
-    if (!log_y_ || h > 0.0) {
-      ymin = std::min(ymin, ty(h));
-      ymax = std::max(ymax, ty(h));
+    if (h > 0.0) {
+      ymin = std::min(ymin, std::log10(h));
+      ymax = std::max(ymax, std::log10(h));
     }
   }
   if (plotted == 0) {
@@ -98,35 +93,32 @@ void AsciiScatter::render(std::ostream& os) const {
   std::vector<std::string> grid(static_cast<usize>(height_),
                                 std::string(static_cast<usize>(width_), ' '));
   auto row_of = [&](double v) {
-    const double t = (ty(v) - ymin) / (ymax - ymin);
+    const double t = (std::log10(v) - ymin) / (ymax - ymin);
     return std::clamp(height_ - 1 - static_cast<int>(t * (height_ - 1) + 0.5), 0,
                       height_ - 1);
   };
   for (double h : hlines_) {
-    if (log_y_ && h <= 0.0) continue;
+    if (h <= 0.0) continue;
     std::fill(grid[static_cast<usize>(row_of(h))].begin(),
               grid[static_cast<usize>(row_of(h))].end(), '-');
   }
   for (const auto& p : points_) {
     if (!usable(p)) continue;
-    const double u = (tx(p.x) - xmin) / (xmax - xmin);
+    const double u = (std::log10(p.x) - xmin) / (xmax - xmin);
     const int col = std::clamp(static_cast<int>(u * (width_ - 1) + 0.5), 0, width_ - 1);
     grid[static_cast<usize>(row_of(p.y))][static_cast<usize>(col)] = p.marker;
   }
 
-  auto fmt_edge = [&](double v, bool log_axis) {
-    return log_axis ? format_sci(std::pow(10.0, v)) : format_double(v, 2);
-  };
+  auto fmt_edge = [](double v) { return format_sci(std::pow(10.0, v)); };
   os << y_label_ << "\n";
   for (int r = 0; r < height_; ++r) {
     const double v = ymax - (ymax - ymin) * r / (height_ - 1);
-    os << std::setw(9) << fmt_edge(v, log_y_) << " |" << grid[static_cast<usize>(r)]
-       << "\n";
+    os << std::setw(9) << fmt_edge(v) << " |" << grid[static_cast<usize>(r)] << "\n";
   }
   os << std::string(11, ' ') << std::string(static_cast<usize>(width_), '-') << "\n"
-     << std::string(11, ' ') << fmt_edge(xmin, log_x_)
-     << std::string(static_cast<usize>(std::max(1, width_ - 18)), ' ')
-     << fmt_edge(xmax, log_x_) << "   (" << x_label_ << ")\n";
+     << std::string(11, ' ') << fmt_edge(xmin)
+     << std::string(static_cast<usize>(std::max(1, width_ - 18)), ' ') << fmt_edge(xmax)
+     << "   (" << x_label_ << ")\n";
 }
 
 }  // namespace nmdt

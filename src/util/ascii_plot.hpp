@@ -24,12 +24,10 @@ class AsciiScatter {
   AsciiScatter(int width = 72, int height = 24);
 
   /// Add a point of series `marker` (later series overdraw earlier ones
-  /// in shared cells).  Non-finite or non-positive values are dropped
-  /// in log mode.
+  /// in shared cells).  Non-finite or non-positive values are dropped:
+  /// both axes are logarithmic.
   void add(double x, double y, char marker);
 
-  void set_log_x(bool on) { log_x_ = on; }
-  void set_log_y(bool on) { log_y_ = on; }
   void set_labels(std::string x_label, std::string y_label);
   /// Draw a horizontal reference line (e.g. y = 1 for speedup plots).
   void add_hline(double y) { hlines_.push_back(y); }
@@ -42,8 +40,6 @@ class AsciiScatter {
     char marker;
   };
   int width_, height_;
-  bool log_x_ = true;
-  bool log_y_ = true;
   std::string x_label_ = "x";
   std::string y_label_ = "y";
   std::vector<Point> points_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -22,14 +23,6 @@ double geomean(std::span<const double> xs) {
     acc += std::log(x);
   }
   return std::exp(acc / static_cast<double>(xs.size()));
-}
-
-double stddev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs.size() - 1));
 }
 
 double median(std::span<const double> xs) { return percentile(xs, 50.0); }
@@ -53,32 +46,6 @@ double fraction_above(std::span<const double> xs, double threshold) {
     if (x > threshold) ++n;
   }
   return static_cast<double>(n) / static_cast<double>(xs.size());
-}
-
-Histogram::Histogram(double lo, double hi, usize bins) : lo_(lo), hi_(hi) {
-  NMDT_REQUIRE(hi > lo, "Histogram requires hi > lo");
-  NMDT_REQUIRE(bins > 0, "Histogram requires at least one bin");
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  i64 bin = static_cast<i64>(t * static_cast<double>(counts_.size()));
-  bin = std::clamp<i64>(bin, 0, static_cast<i64>(counts_.size()) - 1);
-  ++counts_[static_cast<usize>(bin)];
-  ++total_;
-}
-
-void Histogram::add(std::span<const double> xs) {
-  for (double x : xs) add(x);
-}
-
-double Histogram::bin_lo(usize bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(usize bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin + 1) / static_cast<double>(counts_.size());
 }
 
 }  // namespace nmdt

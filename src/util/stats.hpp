@@ -1,9 +1,8 @@
 // Small descriptive-statistics helpers used by the analysis module and
-// the benchmark harness (geomean speedups, percentiles, histograms).
+// the benchmark harness (geomean speedups, percentiles).
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "util/types.hpp"
 
@@ -11,7 +10,6 @@ namespace nmdt {
 
 double mean(std::span<const double> xs);
 double geomean(std::span<const double> xs);  ///< requires all xs > 0
-double stddev(std::span<const double> xs);   ///< sample standard deviation
 double median(std::span<const double> xs);
 
 /// p in [0, 100]; linear interpolation between order statistics.
@@ -19,26 +17,5 @@ double percentile(std::span<const double> xs, double p);
 
 /// Fraction of entries strictly greater than `threshold`.
 double fraction_above(std::span<const double> xs, double threshold);
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into
-/// the first/last bin so totals always equal the input size.
-class Histogram {
- public:
-  Histogram(double lo, double hi, usize bins);
-
-  void add(double x);
-  void add(std::span<const double> xs);
-
-  usize bins() const { return counts_.size(); }
-  u64 count(usize bin) const { return counts_[bin]; }
-  u64 total() const { return total_; }
-  double bin_lo(usize bin) const;
-  double bin_hi(usize bin) const;
-
- private:
-  double lo_, hi_;
-  std::vector<u64> counts_;
-  u64 total_ = 0;
-};
 
 }  // namespace nmdt

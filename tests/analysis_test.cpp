@@ -1,4 +1,4 @@
-// Analysis-module tests: normalized entropy bounds and extremes, SSF
+// Analysis-module tests: profile entropy bounds and extremes, SSF
 // monotonicity properties, Table-1 traffic-model identities (including
 // agreement with the simulated kernels), bytes/FLOP, and the threshold
 // learner.
@@ -21,7 +21,7 @@ const TilingSpec kSpec{64, 64};
 TEST(Entropy, InUnitInterval) {
   for (u64 seed = 0; seed < 5; ++seed) {
     const Csr m = gen_uniform(256, 256, 0.01, seed);
-    const double h = normalized_entropy(m, kSpec);
+    const double h = profile_matrix(m, kSpec).h_norm;
     EXPECT_GE(h, 0.0);
     EXPECT_LE(h, 1.0 + 1e-12);
   }
@@ -34,7 +34,7 @@ TEST(Entropy, AllSingletonSegmentsGiveMaximumEntropy) {
   coo.rows = 128;
   coo.cols = 64;
   for (index_t r = 0; r < 128; ++r) coo.push(r, r % 64, 1.0f);
-  EXPECT_NEAR(normalized_entropy(csr_from_coo(coo), kSpec), 1.0, 1e-12);
+  EXPECT_NEAR(profile_matrix(csr_from_coo(coo), kSpec).h_norm, 1.0, 1e-12);
 }
 
 TEST(Entropy, SingleHeavySegmentGivesZeroEntropy) {
@@ -43,19 +43,19 @@ TEST(Entropy, SingleHeavySegmentGivesZeroEntropy) {
   coo.rows = 128;
   coo.cols = 64;
   for (index_t c = 0; c < 64; ++c) coo.push(5, c, 1.0f);
-  EXPECT_NEAR(normalized_entropy(csr_from_coo(coo), kSpec), 0.0, 1e-12);
+  EXPECT_NEAR(profile_matrix(csr_from_coo(coo), kSpec).h_norm, 0.0, 1e-12);
 }
 
 TEST(Entropy, DegenerateMatrices) {
   Coo empty;
   empty.rows = 64;
   empty.cols = 64;
-  EXPECT_DOUBLE_EQ(normalized_entropy(csr_from_coo(empty), kSpec), 0.0);
+  EXPECT_DOUBLE_EQ(profile_matrix(csr_from_coo(empty), kSpec).h_norm, 0.0);
   Coo one;
   one.rows = 64;
   one.cols = 64;
   one.push(3, 3, 1.0f);
-  EXPECT_DOUBLE_EQ(normalized_entropy(csr_from_coo(one), kSpec), 0.0);
+  EXPECT_DOUBLE_EQ(profile_matrix(csr_from_coo(one), kSpec).h_norm, 0.0);
 }
 
 TEST(Profile, UniformMatrixHasNearOneEntropyAndSmallSsf) {
@@ -81,8 +81,11 @@ TEST(Profile, ClusteredMatrixHasLargerSsfThanUniform) {
 TEST(Profile, StripRowSegmentsMatchTiling) {
   const Csr m = gen_uniform(300, 300, 0.01, 10);
   const MatrixProfile p = profile_matrix(m, kSpec);
-  const TiledDcsr tiled = tiled_dcsr_from_csr(m, kSpec);
-  EXPECT_EQ(p.total_tile_row_segments, tiled.total_nnz_rows());
+  i64 tile_rows = 0;
+  for (const auto& strip : tiled_dcsr_from_csr(m, kSpec).strips) {
+    for (const DcsrTile& tile : strip) tile_rows += tile.nnz_rows();
+  }
+  EXPECT_EQ(p.total_tile_row_segments, tile_rows);
   // A row belongs to exactly one tile per strip, so strip and tile
   // granularities agree.
   EXPECT_EQ(p.total_strip_row_segments, p.total_tile_row_segments);

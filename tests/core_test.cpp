@@ -29,8 +29,11 @@ TEST(GetDcsrTile, Fig11LoopConvertsWholeStrip) {
     EXPECT_EQ(h.nnz, h.tile.nnz());
   }
   EXPECT_EQ(total_nnz, csr.nnz());
-  const TiledDcsr offline = tiled_dcsr_from_csr(csr, spec);
-  EXPECT_EQ(total_rows, offline.total_nnz_rows());
+  i64 offline_rows = 0;
+  for (const auto& strip : tiled_dcsr_from_csr(csr, spec).strips) {
+    for (const DcsrTile& tile : strip) offline_rows += tile.nnz_rows();
+  }
+  EXPECT_EQ(total_rows, offline_rows);
   // Frontier ends at the column lengths.
   for (index_t l = 0; l < 64; ++l) {
     EXPECT_EQ(col_frontier[l], csc.col_ptr[l + 1] - csc.col_ptr[l]);

@@ -9,6 +9,7 @@
 #include "formats/footprint.hpp"
 #include "formats/matrix_market.hpp"
 #include "formats/tiling.hpp"
+#include "matgen/suite.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -48,7 +49,7 @@ TEST(Coo, DensityAndPush) {
   coo.cols = 10;
   coo.push(1, 2, 3.0f);
   EXPECT_EQ(coo.nnz(), 1);
-  EXPECT_DOUBLE_EQ(coo.density(), 0.01);
+  EXPECT_DOUBLE_EQ(csr_from_coo(coo).density(), 0.01);
 }
 
 TEST(Coo, CoalesceSumsDuplicates) {
@@ -87,7 +88,7 @@ TEST(Csr, Fig1Example) {
   // Paper Fig. 1: row_ptr = [0, 3, 3, 5]; row 1 is empty.
   EXPECT_EQ(csr.row_ptr, (std::vector<index_t>{0, 3, 3, 5}));
   EXPECT_TRUE(csr.row_empty(1));
-  EXPECT_EQ(csr.nonzero_rows(), 2);
+  EXPECT_EQ(compute_stats(csr).nonzero_rows, 2);
 }
 
 TEST(Csr, ValidateRejectsNonMonotoneRowPtr) {
@@ -119,8 +120,8 @@ TEST(Csc, TransposeOfFig1) {
   const Csc csc = csc_from_csr(fig1_matrix());
   csc.validate();
   EXPECT_EQ(csc.nnz(), 5);
-  EXPECT_EQ(csc.col_nnz(1), 2);  // b and x live in column 1
-  EXPECT_EQ(csc.col_nnz(3), 1);  // y
+  EXPECT_EQ(csc.col_ptr[2] - csc.col_ptr[1], 2);  // b and x live in column 1
+  EXPECT_EQ(csc.col_ptr[4] - csc.col_ptr[3], 1);  // y
 }
 
 TEST(Csc, ValidateRejectsNonAscendingRows) {
@@ -226,7 +227,6 @@ TEST_P(Tiling, DcsrTilesPartitionEveryNonZeroExactlyOnce) {
   const Csr csr = csr_from_coo(random_coo(rows, cols, 0.05, 500 + rows + cols));
   TilingSpec spec{static_cast<index_t>(width), static_cast<index_t>(height)};
   const TiledDcsr tiled = tiled_dcsr_from_csr(csr, spec);
-  EXPECT_EQ(tiled.nnz(), csr.nnz());
   Coo reassembled = coo_from_tiled(tiled);
   reassembled.coalesce();
   Coo original = coo_from_csr(csr);
@@ -241,7 +241,6 @@ TEST_P(Tiling, CsrTilesPartitionEveryNonZeroExactlyOnce) {
   const Csr csr = csr_from_coo(random_coo(rows, cols, 0.05, 600 + rows + cols));
   TilingSpec spec{static_cast<index_t>(width), static_cast<index_t>(height)};
   const TiledCsr tiled = tiled_csr_from_csr(csr, spec);
-  EXPECT_EQ(tiled.nnz(), csr.nnz());
   Coo reassembled = coo_from_tiled(tiled);
   reassembled.coalesce();
   Coo original = coo_from_csr(csr);

@@ -119,15 +119,6 @@ TEST(Interleaver, HashSpreadsPowerOfTwoStrides) {
   EXPECT_GT(hits.size(), 48u);
 }
 
-TEST(Interleaver, PartitionGroupsConsecutiveChannels) {
-  const Interleaver il(ArchConfig::gv100());
-  // 64 channels / 8 partitions = 8 channels per partition.
-  EXPECT_EQ(il.partition_of_channel(0), 0);
-  EXPECT_EQ(il.partition_of_channel(7), 0);
-  EXPECT_EQ(il.partition_of_channel(8), 1);
-  EXPECT_EQ(il.partition_of_channel(63), 7);
-}
-
 /// One 32 B sector of a 128 B-line L2, as the memory system books it.
 L2Cache::LineResult access_sector(L2Cache& l2, CacheStats& stats, u64 addr, bool is_write) {
   return l2.access_line(addr / 128, static_cast<int>(addr % 128 / 32), 1, is_write, stats);

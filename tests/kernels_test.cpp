@@ -149,6 +149,70 @@ TEST(KernelModel, BStationaryPaysAtomics) {
   i64 b_atomic_bytes = 0;
   for (const auto& ch : b_stat.mem.channels) b_atomic_bytes += ch.atomic_bytes;
   EXPECT_GT(b_atomic_bytes, 0);
+
+  // Strip-skip pin: non-zeros only in vertical strips 0, 3 and 7 of 512
+  // columns, so the strip kernels skip five of eight strips.  Literal
+  // KernelCounters and MemStats totals per kernel and memory mode.
+  Coo coo;
+  coo.rows = 256;
+  coo.cols = 512;
+  Rng vals(41);
+  for (index_t r = 0; r < coo.rows; ++r) {
+    for (index_t s : {0, 3, 7}) {
+      for (index_t col = s * 64; col < (s + 1) * 64; ++col) {
+        if (vals.chance(0.06)) coo.push(r, col, static_cast<value_t>(vals.uniform(-1, 1)));
+      }
+    }
+  }
+  const Csr strips = csr_from_coo(coo);
+  DenseMatrix Bs(strips.cols, 32);
+  Bs.randomize(rng);
+  auto totals = [](const SpmmResult& r) {
+    const KernelCounters& k = r.counters;
+    return std::vector<i64>{static_cast<i64>(k.total_instr()),
+                            static_cast<i64>(k.lane_slots_active),
+                            static_cast<i64>(k.lane_slots_inactive),
+                            static_cast<i64>(k.warp_visits),
+                            static_cast<i64>(k.serial_iterations),
+                            static_cast<i64>(k.atomic_updates),
+                            static_cast<i64>(k.max_chain_iters),
+                            r.mem.total_dram_bytes(),
+                            r.mem.l2_service_bytes,
+                            r.mem.atomic_rmw_bytes,
+                            static_cast<i64>(r.mem.l2.accesses),
+                            static_cast<i64>(r.mem.l2.sector_hits)};
+  };
+  struct Pin {
+    KernelKind kind;
+    MemMode mode;
+    std::vector<i64> want;
+  };
+  const Pin pins[] = {
+      {KernelKind::kTiledCsrBStationary, MemMode::kCounting,
+       {10479, 334212, 1116, 780, 2913, 744, 11, 242048, 146816, 95232, 0, 0}},
+      {KernelKind::kTiledCsrBStationary, MemMode::kCacheSim,
+       {10479, 334212, 1116, 780, 2913, 744, 11, 116608, 146816, 95232, 4588, 1968}},
+      {KernelKind::kTiledDcsrBStationary, MemMode::kCounting,
+       {10468, 334908, 68, 756, 2913, 744, 11, 244960, 149728, 95232, 0, 0}},
+      {KernelKind::kTiledDcsrBStationary, MemMode::kCacheSim,
+       {10468, 334908, 68, 756, 2913, 744, 11, 119520, 149728, 95232, 4679, 1968}},
+      {KernelKind::kAStationary, MemMode::kCounting,
+       {6690, 212344, 1736, 840, 2913, 744, 11, 596096, 500864, 95232, 0, 0}},
+      {KernelKind::kAStationary, MemMode::kCacheSim,
+       {6690, 212344, 1736, 840, 2913, 744, 11, 121760, 500864, 95232, 15652, 12871}},
+      {KernelKind::kHongHybrid, MemMode::kCounting,
+       {10837, 344771, 2013, 667, 2913, 399, 11, 295520, 244448, 51072, 0, 0}},
+      {KernelKind::kHongHybrid, MemMode::kCacheSim,
+       {10837, 344771, 2013, 667, 2913, 399, 11, 160288, 244448, 51072, 7639, 3526}},
+  };
+  for (const Pin& pin : pins) {
+    SpmmConfig mode_cfg = cfg;
+    mode_cfg.mem_mode = pin.mode;
+    const SpmmResult res = run_one_shot(pin.kind, strips, Bs, mode_cfg);
+    EXPECT_EQ(totals(res), pin.want)
+        << kernel_name(pin.kind) << (pin.mode == MemMode::kCacheSim ? " cachesim" : " counting");
+    EXPECT_GT(res.counters.atomic_updates, 0u);
+  }
 }
 
 TEST(KernelModel, CStationaryRereadsBPerNonZero) {
@@ -250,9 +314,9 @@ TEST(KernelModel, ShapeMismatchThrows) {
 
 TEST(KernelModel, IncompleteOperandsThrowConfigError) {
   // The kernel entry takes complete planned operands only.  A missing
-  // artifact, a tiled artifact or strip table cut under another
-  // TilingSpec, or a precision other than the operands' is a typed
-  // ConfigError before any work — never a local conversion.
+  // artifact, a tiled artifact cut under another TilingSpec, or a
+  // precision other than the operands' is a typed ConfigError before
+  // any work — never a local conversion.
   using Ops = SpmmOperandsT<value_t>;
   const Csr A = gen_powerlaw_rows(128, 128, 0.05, 1.2, 31);
   Rng rng(5);
@@ -284,14 +348,8 @@ TEST(KernelModel, IncompleteOperandsThrowConfigError) {
         without(&Ops::csr);
         without(&Ops::dcsr);
         break;
-      case KernelKind::kTiledCsrBStationary:
-        without(&Ops::tiled_csr);
-        without(&Ops::strip_nnz);
-        break;
-      case KernelKind::kTiledDcsrBStationary:
-        without(&Ops::tiled_dcsr);
-        without(&Ops::strip_nnz);
-        break;
+      case KernelKind::kTiledCsrBStationary: without(&Ops::tiled_csr); break;
+      case KernelKind::kTiledDcsrBStationary: without(&Ops::tiled_dcsr); break;
       case KernelKind::kTiledDcsrOnline: without(&Ops::csc); break;
       case KernelKind::kAStationary: without(&Ops::tiled_csr); break;
     }
@@ -302,10 +360,9 @@ TEST(KernelModel, IncompleteOperandsThrowConfigError) {
     const Ops full = plan->operands_for<value_t>(kind);
     // Bundles carrying one artifact cut under {32, 32} while cfg.tiling
     // is {64, 64}.
-    std::vector<Ops> mistiled(3, full);
+    std::vector<Ops> mistiled(2, full);
     mistiled[0].tiled_dcsr = tiled_dcsr32.tiled_dcsr;
     mistiled[1].tiled_csr = tiled_csr32.tiled_csr;
-    mistiled[2].strip_nnz = tiled_csr32.strip_nnz;
     // The complete bundle runs: each throw below comes from the defect.
     EXPECT_NO_THROW(run_spmm(kind, full, B, cfg));
     const std::vector<Ops> missing = incomplete(kind, full);
@@ -324,6 +381,21 @@ TEST(KernelModel, IncompleteOperandsThrowConfigError) {
   }
 }
 
+TEST(KernelModel, OnlineStripWiderThanEngineLanesIsAConfigError) {
+  // Each strip column needs an engine lane: a wider strip is a bad
+  // configuration (ConfigError, exit 4), rejected before any work.
+  const Csr A = gen_uniform(128, 256, 0.02, 32);
+  DenseMatrix B(A.cols, 8);
+  SpmmConfig cfg = small_config();
+  cfg.tiling = {128, 64};
+  EXPECT_THROW(run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg), ConfigError);
+  cfg.tiling = {64, 64};
+  cfg.engine_hw.lanes = 32;
+  EXPECT_THROW(run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg), ConfigError);
+  cfg.tiling = {32, 64};
+  EXPECT_NO_THROW(run_one_shot(KernelKind::kTiledDcsrOnline, A, B, cfg));
+}
+
 TEST(KernelModel, KernelNamesAreDistinct) {
   std::set<std::string> names;
   for (KernelKind k : kAllKernels) {
@@ -339,23 +411,15 @@ TEST(KernelModel, MergeBasedBoundsCriticalChain) {
   Rng rng(11);
   DenseMatrix B(A.cols, 32);
   B.randomize(rng);
-  SpmmConfig cfg = small_config();
-  cfg.merge_chunk = 64;
+  const SpmmConfig cfg = small_config();
   const SpmmResult row_warp = run_one_shot(KernelKind::kDcsrCStationary, A, B, cfg);
   const SpmmResult merge = run_one_shot(KernelKind::kMergeCStationary, A, B, cfg);
-  EXPECT_LE(merge.counters.max_chain_iters, 64u);
-  EXPECT_GT(row_warp.counters.max_chain_iters, 64u)
+  // Spans hold at most the merge kernel's 256-non-zero chunk.
+  EXPECT_LE(merge.counters.max_chain_iters, 256u);
+  EXPECT_GT(row_warp.counters.max_chain_iters, 256u)
       << "skewed matrix must have a heavy row to make this test meaningful";
   // Split rows pay atomic fixups; whole rows do not.
   EXPECT_GT(merge.counters.atomic_updates, 0u);
-}
-
-TEST(KernelModel, MergeChunkMustBePositive) {
-  const Csr A = gen_uniform(64, 64, 0.05, 91);
-  DenseMatrix B(A.cols, 8);
-  SpmmConfig cfg = small_config();
-  cfg.merge_chunk = 0;
-  EXPECT_THROW(run_one_shot(KernelKind::kMergeCStationary, A, B, cfg), ConfigError);
 }
 
 TEST(KernelModel, TraversalOrdersAgreeNumerically) {
@@ -404,31 +468,34 @@ TEST(KernelModel, HongHybridChargesPreprocessing) {
 
 TEST(KernelModel, HongHybridDegeneratesGracefully) {
   // All-light (uniform hypersparse) and all-heavy (dense band) inputs
-  // exercise the single-phase paths.
+  // exercise the single-phase paths.  A (strip, row) segment is heavy
+  // from 4 non-zeros on.
   Rng rng(15);
   const Csr light = gen_uniform(256, 256, 0.001, 95);
   DenseMatrix B1(light.cols, 32);
   B1.randomize(rng);
-  SpmmConfig cfg = small_config();
-  cfg.hong_heavy_threshold = 64;  // nothing qualifies as heavy
+  const SpmmConfig cfg = small_config();
+  for (index_t r = 0; r < light.rows; ++r) {
+    ASSERT_LT(light.row_nnz(r), 4) << "every segment must be light";
+  }
   EXPECT_LE(run_one_shot(KernelKind::kHongHybrid, light, B1, cfg)
                 .C.max_abs_diff(spmm_reference(light, B1)),
             1e-4);
-  const Csr heavy = gen_banded(256, 16, 0.9, 96);
+  // A dense block-diagonal band of 64-wide blocks, aligned with the
+  // strips: every segment holds 64 non-zeros.
+  Coo band;
+  band.rows = band.cols = 256;
+  for (index_t r = 0; r < band.rows; ++r) {
+    for (index_t c = r / 64 * 64; c < r / 64 * 64 + 64; ++c) {
+      band.push(r, c, static_cast<value_t>(rng.uniform(-1, 1)));
+    }
+  }
+  const Csr heavy = csr_from_coo(band);
   DenseMatrix B2(heavy.cols, 32);
   B2.randomize(rng);
-  cfg.hong_heavy_threshold = 1;  // everything is heavy
   EXPECT_LE(run_one_shot(KernelKind::kHongHybrid, heavy, B2, cfg)
                 .C.max_abs_diff(spmm_reference(heavy, B2)),
             1e-4);
-}
-
-TEST(KernelModel, HongHybridRejectsBadThreshold) {
-  const Csr A = gen_uniform(64, 64, 0.05, 97);
-  DenseMatrix B(A.cols, 8);
-  SpmmConfig cfg = small_config();
-  cfg.hong_heavy_threshold = 0;
-  EXPECT_THROW(run_one_shot(KernelKind::kHongHybrid, A, B, cfg), ConfigError);
 }
 
 TEST(KernelModel, OnlineBeatsHongHybridWithPrepOnClusteredInput) {

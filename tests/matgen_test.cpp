@@ -29,13 +29,6 @@ TEST(Generators, UniformHitsDensityTarget) {
   EXPECT_NEAR(m.density(), 0.005, 0.0005);
 }
 
-TEST(Generators, UniformNnzExact) {
-  const Csr m = gen_uniform_nnz(128, 128, 1000, 2);
-  m.validate();
-  EXPECT_EQ(m.nnz(), 1000);
-  EXPECT_THROW(gen_uniform_nnz(4, 4, 17, 3), ConfigError);
-}
-
 TEST(Generators, UniformRowsAreBalanced) {
   const Csr m = gen_uniform(2048, 2048, 0.01, 4);
   const MatrixStats s = compute_stats(m);
@@ -63,11 +56,11 @@ TEST(Generators, RmatProducesClusteredStructure) {
   m.validate();
   EXPECT_EQ(m.rows, 1024);
   EXPECT_GT(m.nnz(), 4000);  // 8k edges minus duplicate collapse
-  // Recursive quadrant bias concentrates mass → lower entropy than an
-  // equal-nnz uniform matrix.
+  // Recursive quadrant bias concentrates mass → lower entropy than a
+  // uniform matrix of the same density.
   const TilingSpec spec{64, 64};
-  const Csr u = gen_uniform_nnz(1024, 1024, m.nnz(), 8);
-  EXPECT_LT(normalized_entropy(m, spec), normalized_entropy(u, spec));
+  const Csr u = gen_uniform(1024, 1024, m.density(), 8);
+  EXPECT_LT(profile_matrix(m, spec).h_norm, profile_matrix(u, spec).h_norm);
 }
 
 TEST(Generators, RmatValidatesProbabilities) {

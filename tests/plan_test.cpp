@@ -368,8 +368,8 @@ TEST(LazyPlan, DcsrCStationaryPlanNeverBuildsTiledFormats) {
 
   EXPECT_EQ(span_count(session, "plan.build"), 1);
   EXPECT_EQ(span_count(session, "plan.convert.dcsr"), 1);
-  for (const char* unread : {"plan.convert.tiled_dcsr", "plan.convert.tiled_csr",
-                             "plan.convert.csc", "plan.convert.strip_nnz"}) {
+  for (const char* unread :
+       {"plan.convert.tiled_dcsr", "plan.convert.tiled_csr", "plan.convert.csc"}) {
     EXPECT_EQ(span_count(session, unread), 0) << unread;
   }
 }
@@ -395,12 +395,11 @@ void expect_operands_match_table(const Csr& A) {
     EXPECT_EQ(ops.dcsr != nullptr, need.dcsr);
     EXPECT_EQ(ops.tiled_dcsr != nullptr, need.tiled_dcsr);
     EXPECT_EQ(ops.tiled_csr != nullptr, need.tiled_csr);
-    EXPECT_EQ(ops.strip_nnz != nullptr, need.strip_nnz);
     if (ops.dcsr) {
       EXPECT_EQ(ops.dcsr->nnz(), A.nnz());
     }
     if (ops.tiled_dcsr) {
-      EXPECT_EQ(ops.tiled_dcsr->nnz(), A.nnz());
+      EXPECT_EQ(coo_from_tiled(*ops.tiled_dcsr).nnz(), A.nnz());
     }
     EXPECT_NO_THROW(run_spmm<V>(kind, ops, b, cfg));
   }
@@ -441,11 +440,7 @@ TEST(LazyPlan, ConcurrentFirstUsesShareOneConversion) {
   session.uninstall();
 
   EXPECT_EQ(span_count(session, "plan.convert.tiled_dcsr"), 1);
-  EXPECT_EQ(span_count(session, "plan.convert.strip_nnz"), 1);
-  for (const auto& ops : got) {
-    EXPECT_EQ(ops.tiled_dcsr, got[0].tiled_dcsr);
-    EXPECT_EQ(ops.strip_nnz, got[0].strip_nnz);
-  }
+  for (const auto& ops : got) EXPECT_EQ(ops.tiled_dcsr, got[0].tiled_dcsr);
 }
 
 TEST(LazyPlan, FailedBuildLeavesTheArtifactUnbuilt) {

@@ -94,7 +94,6 @@ TEST(Supervisor, EchoTasksRoundTripThroughWorkerProcesses) {
               "kind=1 key=" + std::to_string(c->key) + " payload=p" + std::to_string(c->key));
     ids.erase(c->id);
   }
-  EXPECT_EQ(sup.pending(), 0u);
   EXPECT_EQ((proc_counts() - before).crashes, 0);
 }
 

@@ -16,7 +16,6 @@ TEST(Layout, CampingPinsStripToOneChannel) {
   const StripPlacement p(PlacementPolicy::kStripCamping, 8);
   for (index_t t = 0; t < 100; ++t) EXPECT_EQ(p.channel_for(3, t), 3);
   EXPECT_EQ(p.channel_for(11, 0), 3);  // wraps
-  EXPECT_EQ(p.switches_per_strip(100), 0);
 }
 
 TEST(Layout, RotationSpreadsTilesAcrossChannels) {
@@ -24,8 +23,6 @@ TEST(Layout, RotationSpreadsTilesAcrossChannels) {
   std::set<int> channels;
   for (index_t t = 0; t < 8; ++t) channels.insert(p.channel_for(0, t));
   EXPECT_EQ(channels.size(), 8u);
-  EXPECT_EQ(p.switches_per_strip(8), 7);
-  EXPECT_EQ(p.switches_per_strip(1), 0);
 }
 
 TEST(Layout, HandoffBytesAreSmall) {

@@ -114,14 +114,6 @@ TEST(Comparator, RejectsTooManyLanes) {
   EXPECT_THROW(comparator_tree_min(coords, valid), FormatError);
 }
 
-TEST(Comparator, StagesAreLog2) {
-  EXPECT_EQ(comparator_stages(1), 0);
-  EXPECT_EQ(comparator_stages(2), 1);
-  EXPECT_EQ(comparator_stages(4), 2);
-  EXPECT_EQ(comparator_stages(64), 6);
-  EXPECT_EQ(comparator_stages(33), 6);
-}
-
 class ComparatorProperty : public testing::TestWithParam<int> {};
 
 TEST_P(ComparatorProperty, TreeMatchesLinearScanOnRandomInputs) {
@@ -226,8 +218,10 @@ TEST(Engine, SequentialCursorSpansTiles) {
   ConversionEngine engine;
   StripCursor cursor(csc, 0, spec);
   i64 total = 0;
+  DcsrTile tile;
   for (index_t r0 = 0; r0 < csr.rows; r0 += spec.tile_height) {
-    total += engine.convert_tile(csc, cursor, r0, spec).nnz();
+    engine.convert_tile_into(tile, csc, cursor, r0, spec);
+    total += tile.nnz();
   }
   EXPECT_EQ(total, csr.nnz());
 }
@@ -265,10 +259,11 @@ TEST(Engine, OutOfOrderCursorThrows) {
   const TilingSpec spec{64, 64};
   ConversionEngine engine;
   StripCursor cursor(csc, 0, spec);
-  engine.convert_tile(csc, cursor, 0, spec);
-  engine.convert_tile(csc, cursor, 64, spec);
+  DcsrTile tile;
+  engine.convert_tile_into(tile, csc, cursor, 0, spec);
+  engine.convert_tile_into(tile, csc, cursor, 64, spec);
   // Rewinding to an earlier tile with an advanced cursor is a misuse.
-  EXPECT_THROW(engine.convert_tile(csc, cursor, 0, spec), FormatError);
+  EXPECT_THROW(engine.convert_tile_into(tile, csc, cursor, 0, spec), FormatError);
 }
 
 TEST(Engine, InvalidStripThrows) {
@@ -454,14 +449,14 @@ TEST(Engine, ColumnRunningBackwardsIsATypedError) {
   const TilingSpec spec{2, 16};
   ConversionEngine engine;
   StripCursor cursor(csc, 0, spec);
-  EXPECT_THROW(engine.convert_tile(csc, cursor, 0, spec), FormatError);
-  StripCursor checked(csc, 0, spec);
   DcsrTile tile;
+  EXPECT_THROW(engine.convert_tile_into(tile, csc, cursor, 0, spec), FormatError);
+  StripCursor checked(csc, 0, spec);
   EXPECT_THROW(engine.convert_tile_checked_into(tile, csc, checked, 0, spec), FormatError);
   // A repeated row within a column is no more valid than a falling one.
   csc.row_idx = {1, 9, 5, 5, 7};
   StripCursor repeated(csc, 0, spec);
-  EXPECT_THROW(engine.convert_tile(csc, repeated, 0, spec), FormatError);
+  EXPECT_THROW(engine.convert_tile_into(tile, csc, repeated, 0, spec), FormatError);
   // Falling back across a tile boundary: row 70 in the second tile,
   // then row 3.
   Csc tall;
@@ -472,8 +467,9 @@ TEST(Engine, ColumnRunningBackwardsIsATypedError) {
   tall.val = {1, 2};
   const TilingSpec tall_spec{1, 64};
   StripCursor tall_cursor(tall, 0, tall_spec);
-  EXPECT_EQ(engine.convert_tile(tall, tall_cursor, 0, tall_spec).nnz(), 0);
-  EXPECT_THROW(engine.convert_tile(tall, tall_cursor, 64, tall_spec), FormatError);
+  engine.convert_tile_into(tile, tall, tall_cursor, 0, tall_spec);
+  EXPECT_EQ(tile.nnz(), 0);
+  EXPECT_THROW(engine.convert_tile_into(tile, tall, tall_cursor, 64, tall_spec), FormatError);
 }
 
 TEST(Engine, WarmStripConvertsWithoutHeapAllocations) {

@@ -98,7 +98,9 @@ TEST(Rng, NormalHasApproximatelyUnitVariance) {
   std::vector<double> xs(20000);
   for (auto& x : xs) x = rng.normal();
   EXPECT_NEAR(mean(xs), 0.0, 0.05);
-  EXPECT_NEAR(stddev(xs), 1.0, 0.05);
+  double var = 0.0;
+  for (double x : xs) var += x * x;
+  EXPECT_NEAR(var / static_cast<double>(xs.size()), 1.0, 0.1);
 }
 
 TEST(Rng, ChanceProbability) {
@@ -141,10 +143,9 @@ TEST(Zipf, SamplesInRange) {
 
 TEST(Zipf, RejectsEmptyDomain) { EXPECT_THROW(ZipfSampler(0, 1.0), FormatError); }
 
-TEST(Stats, MeanAndStddev) {
+TEST(Stats, Mean) {
   const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(mean(xs), 2.5);
-  EXPECT_NEAR(stddev(xs), std::sqrt(5.0 / 3.0), 1e-12);
 }
 
 TEST(Stats, GeomeanOfPowers) {
@@ -175,28 +176,6 @@ TEST(Stats, FractionAbove) {
   const std::vector<double> xs{0.5, 1.5, 2.5, 3.5};
   EXPECT_DOUBLE_EQ(fraction_above(xs, 1.0), 0.75);
   EXPECT_DOUBLE_EQ(fraction_above(xs, 10.0), 0.0);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);    // bin 0
-  h.add(9.99);   // bin 9
-  h.add(-5.0);   // clamped to bin 0
-  h.add(42.0);   // clamped to bin 9
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 1.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 0.25);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 0.5);
-}
-
-TEST(Histogram, RejectsDegenerateRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), FormatError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), FormatError);
 }
 
 TEST(Table, PrintAligned) {
