@@ -1,8 +1,7 @@
 // Coordinate-list (COO) sparse format.
 //
 // COO is the interchange format: Matrix Market files deserialize into it
-// (paper Sec. 4.1 notes MM uses COO) and all generators emit it before
-// compression into CSR/CSC.
+// (paper Sec. 4.1 notes MM uses COO) before compression into CSR/CSC.
 //
 // Templated on the stored value scalar V (util/precision.hpp); `Coo`
 // aliases the default-precision instantiation.
@@ -27,12 +26,13 @@ struct CooT {
 
   i64 nnz() const { return static_cast<i64>(val.size()); }
 
-  /// Density nnz / (rows*cols); 0 for degenerate dimensions.
-
   /// Append one entry (no duplicate detection; see coalesce()).
   void push(index_t r, index_t c, V v);
 
   /// Sort entries into row-major order and sum duplicates in place.
+  /// The order is that of std::sort over (row, col), which is not
+  /// stable: each run of duplicates sums left to right in the order
+  /// that sort leaves it, starting from its first entry there.
   /// Summation happens in the compute type of V (widen-add-narrow for
   /// bf16), matching the kernel accumulation discipline.
   void coalesce();

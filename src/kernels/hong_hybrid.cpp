@@ -33,22 +33,26 @@ struct HongSplit {
 
 template <class V>
 HongSplit<V> split_by_segment_weight(const CsrT<V>& A, const TilingSpec& spec) {
-  CooT<V> heavy, light;
-  heavy.rows = light.rows = A.rows;
-  heavy.cols = light.cols = A.cols;
+  const CsrT<V> empty{.rows = A.rows, .cols = A.cols, .row_ptr = {0}, .col_idx = {}, .val = {}};
+  HongSplit<V> split{empty, empty};
   std::vector<i64> seg_count(static_cast<usize>(spec.num_strips(A.cols)));
   for (index_t r = 0; r < A.rows; ++r) {
     std::fill(seg_count.begin(), seg_count.end(), 0);
     for (index_t k = A.row_ptr[r]; k < A.row_ptr[r + 1]; ++k) {
       ++seg_count[A.col_idx[k] / spec.strip_width];
     }
+    // A's rows are sorted and duplicate-free, so each part's are too.
     for (index_t k = A.row_ptr[r]; k < A.row_ptr[r + 1]; ++k) {
       const index_t c = A.col_idx[k];
-      CooT<V>& dst = seg_count[c / spec.strip_width] >= kHongHeavyThreshold ? heavy : light;
-      dst.push(r, c, A.val[k]);
+      CsrT<V>& dst =
+          seg_count[c / spec.strip_width] >= kHongHeavyThreshold ? split.heavy : split.light;
+      dst.col_idx.push_back(c);
+      dst.val.push_back(A.val[k]);
     }
+    split.heavy.row_ptr.push_back(static_cast<index_t>(split.heavy.col_idx.size()));
+    split.light.row_ptr.push_back(static_cast<index_t>(split.light.col_idx.size()));
   }
-  return {csr_from_coo(heavy), csr_from_coo(light)};
+  return split;
 }
 
 }  // namespace

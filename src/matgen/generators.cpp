@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <unordered_set>
 
-#include "formats/convert.hpp"
 #include "util/error.hpp"
 
 namespace nmdt {
@@ -14,13 +12,19 @@ namespace {
 
 value_t random_value(Rng& rng) { return static_cast<value_t>(rng.uniform(-1.0, 1.0)); }
 
-/// Poisson sample; Knuth's method for small lambda, normal approximation
-/// for large.  Degree distributions only — no statistical test rides on
-/// the tail shape of the approximation.
-i64 sample_poisson(Rng& rng, double lambda) {
+/// Spend the one raw draw a random_value() takes, without using it.
+/// The generators that collapse duplicate coordinates spend one per
+/// sampled coordinate, so their draw streams, and every matrix they
+/// make, stay those Generators.OutputMatchesParentGolden pins.
+void skip_value_draw(Rng& rng) { rng(); }
+
+/// Poisson sample; Knuth's method for small lambda (`limit` is
+/// exp(-lambda), computed once by the caller), normal approximation for
+/// large.  Degree distributions only — no statistical test rides on the
+/// tail shape of the approximation.
+i64 sample_poisson(Rng& rng, double lambda, double limit) {
   if (lambda <= 0.0) return 0;
   if (lambda < 30.0) {
-    const double limit = std::exp(-lambda);
     double p = 1.0;
     i64 k = 0;
     do {
@@ -33,8 +37,12 @@ i64 sample_poisson(Rng& rng, double lambda) {
   return std::max<i64>(0, static_cast<i64>(std::llround(x)));
 }
 
-/// Sample `count` distinct column indices in [0, cols) into `out`.
-void sample_distinct_cols(Rng& rng, index_t cols, i64 count, std::vector<index_t>& out) {
+/// Sample `count` distinct column indices in [0, cols) into `out`,
+/// ascending.  `seen` is a bitmap of at least `cols` bits, all clear on
+/// entry and on return; the sparse branch clears the words it set
+/// through `out`, so clearing costs O(count), not O(cols).
+void sample_distinct_cols(Rng& rng, index_t cols, i64 count, std::vector<index_t>& out,
+                          std::vector<u64>& seen) {
   out.clear();
   count = std::min<i64>(count, cols);
   if (count <= 0) return;
@@ -48,14 +56,57 @@ void sample_distinct_cols(Rng& rng, index_t cols, i64 count, std::vector<index_t
     }
     out.resize(static_cast<usize>(count));
   } else {
-    std::unordered_set<index_t> seen;
-    seen.reserve(static_cast<usize>(count) * 2);
-    while (static_cast<i64>(seen.size()) < count) {
-      seen.insert(static_cast<index_t>(rng.below(static_cast<u64>(cols))));
+    // Draw until `count` distinct columns are in, as any exact set would.
+    while (static_cast<i64>(out.size()) < count) {
+      const auto c = static_cast<index_t>(rng.below(static_cast<u64>(cols)));
+      u64& word = seen[static_cast<usize>(c) / 64];
+      const u64 bit = u64{1} << (c % 64);
+      if (word & bit) continue;
+      word |= bit;
+      out.push_back(c);
     }
-    out.assign(seen.begin(), seen.end());
+    for (index_t c : out) seen[static_cast<usize>(c) / 64] = 0;
   }
   std::sort(out.begin(), out.end());
+}
+
+/// CSR of the distinct coordinates (coord_row[k], coord_col[k]): a
+/// counting sort by row, then a sort and unique of each row's columns.
+/// The sorted set of distinct coordinates is unique, so the result does
+/// not depend on input order or on how it is sorted.  Values are drawn
+/// afterwards, one random_value per entry in row-major order.
+Csr csr_from_coords(index_t rows, index_t cols, const std::vector<index_t>& coord_row,
+                    const std::vector<index_t>& coord_col, Rng& rng) {
+  Csr csr;
+  csr.rows = rows;
+  csr.cols = cols;
+  csr.row_ptr.assign(static_cast<usize>(rows) + 1, 0);
+  for (index_t r : coord_row) ++csr.row_ptr[r + 1];
+  for (index_t r = 0; r < rows; ++r) csr.row_ptr[r + 1] += csr.row_ptr[r];
+  csr.col_idx.resize(coord_col.size());
+  {
+    std::vector<index_t> cursor(csr.row_ptr.begin(), csr.row_ptr.end() - 1);
+    for (usize k = 0; k < coord_col.size(); ++k) {
+      csr.col_idx[cursor[coord_row[k]]++] = coord_col[k];
+    }
+  }
+  // Compact each row's distinct columns down in place; row_ptr[r] is
+  // rewritten only after its row has been read.
+  index_t out = 0;
+  for (index_t r = 0; r < rows; ++r) {
+    const auto first = csr.col_idx.begin() + csr.row_ptr[r];
+    const auto last = csr.col_idx.begin() + csr.row_ptr[r + 1];
+    std::sort(first, last);
+    const auto end = std::unique(first, last);
+    csr.row_ptr[r] = out;
+    for (auto it = first; it != end; ++it) csr.col_idx[out++] = *it;
+  }
+  csr.row_ptr[rows] = out;
+  csr.col_idx.resize(static_cast<usize>(out));
+  csr.val.resize(static_cast<usize>(out));
+  for (auto& v : csr.val) v = random_value(rng);
+  csr.validate();
+  return csr;
 }
 
 }  // namespace
@@ -70,9 +121,14 @@ Csr gen_uniform(index_t rows, index_t cols, double density, u64 seed) {
   csr.row_ptr.reserve(static_cast<usize>(rows) + 1);
   csr.row_ptr.push_back(0);
   std::vector<index_t> row_cols;
+  std::vector<u64> seen((static_cast<usize>(cols) + 63) / 64, 0);
   const double lambda = density * static_cast<double>(cols);
+  const double limit = std::exp(-lambda);
+  const auto expected_nnz = static_cast<usize>(lambda * static_cast<double>(rows));
+  csr.col_idx.reserve(expected_nnz);
+  csr.val.reserve(expected_nnz);
   for (index_t r = 0; r < rows; ++r) {
-    sample_distinct_cols(rng, cols, sample_poisson(rng, lambda), row_cols);
+    sample_distinct_cols(rng, cols, sample_poisson(rng, lambda, limit), row_cols, seen);
     for (index_t c : row_cols) {
       csr.col_idx.push_back(c);
       csr.val.push_back(random_value(rng));
@@ -85,9 +141,9 @@ Csr gen_uniform(index_t rows, index_t cols, double density, u64 seed) {
 namespace {
 
 /// Shared core for the two power-law generators: sample target nnz
-/// entries with one heavy-tailed axis and one uniform axis; duplicates
-/// collapse in coalesce (slightly under-shooting nnz, as real collision
-/// processes do).
+/// coordinates with one heavy-tailed axis and one uniform axis;
+/// duplicates collapse into one entry (slightly under-shooting nnz, as
+/// real collision processes do).
 Csr gen_powerlaw(index_t rows, index_t cols, double density, double skew, u64 seed,
                  bool heavy_rows) {
   NMDT_CHECK_CONFIG(rows > 0 && cols > 0, "power-law generator requires positive dims");
@@ -104,24 +160,19 @@ Csr gen_powerlaw(index_t rows, index_t cols, double density, double skew, u64 se
   for (usize i = perm.size(); i > 1; --i) {
     std::swap(perm[i - 1], perm[rng.below(i)]);
   }
-  Coo coo;
-  coo.rows = rows;
-  coo.cols = cols;
+  std::vector<index_t> heavy_idx, uniform_idx;
+  heavy_idx.reserve(static_cast<usize>(target));
+  uniform_idx.reserve(static_cast<usize>(target));
   for (i64 k = 0; k < target; ++k) {
-    const index_t heavy = perm[static_cast<usize>(zipf(rng))];
-    const index_t uniform_axis = static_cast<index_t>(
-        rng.below(static_cast<u64>(heavy_rows ? cols : rows)));
-    if (heavy_rows) {
-      coo.push(heavy, uniform_axis, random_value(rng));
-    } else {
-      coo.push(uniform_axis, heavy, random_value(rng));
-    }
+    heavy_idx.push_back(perm[static_cast<usize>(zipf(rng))]);
+    uniform_idx.push_back(
+        static_cast<index_t>(rng.below(static_cast<u64>(heavy_rows ? cols : rows))));
+    skip_value_draw(rng);
   }
-  coo.coalesce();
-  // Duplicate collisions summed by coalesce would skew the value
-  // distribution; re-draw values so entries stay in [-1, 1).
-  for (auto& v : coo.val) v = random_value(rng);
-  return csr_from_coo(coo);
+  // Values are drawn per distinct entry, after collisions collapse, so
+  // they stay in [-1, 1).
+  return heavy_rows ? csr_from_coords(rows, cols, heavy_idx, uniform_idx, rng)
+                    : csr_from_coords(rows, cols, uniform_idx, heavy_idx, rng);
 }
 
 }  // namespace
@@ -142,9 +193,9 @@ Csr gen_rmat(index_t scale, double edge_factor, double a, double b, double c, do
   Rng rng(seed);
   const index_t n = index_t{1} << scale;
   const i64 edges = static_cast<i64>(edge_factor * static_cast<double>(n));
-  Coo coo;
-  coo.rows = n;
-  coo.cols = n;
+  std::vector<index_t> coord_row, coord_col;
+  coord_row.reserve(static_cast<usize>(edges));
+  coord_col.reserve(static_cast<usize>(edges));
   for (i64 e = 0; e < edges; ++e) {
     index_t r = 0, col = 0;
     for (index_t bit = 0; bit < scale; ++bit) {
@@ -170,11 +221,11 @@ Csr gen_rmat(index_t scale, double edge_factor, double a, double b, double c, do
         col |= 1;
       }
     }
-    coo.push(r, col, random_value(rng));
+    coord_row.push_back(r);
+    coord_col.push_back(col);
+    skip_value_draw(rng);
   }
-  coo.coalesce();
-  for (auto& v : coo.val) v = random_value(rng);
-  return csr_from_coo(coo);
+  return csr_from_coords(n, n, coord_row, coord_col, rng);
 }
 
 Csr gen_banded(index_t n, index_t bandwidth, double density_in_band, u64 seed) {
@@ -207,31 +258,32 @@ Csr gen_block_clustered(index_t n, index_t num_blocks, double intra_density,
                     "gen_block_clustered requires 0 < num_blocks <= n");
   Rng rng(seed);
   const index_t block = (n + num_blocks - 1) / num_blocks;
-  Coo coo;
-  coo.rows = n;
-  coo.cols = n;
+  std::vector<index_t> coord_row, coord_col;
+  auto push = [&](index_t r, index_t c) {
+    coord_row.push_back(r);
+    coord_col.push_back(c);
+    skip_value_draw(rng);
+  };
   // Dense-ish diagonal blocks.
   for (index_t b = 0; b < num_blocks; ++b) {
     const index_t lo = b * block;
     const index_t hi = std::min<index_t>(n, lo + block);
     for (index_t r = lo; r < hi; ++r) {
       for (index_t c = lo; c < hi; ++c) {
-        if (rng.chance(intra_density)) coo.push(r, c, random_value(rng));
+        if (rng.chance(intra_density)) push(r, c);
       }
     }
   }
-  // Sparse background: sampled by expected count, duplicates coalesced.
+  // Sparse background: sampled by expected count, duplicates collapsed.
   const double off_cells = static_cast<double>(n) * n -
                            static_cast<double>(num_blocks) * block * block;
   const i64 inter = static_cast<i64>(std::max(0.0, inter_density * off_cells));
   for (i64 k = 0; k < inter; ++k) {
     const index_t r = static_cast<index_t>(rng.below(static_cast<u64>(n)));
     const index_t c = static_cast<index_t>(rng.below(static_cast<u64>(n)));
-    if (r / block != c / block) coo.push(r, c, random_value(rng));
+    if (r / block != c / block) push(r, c);
   }
-  coo.coalesce();
-  for (auto& v : coo.val) v = random_value(rng);
-  return csr_from_coo(coo);
+  return csr_from_coords(n, n, coord_row, coord_col, rng);
 }
 
 Csr gen_magnitude_pruned(index_t rows, index_t cols, double density, index_t block_size,

@@ -29,8 +29,11 @@ void Rng::reseed(u64 seed) {
 
 u64 Rng::below(u64 n) {
   NMDT_REQUIRE(n > 0, "Rng::below requires n > 0");
-  // Lemire's nearly-divisionless bounded sampling with rejection to kill
-  // modulo bias.
+  // Threshold-modulo rejection: a raw draw below 2^64 mod n is redrawn,
+  // so the accepted range is a multiple of n and `r % n` is unbiased.
+  // Two 64-bit divisions per call.  Generator goldens
+  // (Generators.OutputMatchesParentGolden) pin the draw sequence:
+  // changing this method changes every generated matrix.
   const u64 threshold = (~n + 1) % n;  // == 2^64 mod n
   for (;;) {
     const u64 r = (*this)();

@@ -52,8 +52,10 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   i64 range(i64 lo, i64 hi);
 
-  /// Standard normal via Box–Muller (no cached second value; simplicity
-  /// over the ~2x throughput — generation is not on the critical path).
+  /// Standard normal via Box–Muller.  No second value is cached: each
+  /// call takes its own draws.  Matrix generation runs on the request
+  /// path (`gen:` specs), but every generated matrix depends on this
+  /// draw sequence, so a faster variant must keep it.
   double normal();
 
   /// Bernoulli trial with probability p.
